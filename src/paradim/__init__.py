@@ -18,7 +18,7 @@ from .paramodular import (
 from .quaternion import family_tallies, principal_tallies, verify_trace_p23
 from .siegel1 import dim_cusp_sp4
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "ALSign",

@@ -1,43 +1,12 @@
-"""Pure-Python kernels: Kronecker symbol, reduced-form class-number count,
-and the quadratic character sum behind generalized Bernoulli numbers.
+"""Naive kernels, kept as test oracles for ``paradim.kernels``.
 
-A compiled twin lives in _fastkernels.pyx; both expose the same three
-functions and must stay in lock-step.
+They count by definition and stay off the hot path: h(D) checks every
+pair (a, b) with |b| <= a <= sqrt(|D|/3), and the B_{2,chi} sum makes one
+Kronecker call per residue.
 """
 from math import gcd, isqrt
 
-
-def kronecker(a, n):
-    """Kronecker symbol (a/n) for any integers a, n."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    sign = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            sign = -1
-    # strip factors of 2 from n
-    t = 0
-    while n % 2 == 0:
-        n //= 2
-        t += 1
-    if t:
-        if a % 2 == 0:
-            return 0
-        if t % 2 and a % 8 in (3, 5):
-            sign = -sign
-    a %= n
-    # Jacobi symbol on the odd part by quadratic reciprocity
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            sign = -sign
-        a %= n
-    return sign if n == 1 else 0
+from .kernels import kronecker
 
 
 def class_number_from_disc(D):

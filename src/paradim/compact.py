@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from .arith import bernoulli_b2_chi, class_number, split_symbol
 from .characters import chi_young
-from .errors import BadYoung, NonIntegral, ParityFailure
+from .errors import BadYoung, NonIntegral, ParityFailure, TypeNumberBound
 
 
 @dataclass(frozen=True)
@@ -128,5 +128,6 @@ def class_and_type(p):
     if (H + tr) % 2:
         raise NonIntegral(f"H = {H} and trace = {tr} have opposite parity")
     T = (H + tr) // 2
-    assert T <= H <= 2 * T, (p, H, T)
+    if not T <= H <= 2 * T:
+        raise TypeNumberBound(f"p = {p}: H = {H} and T = {T} violate T <= H <= 2T")
     return H, T

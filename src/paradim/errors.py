@@ -18,6 +18,10 @@ class NotSquarefree(ParadimError):
     """class_number called with a non-squarefree radicand."""
 
 
+class BadDiscriminant(ParadimError):
+    """A kernel was given a discriminant (or conductor) outside its domain."""
+
+
 class UnsupportedPrime(ParadimError):
     """An arithmetic ingredient is undefined at this prime (e.g. p=2, 3)."""
 
@@ -56,6 +60,10 @@ class MissingData(ParadimError):
 
 class MissingJacobiData(ParadimError):
     """Weight-2 paramodular dimension requested beyond the embedded range."""
+
+
+class TypeNumberBound(ParadimError):
+    """Class number H and type number T violate T <= H <= 2T."""
 
 
 class NegativeDim(ParadimError):

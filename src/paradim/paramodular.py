@@ -68,6 +68,11 @@ def dim_weight3(p):
     return H - T, T - 1
 
 
+# Below this prime every weight-2 paramodular cusp form of level p is a
+# Gritsenko lift; at p = 277 the first non-lift appears.
+LIFTS_ONLY_BELOW = 277
+
+
 def dim_A_signed(p, k):
     """Signed dimensions of the full (cusp + Eisenstein) space, j = 0.
 
@@ -110,9 +115,14 @@ def _space_sequence(p, space, nmax, j=0):
         else:
             if k < 2 or (k == 2 and j != 0):
                 out.append(0)
+            elif k == 2 and space == "S-":
+                # all lifts, of sign +1, below the first non-lift
+                if p >= LIFTS_ONLY_BELOW:
+                    raise MissingJacobiData(f"dim S_2^-(K({p})) is unknown here: "
+                                            f"non-lifts exist from p = {LIFTS_ONLY_BELOW}")
+                out.append(0)
             elif k == 2:
-                ap, _ = dim_A_signed(p, 2)
-                out.append(ap if space == "S+" else 0)
+                out.append(dim_A_signed(p, 2)[0])
             else:
                 d = dim_paramodular_signed(p, k, j)
                 out.append(d.plus if space == "S+" else d.minus)

@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paradim import compact
 from paradim.arith import primes_up_to
 from paradim.compact import class_and_type, dim_M_signed, dim_M_total, trace_R
-from paradim.errors import BadYoung
+from paradim.errors import BadYoung, TypeNumberBound
 
 young = st.tuples(st.integers(0, 20), st.integers(0, 10)).map(
     lambda t: (t[1] + 2 * t[0], t[1])
@@ -27,6 +28,14 @@ def test_class_and_type_small():
     assert (H, T) == (1, 1)
     H, T = class_and_type(13)
     assert T <= H <= 2 * T
+
+
+def test_class_and_type_bound_is_checked(monkeypatch):
+    # H = 5, trace -3 gives T = 1 < H / 2; the check must survive python -O
+    monkeypatch.setattr(compact, "dim_M_total", lambda p, f1, f2: 5)
+    monkeypatch.setattr(compact, "trace_R", lambda p, f1, f2: -3)
+    with pytest.raises(TypeNumberBound):
+        class_and_type(13)
 
 
 def test_signed_consistency():

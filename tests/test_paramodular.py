@@ -117,6 +117,17 @@ def test_hilbert_series_fallback():
     assert len(hs.gf.denom_exponents) % 2 == 0
 
 
+def test_hilbert_series_minus_beyond_jacobi_table():
+    # the weight-2 minus space is 0 below the first non-lift, so S- needs
+    # no weight-2 Jacobi data, which the embedded table has only to p = 97
+    gf = hilbert_series(101, "S-").gf
+    coeffs = series_coeffs(gf, 41)
+    assert coeffs[:3] == [0, 0, 0]
+    assert coeffs[3:] == [dim_paramodular_signed(101, k).minus for k in range(3, 41)]
+    with pytest.raises(MissingJacobiData):
+        hilbert_series(277, "S-")
+
+
 def test_palindromic_examples():
     assert is_palindromic(hilbert_series(2, "A").gf)
     assert is_palindromic(hilbert_series(13, "A").gf)
