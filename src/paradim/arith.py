@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .errors import DSquare, NotSquarefree, UnsupportedPrime
+from .errors import DSquare, NotPrimeLevel, NotSquarefree, UnsupportedPrime
 from .kernels import b2_character_sum, class_number_from_disc, kronecker
 
 
@@ -86,6 +86,12 @@ def is_prime(n):
         if n % f == 0:
             return False
     return True
+
+
+def check_level(p):
+    """NotPrimeLevel unless p is prime, the only levels treated here."""
+    if not is_prime(p):
+        raise NotPrimeLevel(f"level {p} is not prime")
 
 
 def primes_up_to(n):

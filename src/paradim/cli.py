@@ -9,11 +9,11 @@ import io
 import json
 import sys
 
-from .arith import is_prime, primes_up_to
+from .arith import primes_up_to
 from .compact import dim_M_signed
 from .errors import ParadimError
 from .corpus import TABLES, _row_values, run_checks
-from .exactmath import is_palindromic, palindromic_ell, series_coeffs
+from .exactmath import Poly, is_palindromic, palindromic_ell, series_coeffs
 from .paramodular import (
     check_bias_region,
     dim_A_signed,
@@ -43,8 +43,6 @@ def _emit(rows, header, fmt):
 
 def cmd_dim(args):
     p, k, j = args.p, args.k, args.j
-    if not is_prime(p):
-        raise ParadimError(f"level {p} is not prime")
     if args.space == "S":
         d = dim_paramodular_signed(p, k, j)
         plus, minus = d.plus, d.minus
@@ -80,11 +78,28 @@ def cmd_table(args):
     _emit(rows, header, args.format)
 
 
+def _plain(value):
+    """A check's expected or got value, with a Poly as its coefficients."""
+    return value.coeffs if isinstance(value, Poly) else value
+
+
 def cmd_verify(args):
     total, failures = run_checks(args.only)
-    for f in failures:
-        print(f"FAIL {f.name}: expected {f.expected}, got {f.got}")
-    print(f"{total} checks, {len(failures)} failed")
+    if args.format == "json":
+        print(json.dumps({
+            "checks": total,
+            "failed": len(failures),
+            "failures": [{"name": f.name, "expected": _plain(f.expected),
+                          "got": _plain(f.got)} for f in failures],
+        }))
+    elif args.format == "csv":
+        rows = [[f.name, _plain(f.expected), _plain(f.got)] for f in failures]
+        rows.append(["summary", f"{total} checks", f"{len(failures)} failed"])
+        _emit(rows, ["name", "expected", "got"], "csv")
+    else:
+        for f in failures:
+            print(f"FAIL {f.name}: expected {f.expected}, got {f.got}")
+        print(f"{total} checks, {len(failures)} failed")
     return 1 if failures else 0
 
 

@@ -1,10 +1,11 @@
 """Dimensions of elliptic modular forms: level 1, and newforms of prime
 level Gamma_0(p) split by Atkin-Lehner sign."""
 from enum import Enum
-from fractions import Fraction
 
-from .arith import a_p, class_number, split_symbol
-from .errors import NonIntegral, OddWeight, ParityFailure
+from .arith import a_p, check_level, class_number, split_symbol
+from .characters import _br
+from .errors import OddWeight, ParityFailure
+from .exactmath import exact_quotient
 
 
 class ALSign(Enum):
@@ -12,33 +13,19 @@ class ALSign(Enum):
     minus = "minus"
 
 
-def _br(vals, b):
-    return vals[b % len(vals)]
-
-
-def _to_int(x, what):
-    if x.denominator != 1:
-        raise NonIntegral(f"{what} = {x} is not an integer")
-    return int(x)
-
-
 def dim_cusp_level1(k):
-    """dim S_k(SL_2(Z)) for k >= 0."""
-    if k % 2 or k == 0:
+    """dim S_k(SL_2(Z)); 0 for odd k and for k <= 0."""
+    if k % 2 or k <= 0:
         return 0
-    val = (
-        Fraction(k - 1, 12)
-        + Fraction((-1) ** (k // 2), 4)
-        + Fraction(_br([1, 0, -1], k), 3)
-        - Fraction(1, 2)
-        + (1 if k == 2 else 0)
-    )
-    return _to_int(val, f"dim S_{k}(SL2(Z))")
+    # 12 dim = (k - 1) + 3 (-1)^(k/2) + 4 [1, 0, -1; 3]_k - 6 + 12 [k = 2]
+    num = (k - 1 + 3 * (-1) ** (k // 2) + 4 * _br((1, 0, -1), k) - 6
+           + (12 if k == 2 else 0))
+    return exact_quotient(num, 12, "dim S_{}(SL2(Z))", k)
 
 
 def dim_modular_level1(k):
     """dim M_k(SL_2(Z)), Eisenstein series included."""
-    if k % 2 or k == 2:
+    if k % 2 or k == 2 or k < 0:
         return 0
     if k == 0:
         return 1
@@ -46,18 +33,20 @@ def dim_modular_level1(k):
 
 
 def dim_new_gamma0(p, k):
-    """dim of the weight-k newspace of Gamma_0(p), trivial character."""
+    """dim of the weight-k newspace of Gamma_0(p), trivial character, at a
+    prime p (NotPrimeLevel otherwise)."""
+    check_level(p)
     if k % 2:
         raise OddWeight(f"k = {k} must be even")
     if k < 2:
         return 0
-    val = (
-        Fraction((p - 1) * (k - 1), 12)
-        + Fraction((-1) ** (k // 2 + 1), 4) * (1 - split_symbol(-1, p))
-        + Fraction(_br([-1, 0, 1], k), 3) * (1 - split_symbol(-3, p))
-        - (1 if k == 2 else 0)
-    )
-    return _to_int(val, f"dim S_{k}^new(Gamma0({p}))")
+    # 12 dim = (p - 1)(k - 1) + 3 (-1)^(k/2+1) (1 - (-1/p))
+    #          + 4 [-1, 0, 1; 3]_k (1 - (-3/p)) - 12 [k = 2]
+    num = ((p - 1) * (k - 1)
+           + 3 * (-1) ** (k // 2 + 1) * (1 - split_symbol(-1, p))
+           + 4 * _br((-1, 0, 1), k) * (1 - split_symbol(-3, p))
+           - (12 if k == 2 else 0))
+    return exact_quotient(num, 12, "dim S_{}^new(Gamma0({}))", k, p)
 
 
 def _new_gamma0_diff(p, k):
@@ -72,11 +61,9 @@ def _new_gamma0_diff(p, k):
 
 def dim_new_gamma0_signed(p, k, sign):
     """Signed newspace dimension: (total +- difference) / 2."""
-    if k % 2:
-        raise OddWeight(f"k = {k} must be even")
+    total = dim_new_gamma0(p, k)
     if k < 2:
         return 0
-    total = dim_new_gamma0(p, k)
     diff = _new_gamma0_diff(p, k)
     if (total + diff) % 2:
         raise ParityFailure(

@@ -22,6 +22,10 @@ class BadDiscriminant(ParadimError):
     """A kernel was given a discriminant (or conductor) outside its domain."""
 
 
+class NotPrimeLevel(ParadimError):
+    """The level must be a prime."""
+
+
 class UnsupportedPrime(ParadimError):
     """An arithmetic ingredient is undefined at this prime (e.g. p=2, 3)."""
 

@@ -8,9 +8,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NonPolynomial
+from .errors import NonIntegral, NonPolynomial
 
 Rational = Fraction
+
+
+def exact_quotient(num, den, what, *args):
+    """num // den for integers, or NonIntegral when den does not divide num.
+
+    `what.format(*args)` names the quantity in the error.  It is formatted
+    only then, because dimension assembly calls this for every value.
+    """
+    q, r = divmod(num, den)
+    if r:
+        raise NonIntegral(f"{what.format(*args)} = {Fraction(num, den)} is not an integer")
+    return q
 
 
 class QuadExt:

@@ -4,7 +4,7 @@ check, and the weight-3 vanishing search."""
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import primes_up_to
+from .arith import check_level, primes_up_to
 from .compact import class_and_type, dim_M_signed
 from .data import jacobi_weight2, load_json
 from .elliptic import (
@@ -42,6 +42,7 @@ def dim_paramodular_signed(p, k, j=0):
     """Signed dimensions of weight det^k Sym(j) paramodular cusp forms of
     prime level p, k >= 3.  Odd j gives the zero space."""
     if j % 2:
+        check_level(p)
         return ParamodularDims(p, k, j, 0, 0)
     sp = dim_cusp_sp4(k, j)
     m = dim_M_signed(p, j + k - 3, k - 3)
@@ -80,6 +81,8 @@ def dim_A_signed(p, k):
     cusp space is the Gritsenko lift of weight-2 index-p Jacobi forms
     (valid for p < 277, embedded table covers p <= 97), all of sign +1.
     """
+    if k < 3:
+        check_level(p)
     if k == 0:
         return 1, 0
     if k == 1:

@@ -1,0 +1,127 @@
+"""The paper's formulas for dim M, tr R, dim S_k(SL_2(Z)) and the
+Gamma_0(p) newspace, transcribed term by term with `Fraction`, as the
+oracle for the integer assembly of `compact.level` and `elliptic`.
+
+They read the ingredients from `paradim.arith` and the characters from
+`chi_young` directly, so they share neither the coefficient records nor
+the cached character vectors with the code they check.
+"""
+from fractions import Fraction
+
+from paradim.arith import bernoulli_b2_chi, class_number, primes_up_to, split_symbol
+from paradim.characters import _br, chi_young
+from paradim.compact import dim_M_total, trace_R
+from paradim.elliptic import dim_cusp_level1, dim_new_gamma0
+
+
+def dim_M_oracle(p, f1, f2):
+    chi = {i: chi_young(i, f1, f2) for i in (1, 2, 3, 4, 6, 7, 9, 10, 11, 12)}
+    d2 = 1 if p == 2 else 0
+    d3 = 1 if p == 3 else 0
+    s_m1 = split_symbol(-1, p)
+    s_m3 = split_symbol(-3, p)
+    s_2 = split_symbol(2, p)
+    s_3 = split_symbol(3, p)
+    s_p5 = split_symbol(p, 5)
+    return (
+        Fraction(p * p - 1, 2880) * chi[1]
+        + Fraction(d2, 192) * chi[2]
+        + Fraction(d2, 16) * chi[3]
+        + Fraction(d3, 9) * chi[4]
+        + (Fraction(p - s_m1, 24) + Fraction(p * s_m1 - 1, 96)) * chi[6]
+        + (Fraction(p - s_m3, 24) + Fraction(p * s_m3 - 1, 72)) * chi[7]
+        + Fraction(d2, 6) * chi[9]
+        + Fraction(1 - s_p5, 5) * chi[10]
+        + Fraction(1 - s_2, 8) * chi[11]
+        + Fraction(1 - s_3 + s_m1 - s_m3, 24) * chi[12]
+    )
+
+
+def trace_R_oracle(p, f1, f2):
+    def chi(i):
+        return chi_young(i, f1, f2)
+
+    if p == 2:
+        return (
+            Fraction(chi(2), 48)
+            + Fraction(chi(6), 16)
+            + Fraction(chi(9), 6)
+            + Fraction(5 * chi(11), 16)
+            + Fraction(chi(14), 48)
+            + Fraction(chi(15), 6)
+            + Fraction(chi(16), 4)
+        )
+    if p == 3:
+        return (
+            Fraction(chi(2), 24)
+            + Fraction(chi(6), 24)
+            + Fraction(chi(9), 3)
+            + Fraction(chi(11), 4)
+            + Fraction(chi(17), 3)
+        )
+    b2 = bernoulli_b2_chi(p)
+    s2 = split_symbol(2, p)
+    h_p = class_number(p)
+    h_2p = class_number(2 * p)
+    h_3p = class_number(3 * p)
+    if p % 4 == 1:
+        return (
+            Fraction(chi(2), 96) * (9 - 2 * s2) * b2
+            + Fraction(h_p, 16) * chi(6)
+            + Fraction(h_2p, 8) * chi(11)
+            + Fraction(h_3p, 12) * (3 + s2) * chi(9)
+            + (Fraction(chi(13), 5) if p == 5 else 0)
+        )
+    return (
+        Fraction(chi(2), 96) * b2
+        + Fraction(h_p, 16) * (1 - s2) * chi(6)
+        + Fraction(h_2p, 8) * chi(11)
+        + Fraction(h_3p, 12) * chi(9)
+    )
+
+
+def dim_cusp_level1_oracle(k):
+    if k % 2 or k == 0:
+        return 0
+    return (
+        Fraction(k - 1, 12)
+        + Fraction((-1) ** (k // 2), 4)
+        + Fraction(_br([1, 0, -1], k), 3)
+        - Fraction(1, 2)
+        + (1 if k == 2 else 0)
+    )
+
+
+def dim_new_gamma0_oracle(p, k):
+    if k < 2:
+        return 0
+    return (
+        Fraction((p - 1) * (k - 1), 12)
+        + Fraction((-1) ** (k // 2 + 1), 4) * (1 - split_symbol(-1, p))
+        + Fraction(_br([-1, 0, 1], k), 3) * (1 - split_symbol(-3, p))
+        - (1 if k == 2 else 0)
+    )
+
+
+def test_compact_matches_oracle_on_young_grid():
+    # the criterion-09 grid: every prime p <= 300, every (f1, f2) with f1 <= 40;
+    # it holds all four branches of the trace formula and the chi_13 term at p = 5
+    for p in primes_up_to(300):
+        for f1 in range(41):
+            for f2 in range(f1 % 2, f1 + 1, 2):
+                assert dim_M_total(p, f1, f2) == dim_M_oracle(p, f1, f2), (p, f1, f2)
+                assert trace_R(p, f1, f2) == trace_R_oracle(p, f1, f2), (p, f1, f2)
+
+
+def test_class_and_trace_match_oracle_at_trivial_weight():
+    for p in primes_up_to(1000):
+        assert dim_M_total(p, 0, 0) == dim_M_oracle(p, 0, 0), p
+        assert trace_R(p, 0, 0) == trace_R_oracle(p, 0, 0), p
+
+
+def test_elliptic_matches_oracle():
+    for k in range(201):
+        assert dim_cusp_level1(k) == dim_cusp_level1_oracle(k), k
+    for p in primes_up_to(200):
+        for k in range(0, 201, 2):
+            assert dim_new_gamma0(p, k) == dim_new_gamma0_oracle(p, k), (p, k)

@@ -1,10 +1,19 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from paradim import cli
 from paradim.cli import main
+from paradim.corpus import Check
+from paradim.exactmath import Poly
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -76,6 +85,46 @@ def test_table_rows_filter(capsys):
 def test_verify_subset(capsys):
     rc, out = run(capsys, "verify", "--only", "palindromic")
     assert rc == 0 and "0 failed" in out
+
+
+@pytest.fixture
+def one_failure(monkeypatch):
+    failure = Check("series:p=2:M:j=0:fit", False, Poly([1, 0, 1]), Poly([1, 1]))
+    monkeypatch.setattr(cli, "run_checks", lambda only: (3, [failure]))
+
+
+def test_verify_text_unchanged(capsys, one_failure):
+    rc, out = run(capsys, "verify")
+    assert rc == 1
+    assert out == ("FAIL series:p=2:M:j=0:fit: expected Poly([1, 0, 1]), "
+                   "got Poly([1, 1])\n3 checks, 1 failed\n")
+
+
+def test_verify_json(capsys, one_failure):
+    rc, out = run(capsys, "verify", "--format", "json")
+    assert rc == 1
+    assert json.loads(out) == {
+        "checks": 3, "failed": 1,
+        "failures": [{"name": "series:p=2:M:j=0:fit", "expected": [1, 0, 1],
+                      "got": [1, 1]}]}
+
+
+def test_verify_csv(capsys, one_failure):
+    rc, out = run(capsys, "--format", "csv", "verify")
+    assert rc == 1
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["name", "expected", "got"],
+        ["series:p=2:M:j=0:fit", "[1, 0, 1]", "[1, 1]"],
+        ["summary", "3 checks", "1 failed"]]
+
+
+def test_python_dash_m():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "paradim", "dim", "--p", "7", "--k", "4"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1].split() == ["7", "4", "0", "S", "1", "0", "1"]
 
 
 def test_hilbert_fit(capsys):

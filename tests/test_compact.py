@@ -3,8 +3,15 @@ from hypothesis import given, settings, strategies as st
 
 from paradim import compact
 from paradim.arith import primes_up_to
-from paradim.compact import class_and_type, dim_M_signed, dim_M_total, trace_R
-from paradim.errors import BadYoung, TypeNumberBound
+from paradim.compact import (
+    Level,
+    class_and_type,
+    dim_M_signed,
+    dim_M_total,
+    level,
+    trace_R,
+)
+from paradim.errors import BadYoung, NonIntegral, NotPrimeLevel, TypeNumberBound
 
 young = st.tuples(st.integers(0, 20), st.integers(0, 10)).map(
     lambda t: (t[1] + 2 * t[0], t[1])
@@ -36,6 +43,35 @@ def test_class_and_type_bound_is_checked(monkeypatch):
     monkeypatch.setattr(compact, "trace_R", lambda p, f1, f2: -3)
     with pytest.raises(TypeNumberBound):
         class_and_type(13)
+
+
+def test_composite_level_is_refused():
+    # dim_M_signed(15, 1, 1) used to raise NonIntegral "19/9"
+    for p in (15, 1, 0, -3, 4):
+        with pytest.raises(NotPrimeLevel):
+            level(p)
+    with pytest.raises(NotPrimeLevel):
+        dim_M_signed(15, 1, 1)
+    with pytest.raises(NotPrimeLevel):
+        trace_R(9, 0, 0)
+    with pytest.raises(NotPrimeLevel):
+        class_and_type(65)
+
+
+def test_level_record_is_integer_data():
+    lev = level(5)
+    assert all(type(c) is int for c in (*lev.m, lev.tr_den, *lev.tr))
+    assert level(5) is lev
+
+
+def test_inexact_assembly_raises(monkeypatch):
+    lev = level(7)
+    bent = Level((lev.m[0] + 1,) + lev.m[1:], lev.tr_den, (lev.tr[0] + 1,) + lev.tr[1:])
+    monkeypatch.setattr(compact, "level", lambda p: bent)
+    with pytest.raises(NonIntegral, match=r"dim M\(7,0,0\) = 2881/2880"):
+        dim_M_total(7, 0, 0)
+    with pytest.raises(NonIntegral, match=r"trace R\(7,0,0\)"):
+        trace_R(7, 0, 0)
 
 
 def test_signed_consistency():

@@ -8,7 +8,7 @@ from paradim.elliptic import (
     dim_new_gamma0,
     dim_new_gamma0_signed,
 )
-from paradim.errors import OddWeight
+from paradim.errors import NotPrimeLevel, OddWeight
 
 
 def test_level1_cusp_dims():
@@ -17,6 +17,7 @@ def test_level1_cusp_dims():
     for k, d in expected.items():
         assert dim_cusp_level1(k) == d, k
     assert dim_cusp_level1(13) == 0  # odd weight
+    assert dim_cusp_level1(-2) == dim_cusp_level1(-12) == 0
 
 
 def test_level1_modular_dims():
@@ -24,6 +25,7 @@ def test_level1_modular_dims():
     assert dim_modular_level1(2) == 0
     assert dim_modular_level1(4) == 1
     assert dim_modular_level1(12) == 2
+    assert dim_modular_level1(-4) == dim_modular_level1(-12) == 0
     for k in range(4, 60, 2):
         assert dim_modular_level1(k) == dim_cusp_level1(k) + 1
 
@@ -64,6 +66,15 @@ def test_odd_weight_rejected():
         dim_new_gamma0(7, 3)
     with pytest.raises(OddWeight):
         dim_new_gamma0_signed(7, 5, ALSign.plus)
+
+
+def test_non_prime_level_is_refused():
+    for p in (15, 9, 1, 0):
+        for k in (0, 2, 4):
+            with pytest.raises(NotPrimeLevel):
+                dim_new_gamma0(p, k)
+            with pytest.raises(NotPrimeLevel):
+                dim_new_gamma0_signed(p, k, ALSign.plus)
 
 
 def test_string_sign_accepted():

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from paradim.arith import primes_up_to
 from paradim.compact import dim_M_signed
 from paradim.elliptic import dim_cusp_level1
-from paradim.errors import MissingData, MissingJacobiData, UnsupportedJ
+from paradim.errors import MissingData, MissingJacobiData, NotPrimeLevel, UnsupportedJ
 from paradim.exactmath import is_palindromic, series_coeffs
 from paradim.paramodular import (
     bias,
@@ -22,6 +22,18 @@ from paradim.siegel1 import dim_cusp_sp4
 def test_odd_j_is_zero():
     d = dim_paramodular_signed(7, 5, 3)
     assert (d.plus, d.minus, d.total) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("p, k", [(65, 8), (9, 4), (1, 4), (0, 4), (-7, 4)])
+def test_non_prime_level_is_refused(p, k):
+    # 65 used to give (124, 27); 9, 1 and 0 a misleading DSquare
+    with pytest.raises(NotPrimeLevel):
+        dim_paramodular_signed(p, k)
+    with pytest.raises(NotPrimeLevel):
+        dim_paramodular_signed(p, k, 1)
+    for weight in (0, 1, 2, k):
+        with pytest.raises(NotPrimeLevel):
+            dim_A_signed(p, weight)
 
 
 def test_table_spot_checks():
