@@ -17,7 +17,6 @@ They must agree everywhere; the test suite sweeps this.
 from dataclasses import dataclass
 
 from .errors import BadIndex, BadYoung, IrrationalResidue
-from .exactmath import Poly, QuadExt
 
 
 @dataclass(frozen=True)
@@ -62,14 +61,6 @@ PHI_COEFFS = {
     16: ([(1, 0), (0, 1), (2, 0), (0, 1), (1, 0)], 2),    # (x^2+sqrt2 x+1)(x^2+1)
     17: ([(1, 0), (0, 1), (2, 0), (0, 1), (1, 0)], 3),    # (x^2+sqrt3 x+1)(x^2+1)
 }
-
-
-def phi_poly(i):
-    """phi_i as a Poly over QuadExt (exact, ascending coefficients)."""
-    if i not in PHI_COEFFS:
-        raise BadIndex(f"character index {i} not in 1..17")
-    coeffs, m = PHI_COEFFS[i]
-    return Poly([QuadExt(a, b, m) for a, b in coeffs])
 
 
 def _check_index(i):

@@ -15,6 +15,7 @@ from .errors import ParadimError
 from .corpus import TABLES, _row_values, run_checks
 from .exactmath import Poly, is_palindromic, palindromic_ell, series_coeffs
 from .paramodular import (
+    SPACES,
     check_bias_region,
     dim_A_signed,
     dim_paramodular_signed,
@@ -166,8 +167,7 @@ def main(argv=None):
 
     h = sub.add_parser("hilbert", parents=[fmt], help="graded dimension series of a space")
     h.add_argument("--p", type=int, required=True)
-    h.add_argument("--space", required=True,
-                   choices=["M", "M+", "M-", "A", "A+", "A-", "S+", "S-"])
+    h.add_argument("--space", required=True, choices=SPACES)
     h.add_argument("--j", type=int, default=0)
     h.add_argument("--nmax", type=int, default=40)
     h.add_argument("--fit", action="store_true",

@@ -4,7 +4,7 @@ from enum import Enum
 
 from .arith import a_p, check_level, class_number, split_symbol
 from .characters import _br
-from .errors import OddWeight, ParityFailure
+from .errors import BadSpace, OddWeight, ParityFailure
 from .exactmath import exact_quotient
 
 
@@ -60,8 +60,14 @@ def _new_gamma0_diff(p, k):
 
 
 def dim_new_gamma0_signed(p, k, sign):
-    """Signed newspace dimension: (total +- difference) / 2."""
+    """Signed newspace dimension: (total +- difference) / 2.  The sign is
+    an ALSign or its value, "plus" or "minus"."""
     total = dim_new_gamma0(p, k)
+    if not isinstance(sign, ALSign):  # ALSign() takes ~0.6 us; bias calls this 22 k times
+        try:
+            sign = ALSign(sign)
+        except ValueError:
+            raise BadSpace(f"Atkin-Lehner sign must be 'plus' or 'minus', got {sign!r}") from None
     if k < 2:
         return 0
     diff = _new_gamma0_diff(p, k)
@@ -69,6 +75,6 @@ def dim_new_gamma0_signed(p, k, sign):
         raise ParityFailure(
             f"Gamma0({p}) weight {k}: total {total} and difference {diff} have opposite parity"
         )
-    if sign is ALSign.plus or sign == "plus":
+    if sign is ALSign.plus:
         return (total + diff) // 2
     return (total - diff) // 2

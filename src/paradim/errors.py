@@ -54,12 +54,16 @@ class NonIntegral(ParadimError):
     """An assembled rational that must be an integer is not."""
 
 
+class BadSpace(ParadimError):
+    """A graded space name or Atkin-Lehner sign outside the known set."""
+
+
 class UnsupportedJ(ParadimError):
-    """No level-1 Siegel series for this j and no registered table."""
+    """No level-1 Siegel series for this j (only j = 0, 2, 4 are built in)."""
 
 
 class MissingData(ParadimError):
-    """A registered table or embedded data file lacks the requested entry."""
+    """An embedded data file lacks the requested entry."""
 
 
 class MissingJacobiData(ParadimError):

@@ -1,4 +1,4 @@
-"""Exact arithmetic: Q(sqrt(m)) elements, polynomials, and rational
+"""Exact arithmetic: checked integer division, polynomials, and rational
 generating functions with factored denominators Prod (1 - t^a_i).
 
 Everything here is immutable and pure.  Rational numbers are plain
@@ -9,8 +9,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NonIntegral, NonPolynomial
-
-Rational = Fraction
 
 
 def exact_quotient(num, den, what, *args):
@@ -23,96 +21,6 @@ def exact_quotient(num, den, what, *args):
     if r:
         raise NonIntegral(f"{what.format(*args)} = {Fraction(num, den)} is not an integer")
     return q
-
-
-class QuadExt:
-    """An element a + b*sqrt(m) of a real quadratic field.
-
-    a and b may be ints or Fractions; m is a squarefree positive radicand.
-    Elements with different m never mix (m == 1 is allowed and means a
-    rational element, so it coerces freely).
-    """
-
-    __slots__ = ("a", "b", "m")
-
-    def __init__(self, a, b=0, m=1):
-        if b == 0:
-            m = 1
-        self.a = a
-        self.b = b
-        self.m = m
-
-    def _coerce(self, other):
-        if isinstance(other, QuadExt):
-            if self.m != other.m and self.m != 1 and other.m != 1:
-                raise ValueError(f"mixing radicands {self.m} and {other.m}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return QuadExt(self.a + o.a, self.b + o.b, max(self.m, o.m))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.m)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        m = max(self.m, o.m)
-        return QuadExt(
-            self.a * o.a + m * self.b * o.b,
-            self.a * o.b + self.b * o.a,
-            m,
-        )
-
-    __rmul__ = __mul__
-
-    def conjugate(self):
-        return QuadExt(self.a, -self.b, self.m)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.m if self.b else 1))
-
-    def __bool__(self):
-        return bool(self.a) or bool(self.b)
-
-    def is_rational(self):
-        return self.b == 0
-
-    def __repr__(self):
-        if self.b == 0:
-            return f"QuadExt({self.a})"
-        return f"QuadExt({self.a}, {self.b}, m={self.m})"
-
-
-def _as_parts(c):
-    """(rational part, sqrt part, radicand) of an int/Fraction/QuadExt."""
-    if isinstance(c, QuadExt):
-        return c.a, c.b, c.m
-    return c, 0, 1
 
 
 class Poly:

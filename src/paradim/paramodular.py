@@ -14,6 +14,7 @@ from .elliptic import (
     dim_new_gamma0_signed,
 )
 from .errors import (
+    BadSpace,
     BiasViolation,
     MissingData,
     MissingJacobiData,
@@ -96,12 +97,18 @@ def dim_A_signed(p, k):
     return d.plus + dim_modular_level1(k), d.minus + dim_cusp_level1(k)
 
 
+# the graded spaces of hilbert_series
+SPACES = ("M", "M+", "M-", "A", "A+", "A-", "S+", "S-")
+
+
 def _space_sequence(p, space, nmax, j=0):
     """Dimension sequence (index 0..nmax) of a graded space.
 
     S+/S-/A+/A-/A are graded by the weight k; M+/M-/M by the Young
     parameter f of the weight (f + j, f).  A spaces exist for j = 0 only.
     """
+    if space not in SPACES:
+        raise BadSpace(f"space must be one of {', '.join(SPACES)}, got {space!r}")
     if space in ("M", "M+", "M-"):
         out = []
         for f in range(nmax + 1):

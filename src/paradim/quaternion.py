@@ -7,28 +7,38 @@ at {p, infinity}.  For p = 2 and p = 3 that coset is small enough
 (1920 resp. 720 elements) to enumerate outright: we build every element
 from its parametrized families, check the similitude condition, tally
 principal polynomials, and recompose the trace from character values.
+
+All arithmetic is on integers.  Both maximal orders lie in
+(1/2) Z<1, e1, e2, e3>, so a quaternion is stored by its doubled
+coordinates, and membership in either order is a parity condition on
+them.
 """
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import isqrt
 
 from .characters import chi_young
-from .errors import FamilySizeMismatch, NonIntegral, NotSimilitude
+from .errors import (FamilySizeMismatch, NonIntegral, NotSimilitude,
+                     UnsupportedPrime)
+from .exactmath import exact_quotient
+
+
+def _half(n):
+    if n % 2:
+        raise NonIntegral(f"quaternion product leaves (1/2) Z<1, e1, e2, e3>: {n}/4")
+    return n // 2
 
 
 class Quat:
-    """Quaternion w + x e1 + y e2 + z e3 with e1^2 = -a, e2^2 = -b,
-    e3 = e1 e2.  Coefficients are exact rationals."""
+    """Quaternion (w + x e1 + y e2 + z e3) / 2 with e1^2 = -a,
+    e2^2 = -b, e3 = e1 e2.  The stored w, x, y, z are the integer
+    doubled coordinates."""
 
     __slots__ = ("w", "x", "y", "z", "a", "b")
 
     def __init__(self, w, x, y, z, a, b):
-        self.w = Fraction(w)
-        self.x = Fraction(x)
-        self.y = Fraction(y)
-        self.z = Fraction(z)
-        self.a = a
-        self.b = b
+        self.w, self.x, self.y, self.z = w, x, y, z
+        self.a, self.b = a, b
 
     def _like(self, w, x, y, z):
         return Quat(w, x, y, z, self.a, self.b)
@@ -45,34 +55,32 @@ class Quat:
         return self._like(-self.w, -self.x, -self.y, -self.z)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._like(self.w * other, self.x * other,
-                              self.y * other, self.z * other)
+        # the product of two halved quaternions is the usual formula over
+        # 4, so its doubled coordinates are that formula halved
         a, b = self.a, self.b
         w1, x1, y1, z1 = self.w, self.x, self.y, self.z
         w2, x2, y2, z2 = other.w, other.x, other.y, other.z
         return self._like(
-            w1 * w2 - a * x1 * x2 - b * y1 * y2 - a * b * z1 * z2,
-            w1 * x2 + x1 * w2 + b * (y1 * z2 - z1 * y2),
-            w1 * y2 + y1 * w2 + a * (z1 * x2 - x1 * z2),
-            w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2,
+            _half(w1 * w2 - a * x1 * x2 - b * y1 * y2 - a * b * z1 * z2),
+            _half(w1 * x2 + x1 * w2 + b * (y1 * z2 - z1 * y2)),
+            _half(w1 * y2 + y1 * w2 + a * (z1 * x2 - x1 * z2)),
+            _half(w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2),
         )
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
 
     def conjugate(self):
         return self._like(self.w, -self.x, -self.y, -self.z)
 
     def norm(self):
         a, b = self.a, self.b
-        return (self.w ** 2 + a * self.x ** 2 + b * self.y ** 2
-                + a * b * self.z ** 2)
+        return exact_quotient(self.w ** 2 + a * self.x ** 2 + b * self.y ** 2
+                              + a * b * self.z ** 2, 4, "norm of {}", self)
 
     def trace(self):
-        return 2 * self.w
+        return self.w
+
+    def divisible_by(self, m):
+        """True iff every doubled coordinate is divisible by m."""
+        return not (self.w % m or self.x % m or self.y % m or self.z % m)
 
     def __eq__(self, other):
         return (self.w, self.x, self.y, self.z, self.a, self.b) == \
@@ -85,55 +93,30 @@ class Quat:
         return f"Quat({self.w}, {self.x}, {self.y}, {self.z}; a={self.a}, b={self.b})"
 
 
-class Order:
-    """Z-lattice order given by a basis of four quaternions."""
-
-    def __init__(self, basis):
-        self.basis = basis
-        # columns are the basis coordinates in (1, e1, e2, e3)
-        m = [[Fraction(getattr(q, c)) for q in basis] for c in "wxyz"]
-        self._inv = _invert4(m)
-
-    def coords(self, q):
-        v = (q.w, q.x, q.y, q.z)
-        return tuple(sum(row[i] * v[i] for i in range(4)) for row in self._inv)
-
-    def contains(self, q):
-        return all(c.denominator == 1 for c in self.coords(q))
-
-    def from_coords(self, c):
-        out = self.basis[0] * c[0]
-        for i in range(1, 4):
-            out = out + self.basis[i] * c[i]
-        return out
-
-    def elements_of_norm(self, n, box=2):
-        found = []
-        for c in product(range(-box, box + 1), repeat=4):
-            q = self.from_coords(c)
-            if q.norm() == n:
-                found.append(q)
-        return found
-
-    def units(self):
-        return self.elements_of_norm(1)
+def in_hurwitz(q):
+    """Membership in the Hurwitz order Z<1, i, j, (1 + i + j + k)/2>:
+    all four doubled coordinates have the same parity."""
+    return q.w % 2 == q.x % 2 == q.y % 2 == q.z % 2
 
 
-def _invert4(m):
-    """Exact inverse of a 4x4 Fraction matrix by Gauss-Jordan."""
-    n = 4
-    aug = [list(m[i]) + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [vr - f * vc for vr, vc in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def in_order3(q):
+    """Membership in the maximal order Z<1, (1 + alpha)/2, beta,
+    (1 + alpha) beta/2> of the algebra with alpha^2 = -3, beta^2 = -1:
+    w = x and y = z (mod 2) in doubled coordinates."""
+    return (q.w - q.x) % 2 == 0 and (q.y - q.z) % 2 == 0
+
+
+def elements_of_norm(n, a, b, member):
+    """All elements of norm n of the order whose membership test is
+    `member`.  Every doubled coordinate is at most 2 sqrt(n) in size,
+    because a, b >= 1."""
+    r = isqrt(4 * n)
+    out = []
+    for c in product(range(-r, r + 1), repeat=4):
+        q = Quat(*c, a, b)
+        if member(q) and q.norm() == n:
+            out.append(q)
+    return out
 
 
 class QuatMat2:
@@ -156,7 +139,7 @@ class QuatMat2:
         """The scalar n with g g* = n, where g* is the quaternionic
         conjugate transpose; raises NotSimilitude if there is none."""
         off = self.a * self.c.conjugate() + self.b * self.d.conjugate()
-        if off != off._like(0, 0, 0, 0):
+        if off.w or off.x or off.y or off.z:
             raise NotSimilitude("rows are not orthogonal")
         n1 = self.a.norm() + self.b.norm()
         n2 = self.c.norm() + self.d.norm()
@@ -180,37 +163,26 @@ def principal_poly(g):
     n = g.similitude()
     t = g.trace()
     t2 = (g * g).trace()
-    c2 = (t * t - t2) / 2
+    c2 = exact_quotient(t * t - t2, 2, "principal coefficient ({}^2 - {})/2", t, t2)
     c2_alt = (g.a.trace() * g.d.trace()
               - (g.b + g.c.conjugate()).norm() + 2 * n)
     if c2 != c2_alt:
         raise NotSimilitude(f"inconsistent middle coefficient: {c2} vs {c2_alt}")
-    coeffs = (n * n, -t * n, c2, -t, Fraction(1))
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise NonIntegral(f"non-integral principal coefficient {c}")
-        out.append(c.numerator)
-    return tuple(out)
+    return (n * n, -t * n, c2, -t, 1)
 
 
 def _p2_families():
     a, b = 1, 1
-    one = Quat(1, 0, 0, 0, a, b)
-    qi = Quat(0, 1, 0, 0, a, b)
-    qj = Quat(0, 0, 1, 0, a, b)
-    qk = Quat(0, 0, 0, 1, a, b)
+    qi = Quat(0, 2, 0, 0, a, b)
+    qk = Quat(0, 0, 0, 2, a, b)
     zero = Quat(0, 0, 0, 0, a, b)
-    order = Order([one, qi, qj, (one + qi + qj + qk) * Fraction(1, 2)])
-    units = order.units()
+    units = elements_of_norm(1, a, b, in_hurwitz)
     if len(units) != 24:
         raise FamilySizeMismatch(f"expected 24 units at p=2, got {len(units)}")
     r = qi - qk
-    a0s = [one, -one, qi, -qi, qj, -qj, qk, -qk]
-    xs = [-qi, qk] + [
-        (one * s1 - qi + qj * s2 + qk) * Fraction(1, 2)
-        for s1 in (1, -1) for s2 in (1, -1)
-    ]
+    a0s = [q for q in units if q.w % 2 == 0]  # +-1, +-i, +-j, +-k
+    xs = [-qi, qk] + [Quat(s1, -1, s2, 1, a, b)  # (s1 - i + s2 j + k)/2
+                      for s1 in (1, -1) for s2 in (1, -1)]
     # elements below are already multiplied through by the uniformizer r
     fams = [[], [], [], [], []]
     for u in units:
@@ -229,65 +201,63 @@ def _p2_families():
 
 def _p3_families():
     a, b = 3, 1
-    one = Quat(1, 0, 0, 0, a, b)
-    alpha = Quat(0, 1, 0, 0, a, b)
-    beta = Quat(0, 0, 1, 0, a, b)
+    one = Quat(2, 0, 0, 0, a, b)
+    alpha = Quat(0, 2, 0, 0, a, b)
+    beta = Quat(0, 0, 2, 0, a, b)
     zero = Quat(0, 0, 0, 0, a, b)
-    half = Fraction(1, 2)
-    order = Order([one, (one + alpha) * half, beta,
-                   ((one + alpha) * beta) * half])
-    units = order.units()
+    units = elements_of_norm(1, a, b, in_order3)
     if len(units) != 12:
         raise FamilySizeMismatch(f"expected 12 units at p=3, got {len(units)}")
-    norm2 = order.elements_of_norm(2)
-    norm3 = order.elements_of_norm(3)
+    norm2 = elements_of_norm(2, a, b, in_order3)
+    norm3 = elements_of_norm(3, a, b, in_order3)
 
     # basis matrix of the stabilized lattice (its Gram has off-diagonal
     # (1+beta)alpha) is g = (1, 1+beta; 0, alpha); the reference coset
-    # element is diag(beta alpha, alpha)
-    kv = alpha * Fraction(-1, 3)         # alpha^{-1}
+    # element is diag(beta alpha, alpha).  The inverses
+    # alpha^{-1} = -alpha/3 and (beta alpha)^{-1} = alpha beta/3 and
+    # t = -(1+beta) alpha^{-1} are kept multiplied by 3 (kv, k1, t), so
+    # every product below stays in the order.
+    kv = -alpha
     s = one + beta
-    t = -(s * kv)
-    k1 = (alpha * beta) * Fraction(1, 3)  # (beta alpha)^{-1}
-
-    def local3(q):
-        # q is integral at 3 iff its basis coordinates have denominator
-        # prime to 3 (halves are fine)
-        return all(c.denominator % 3 != 0 for c in order.coords(q))
+    t = s * alpha
+    k1 = alpha * beta
 
     def in_coset(delta):
         # delta belongs to the coset iff u = delta gamma0^{-1} is a unit
         # of the lattice at 3, i.e. g u g^{-1} and g u* g^{-1} are both
-        # integral there; the checks are staged to fail fast
+        # integral there; the checks are staged to fail fast.  Each
+        # quantity checked is 3 or 9 times its true value q, and q is
+        # integral at 3 iff 3 or 9 divides the doubled coordinates,
+        # because Z<1, alpha, beta, alpha beta> has index 4 in the order.
         u11 = delta.a * k1
         u21 = delta.c * k1
         x11 = u11 + s * u21
-        if not local3(x11):
+        if not x11.divisible_by(3):
             return False
         y21 = alpha * u21
-        if not local3(y21):
+        if not y21.divisible_by(3):
             return False
         u12 = delta.b * kv
         u22 = delta.d * kv
         x12 = u12 + s * u22
-        if not local3(x11 * t + x12 * kv):
+        if not (x11 * t + x12 * kv).divisible_by(9):
             return False
         y22 = alpha * u22
-        if not local3(y21 * t + y22 * kv):
+        if not (y21 * t + y22 * kv).divisible_by(9):
             return False
         c11, c12 = u11.conjugate(), u12.conjugate()
         c21, c22 = u21.conjugate(), u22.conjugate()
         p11 = c11 + s * c12
-        if not local3(p11):
+        if not p11.divisible_by(3):
             return False
         p21 = alpha * c12
-        if not local3(p21):
+        if not p21.divisible_by(3):
             return False
         p12 = c21 + s * c22
-        if not local3(p11 * t + p12 * kv):
+        if not (p11 * t + p12 * kv).divisible_by(9):
             return False
         p22 = alpha * c22
-        return local3(p21 * t + p22 * kv)
+        return (p21 * t + p22 * kv).divisible_by(9)
 
     # the four shapes exhaust the integral matrices with delta delta* = 3:
     # row norms split as (3,0)/(0,3), (0,3)/(3,0), (1,2)/(2,1), (2,1)/(1,2)
@@ -329,7 +299,7 @@ def enumerate_pi_gamma(p):
     elif p == 3:
         fams = _p3_families()
     else:
-        raise ValueError(f"enumeration only implemented for p = 2, 3, got {p}")
+        raise UnsupportedPrime(f"enumeration only implemented for p = 2, 3, got {p}")
     for fam in fams:
         for g in fam:
             if g.similitude() != p:
@@ -399,12 +369,9 @@ def verify_trace_p23(p, f1, f2):
     size = COSET_SIZE[p]
     if sum(tallies.values()) != size:
         raise FamilySizeMismatch(f"p={p}: coset size {sum(tallies.values())} != {size}")
-    tr = Fraction(0)
-    for key, cnt in tallies.items():
-        tr += Fraction(cnt, size) * chi_young(CLASS_OF_POLY[p][key], f1, f2)
-    if tr.denominator != 1:
-        raise NonIntegral(f"non-integral trace {tr} at p={p}, ({f1},{f2})")
-    return tr.numerator
+    total = sum(cnt * chi_young(CLASS_OF_POLY[p][key], f1, f2)
+                for key, cnt in tallies.items())
+    return exact_quotient(total, size, "trace at p={}, ({},{})", p, f1, f2)
 
 
 def feasible_ab(p):

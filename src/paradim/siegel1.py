@@ -1,13 +1,9 @@
 """Dimensions of vector-valued Siegel cusp forms of degree 2, level 1,
 weight det^k Sym(j), for j in {0, 2, 4}, via their generating functions.
 
-For other even j a dimension table can be injected with
-register_level1_table (e.g. from an external closed-form evaluation);
-queries for unregistered j raise UnsupportedJ.
+Any other j raises UnsupportedJ.
 """
-import threading
-
-from .errors import MissingData, UnsupportedJ
+from .errors import UnsupportedJ
 from .exactmath import RationalGF, series_coeffs
 
 
@@ -38,8 +34,6 @@ LEVEL1_SERIES = {
 }
 
 _coeff_cache = {}
-_tables = {}
-_lock = threading.Lock()
 
 
 def _coeffs_up_to(j, k):
@@ -51,23 +45,10 @@ def _coeffs_up_to(j, k):
 
 
 def dim_cusp_sp4(k, j=0):
-    """dim of weight det^k Sym(j) level-1 Siegel cusp forms of degree 2."""
-    if j in LEVEL1_SERIES:
-        return _coeffs_up_to(j, k)[k]
-    table = _tables.get(j)
-    if table is None:
-        raise UnsupportedJ(f"j = {j}: no built-in series and no registered table")
-    try:
-        return table[k]
-    except KeyError:
-        raise MissingData(f"registered table for j = {j} has no entry at k = {k}") from None
-
-
-def register_level1_table(j, dims):
-    """Install an external k -> dimension table for an even j >= 6."""
-    if j % 2 or j in LEVEL1_SERIES:
-        raise UnsupportedJ(f"register_level1_table needs even j >= 6, got {j}")
-    with _lock:
-        if j in _tables:
-            raise MissingData(f"table for j = {j} already registered")
-        _tables[j] = dict(dims)
+    """dim of weight det^k Sym(j) level-1 Siegel cusp forms of degree 2;
+    0 for k < 0."""
+    if j not in LEVEL1_SERIES:
+        raise UnsupportedJ(f"j = {j}: no level-1 series")
+    if k < 0:
+        return 0
+    return _coeffs_up_to(j, k)[k]

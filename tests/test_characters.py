@@ -9,10 +9,8 @@ from paradim.characters import (
     chi_closed,
     chi_series,
     chi_young,
-    phi_poly,
 )
 from paradim.errors import BadIndex, BadYoung
-from paradim.exactmath import QuadExt
 
 
 def test_weight_params():
@@ -33,10 +31,10 @@ def test_phi_polys_are_reciprocal():
 
 
 def test_phi_poly_roots_on_unit_circle():
-    # |phi_i(x)| at x = 1 and x = -1 is a nonnegative real number and the
-    # polynomial evaluates rationally when the sqrt parts cancel
-    p = phi_poly(1)
-    assert p(QuadExt(1)) == QuadExt(0)  # (x-1)^4 at 1
+    # phi_1 = (x-1)^4 vanishes at 1: its coefficients sum to 0
+    coeffs, m = PHI_COEFFS[1]
+    assert m == 1
+    assert sum(a for a, _ in coeffs) == 0 and all(b == 0 for _, b in coeffs)
 
 
 def test_bad_index():

@@ -8,7 +8,7 @@ from paradim.elliptic import (
     dim_new_gamma0,
     dim_new_gamma0_signed,
 )
-from paradim.errors import NotPrimeLevel, OddWeight
+from paradim.errors import NotPrimeLevel, OddWeight, ParadimError
 
 
 def test_level1_cusp_dims():
@@ -80,3 +80,13 @@ def test_non_prime_level_is_refused():
 def test_string_sign_accepted():
     assert (dim_new_gamma0_signed(37, 2, "plus")
             == dim_new_gamma0_signed(37, 2, ALSign.plus))
+
+
+def test_unknown_sign_is_refused():
+    # every sign other than "plus" used to count as minus
+    for sign in ("+", "-", None, "Plus", 1):
+        with pytest.raises(ParadimError):
+            dim_new_gamma0_signed(11, 2, sign)
+        with pytest.raises(ParadimError):
+            dim_new_gamma0_signed(11, 0, sign)
+    assert dim_new_gamma0_signed(11, 2, "minus") == dim_new_gamma0_signed(11, 2, ALSign.minus)

@@ -1,12 +1,9 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
 from paradim.errors import NonPolynomial
 from paradim.exactmath import (
     Poly,
-    QuadExt,
     RationalGF,
     fit_numerator,
     is_palindromic,
@@ -15,46 +12,6 @@ from paradim.exactmath import (
 )
 
 small_ints = st.integers(min_value=-50, max_value=50)
-
-
-class TestQuadExt:
-    def test_basic_arithmetic(self):
-        x = QuadExt(1, 2, 5)
-        y = QuadExt(3, -1, 5)
-        assert x + y == QuadExt(4, 1, 5)
-        # (1 + 2r5)(3 - r5) = 3 - r5 + 6r5 - 2*5
-        assert x * y == QuadExt(-7, 5, 5)
-        assert x - x == QuadExt(0)
-        assert not (x - x)
-
-    def test_conjugate_kills_sqrt_part(self):
-        x = QuadExt(2, 3, 2)
-        n = x * x.conjugate()
-        assert n.is_rational() and n.a == 4 - 9 * 2
-
-    def test_rational_coercion(self):
-        assert QuadExt(2) + 3 == QuadExt(5)
-        assert 3 * QuadExt(1, 1, 3) == QuadExt(3, 3, 3)
-        assert 1 - QuadExt(0, 1, 2) == QuadExt(1, -1, 2)
-
-    def test_mixing_radicands_raises(self):
-        with pytest.raises(ValueError):
-            QuadExt(0, 1, 2) + QuadExt(0, 1, 3)
-
-    def test_fractions_allowed(self):
-        h = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)
-        # the golden ratio satisfies x^2 = x + 1
-        assert h * h == h + 1
-
-    @given(small_ints, small_ints, small_ints, small_ints)
-    def test_mul_commutes(self, a, b, c, d):
-        x, y = QuadExt(a, b, 3), QuadExt(c, d, 3)
-        assert x * y == y * x
-
-    @given(small_ints, small_ints, small_ints, small_ints, small_ints, small_ints)
-    def test_mul_distributes(self, a, b, c, d, e, f):
-        x, y, z = QuadExt(a, b, 2), QuadExt(c, d, 2), QuadExt(e, f, 2)
-        assert x * (y + z) == x * y + x * z
 
 
 class TestPoly:

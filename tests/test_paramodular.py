@@ -4,7 +4,13 @@ from hypothesis import given, settings, strategies as st
 from paradim.arith import primes_up_to
 from paradim.compact import dim_M_signed
 from paradim.elliptic import dim_cusp_level1
-from paradim.errors import MissingData, MissingJacobiData, NotPrimeLevel, UnsupportedJ
+from paradim.errors import (
+    MissingData,
+    MissingJacobiData,
+    NotPrimeLevel,
+    ParadimError,
+    UnsupportedJ,
+)
 from paradim.exactmath import is_palindromic, series_coeffs
 from paradim.paramodular import (
     bias,
@@ -138,6 +144,16 @@ def test_hilbert_series_minus_beyond_jacobi_table():
     assert coeffs[3:] == [dim_paramodular_signed(101, k).minus for k in range(3, 41)]
     with pytest.raises(MissingJacobiData):
         hilbert_series(277, "S-")
+
+
+def test_unknown_space_is_refused():
+    # an unknown space used to give the S- series
+    from paradim.paramodular import _space_sequence
+    for space in ("bogus", "S", "s+", "", None):
+        with pytest.raises(ParadimError):
+            hilbert_series(5, space)
+        with pytest.raises(ParadimError):
+            _space_sequence(5, space, 10)
 
 
 def test_palindromic_examples():

@@ -1,19 +1,19 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
 from paradim.compact import trace_R
-from paradim.errors import NotSimilitude
+from paradim.errors import NonIntegral, NotSimilitude, ParadimError
 from paradim.quaternion import (
     CLASS_OF_POLY,
     COSET_SIZE,
-    Order,
     Quat,
     QuatMat2,
+    elements_of_norm,
     enumerate_pi_gamma,
     family_tallies,
     feasible_ab,
+    in_hurwitz,
+    in_order3,
     principal_poly,
     principal_tallies,
     verify_trace_p23,
@@ -23,7 +23,14 @@ units = st.integers(-3, 3)
 
 
 def q2(w, x, y, z):
-    return Quat(w, x, y, z, 1, 1)
+    """The Hamilton quaternion w + x i + y j + z k (integer coordinates)."""
+    return Quat(2 * w, 2 * x, 2 * y, 2 * z, 1, 1)
+
+
+# Hurwitz quaternions: doubled coordinates all of one parity
+hurwitz = st.builds(
+    lambda parity, cs: Quat(*(2 * c + parity for c in cs), 1, 1),
+    st.integers(0, 1), st.tuples(units, units, units, units))
 
 
 class TestQuat:
@@ -40,41 +47,49 @@ class TestQuat:
         assert q.norm() == 1 + 4 + 9 + 16
         assert q.trace() == 2
         assert q * q.conjugate() == q2(q.norm(), 0, 0, 0)
+        h = Quat(1, 1, 1, 1, 1, 1)  # (1 + i + j + k)/2
+        assert h.norm() == 1 and h.trace() == 1
+        assert h * h * h == q2(-1, 0, 0, 0)
 
     def test_generic_parameters(self):
         # e1^2 = -3, e2^2 = -1 (the ramified-at-3 algebra)
-        a = Quat(0, 1, 0, 0, 3, 1)
-        assert a * a == Quat(-3, 0, 0, 0, 3, 1)
-        b = Quat(0, 0, 1, 0, 3, 1)
+        a = Quat(0, 2, 0, 0, 3, 1)
+        assert a * a == Quat(-6, 0, 0, 0, 3, 1)
+        b = Quat(0, 0, 2, 0, 3, 1)
         assert (a * b).norm() == a.norm() * b.norm()
+        omega = Quat(1, 1, 0, 0, 3, 1)  # (1 + e1)/2, a root of x^2 - x + 1
+        assert omega * omega == omega - Quat(2, 0, 0, 0, 3, 1)
 
-    @given(*(units for _ in range(8)))
-    def test_norm_multiplicative(self, a, b, c, d, e, f, g, h):
-        x, y = q2(a, b, c, d), q2(e, f, g, h)
+    def test_product_outside_half_lattice_raises(self):
+        # (1/2)^2 = 1/4 has no integer doubled coordinate
+        with pytest.raises(NonIntegral):
+            Quat(1, 0, 0, 0, 1, 1) * Quat(1, 0, 0, 0, 1, 1)
+
+    @given(hurwitz, hurwitz)
+    def test_norm_multiplicative(self, x, y):
         assert (x * y).norm() == x.norm() * y.norm()
+        assert in_hurwitz(x * y)
 
-    @given(st.lists(units, min_size=12, max_size=12))
-    def test_associative(self, cs):
-        x, y, z = q2(*cs[0:4]), q2(*cs[4:8]), q2(*cs[8:12])
+    @given(hurwitz, hurwitz, hurwitz)
+    def test_associative(self, x, y, z):
         assert (x * y) * z == x * (y * z)
 
 
 class TestOrder:
     def test_hurwitz_units(self):
-        half = Fraction(1, 2)
-        basis = [q2(1, 0, 0, 0), q2(0, 1, 0, 0), q2(0, 0, 1, 0),
-                 q2(half, half, half, half)]
-        order = Order(basis)
-        assert len(order.units()) == 24
-        assert order.contains(q2(half, -half, half, -half))
-        assert not order.contains(q2(half, 0, 0, 0))
+        assert len(elements_of_norm(1, 1, 1, in_hurwitz)) == 24
+        assert in_hurwitz(Quat(1, -1, 1, -1, 1, 1))
+        assert not in_hurwitz(Quat(1, 0, 0, 0, 1, 1))
 
     def test_elements_of_norm(self):
-        basis = [q2(1, 0, 0, 0), q2(0, 1, 0, 0), q2(0, 0, 1, 0),
-                 q2(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))]
-        order = Order(basis)
         # Hurwitz quaternions of norm 2: 24 of them
-        assert len(order.elements_of_norm(2)) == 24
+        assert len(elements_of_norm(2, 1, 1, in_hurwitz)) == 24
+        # the maximal order at 3 has 12 units
+        units3 = elements_of_norm(1, 3, 1, in_order3)
+        assert len(units3) == 12
+        assert all(q.norm() == 1 and in_order3(q) for q in units3)
+        assert in_order3(Quat(1, 1, 2, 0, 3, 1))
+        assert not in_order3(Quat(1, 0, 1, 1, 3, 1))
 
 
 def test_similitude():
@@ -144,6 +159,21 @@ def test_trace_matches_formula_small():
         for f in range(0, 12):
             assert verify_trace_p23(p, f, f) == trace_R(p, f, f), (p, f)
             assert verify_trace_p23(p, f + 2, f) == trace_R(p, f + 2, f), (p, f)
+
+
+def test_trace_matches_formula_on_coset_grid():
+    # the coset workload's whole weight range: f2 < 80, even f1 - f2 <= 40
+    for p in (2, 3):
+        for f2 in range(80):
+            for f1 in range(f2, f2 + 41, 2):
+                assert verify_trace_p23(p, f1, f2) == trace_R(p, f1, f2), (p, f1, f2)
+
+
+def test_unsupported_prime_is_typed():
+    with pytest.raises(ParadimError):
+        enumerate_pi_gamma(5)
+    with pytest.raises(ParadimError):
+        verify_trace_p23(5, 0, 0)
 
 
 def test_feasible_ab():

@@ -1,8 +1,8 @@
 import pytest
 
-from paradim.errors import MissingData, UnsupportedJ
+from paradim.errors import UnsupportedJ
 from paradim.exactmath import series_coeffs
-from paradim.siegel1 import LEVEL1_SERIES, dim_cusp_sp4, register_level1_table
+from paradim.siegel1 import LEVEL1_SERIES, dim_cusp_sp4
 
 
 def test_scalar_valued_known_dims():
@@ -36,16 +36,14 @@ def test_series_coeffs_nonnegative():
 
 
 def test_unsupported_j():
-    with pytest.raises(UnsupportedJ):
-        dim_cusp_sp4(10, 6)
+    for j in (1, 6, 26, -2):
+        with pytest.raises(UnsupportedJ):
+            dim_cusp_sp4(10, j)
 
 
-def test_register_table():
-    register_level1_table(26, {4: 0, 5: 1})
-    assert dim_cusp_sp4(5, 26) == 1
-    with pytest.raises(MissingData):
-        dim_cusp_sp4(99, 26)
-    with pytest.raises(MissingData):
-        register_level1_table(26, {})
-    with pytest.raises(UnsupportedJ):
-        register_level1_table(2, {})
+def test_negative_weight_is_zero():
+    # a negative index used to wrap round to the end of the coefficient list
+    for j in LEVEL1_SERIES:
+        assert all(dim_cusp_sp4(k, j) == 0 for k in range(-130, 0)), j
+    assert dim_cusp_sp4(-1) == 0
+    assert dim_cusp_sp4(-5, 2) == 0
