@@ -2,7 +2,7 @@
 Atkin-Lehner sign, via algebraic modular forms on the compact twist."""
 from .compact import CompactDims, class_and_type, dim_M_signed, dim_M_total, trace_R
 from .characters import chi, chi_bracket_young, chi_young
-from .elliptic import ALSign, dim_cusp_level1, dim_new_gamma0_signed
+from .elliptic import dim_cusp_level1, dim_new_gamma0_signed
 from .errors import ParadimError
 from .paramodular import (
     HilbertSeries,
@@ -21,7 +21,6 @@ from .siegel1 import dim_cusp_sp4
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALSign",
     "CompactDims",
     "HilbertSeries",
     "ParadimError",

@@ -12,7 +12,7 @@ import sys
 from .arith import primes_up_to
 from .compact import dim_M_signed
 from .errors import ParadimError
-from .corpus import TABLES, _row_values, run_checks
+from .corpus import _row_values, run_checks
 from .exactmath import Poly, is_palindromic, palindromic_ell, series_coeffs
 from .paramodular import (
     SPACES,

@@ -1,16 +1,11 @@
 """Dimensions of elliptic modular forms: level 1, and newforms of prime
 level Gamma_0(p) split by Atkin-Lehner sign."""
-from enum import Enum
+from functools import lru_cache
 
 from .arith import a_p, check_level, class_number, split_symbol
 from .characters import _br
-from .errors import BadSpace, OddWeight, ParityFailure
+from .errors import OddWeight, ParityFailure
 from .exactmath import exact_quotient
-
-
-class ALSign(Enum):
-    plus = "plus"
-    minus = "minus"
 
 
 def dim_cusp_level1(k):
@@ -32,49 +27,49 @@ def dim_modular_level1(k):
     return dim_cusp_level1(k) + 1
 
 
+# The plus-minus difference rows at p = 2 and p = 3; at any other prime
+# the row is (c, -c) with c = a_p h(p) / 2.
+DIFF_ROWS = {2: (1, -1, 0, 0), 3: (1, -1, 0, -1, 1, 0)}
+
+
+@lru_cache(maxsize=None)
+def _gamma0(p):
+    """The Gamma_0(p) newspace inputs at the prime p (NotPrimeLevel
+    otherwise): p - 1, 3 (1 - (-1/p)), 4 (1 - (-3/p)), and the row of the
+    plus-minus difference, read at (k/2) mod its length."""
+    check_level(p)
+    row = DIFF_ROWS.get(p)
+    if row is None:
+        c = a_p(p) * class_number(p) // 2
+        row = (c, -c)
+    return p - 1, 3 * (1 - split_symbol(-1, p)), 4 * (1 - split_symbol(-3, p)), row
+
+
 def dim_new_gamma0(p, k):
     """dim of the weight-k newspace of Gamma_0(p), trivial character, at a
     prime p (NotPrimeLevel otherwise)."""
-    check_level(p)
+    p1, c2, c3, _ = _gamma0(p)
     if k % 2:
         raise OddWeight(f"k = {k} must be even")
     if k < 2:
         return 0
     # 12 dim = (p - 1)(k - 1) + 3 (-1)^(k/2+1) (1 - (-1/p))
     #          + 4 [-1, 0, 1; 3]_k (1 - (-3/p)) - 12 [k = 2]
-    num = ((p - 1) * (k - 1)
-           + 3 * (-1) ** (k // 2 + 1) * (1 - split_symbol(-1, p))
-           + 4 * _br((-1, 0, 1), k) * (1 - split_symbol(-3, p))
+    num = (p1 * (k - 1) + (-1) ** (k // 2 + 1) * c2 + _br((-1, 0, 1), k) * c3
            - (12 if k == 2 else 0))
     return exact_quotient(num, 12, "dim S_{}^new(Gamma0({}))", k, p)
 
 
-def _new_gamma0_diff(p, k):
-    """(plus) - (minus) dimension of the weight-k newspace of Gamma_0(p)."""
-    d2 = 1 if k == 2 else 0
-    if p == 2:
-        return ((-1) ** (k // 2) - (-1) ** (((k - 4) * (k - 2) // 8) % 2)) // 2 + d2
-    if p == 3:
-        return d2 + {0: 1, 2: -1, 4: 0, 6: -1, 8: 1, 10: 0}[k % 12]
-    return (-1) ** (k // 2) * a_p(p) * class_number(p) // 2 + d2
-
-
-def dim_new_gamma0_signed(p, k, sign):
-    """Signed newspace dimension: (total +- difference) / 2.  The sign is
-    an ALSign or its value, "plus" or "minus"."""
+def dim_new_gamma0_signed(p, k):
+    """(plus, minus) dimensions of the weight-k newspace of Gamma_0(p):
+    (total +- difference) / 2, the difference being [k = 2] plus the
+    level's row at k/2."""
     total = dim_new_gamma0(p, k)
-    if not isinstance(sign, ALSign):  # ALSign() takes ~0.6 us; bias calls this 22 k times
-        try:
-            sign = ALSign(sign)
-        except ValueError:
-            raise BadSpace(f"Atkin-Lehner sign must be 'plus' or 'minus', got {sign!r}") from None
     if k < 2:
-        return 0
-    diff = _new_gamma0_diff(p, k)
+        return 0, 0
+    diff = _br(_gamma0(p)[3], k // 2) + (1 if k == 2 else 0)
     if (total + diff) % 2:
         raise ParityFailure(
             f"Gamma0({p}) weight {k}: total {total} and difference {diff} have opposite parity"
         )
-    if sign is ALSign.plus:
-        return (total + diff) // 2
-    return (total - diff) // 2
+    return (total + diff) // 2, (total - diff) // 2

@@ -55,7 +55,7 @@ class NonIntegral(ParadimError):
 
 
 class BadSpace(ParadimError):
-    """A graded space name or Atkin-Lehner sign outside the known set."""
+    """A graded space name outside the known set."""
 
 
 class UnsupportedJ(ParadimError):

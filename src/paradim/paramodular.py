@@ -7,14 +7,10 @@ from functools import lru_cache
 from .arith import check_level, primes_up_to
 from .compact import class_and_type, dim_M_signed
 from .data import jacobi_weight2, load_json
-from .elliptic import (
-    ALSign,
-    dim_cusp_level1,
-    dim_modular_level1,
-    dim_new_gamma0_signed,
-)
+from .elliptic import dim_cusp_level1, dim_modular_level1, dim_new_gamma0_signed
 from .errors import (
     BadSpace,
+    BadYoung,
     BiasViolation,
     MissingData,
     MissingJacobiData,
@@ -41,15 +37,17 @@ class ParamodularDims:
 
 def dim_paramodular_signed(p, k, j=0):
     """Signed dimensions of weight det^k Sym(j) paramodular cusp forms of
-    prime level p, k >= 3.  Odd j gives the zero space."""
+    prime level p, k >= 3, j >= 0 (BadYoung otherwise).  Odd j gives the
+    zero space."""
+    if k < 3 or j < 0:
+        raise BadYoung(f"weight (k, j) = ({k}, {j}) needs k >= 3 and j >= 0")
     if j % 2:
         check_level(p)
         return ParamodularDims(p, k, j, 0, 0)
     sp = dim_cusp_sp4(k, j)
     m = dim_M_signed(p, j + k - 3, k - 3)
     grit = dim_cusp_level1(2 * k + j - 2)
-    s_plus = dim_new_gamma0_signed(p, j + 2, ALSign.plus)
-    s_minus = dim_new_gamma0_signed(p, j + 2, ALSign.minus)
+    s_plus, s_minus = dim_new_gamma0_signed(p, j + 2)
     dj0 = 1 if j == 0 else 0
     plus = sp + m.minus - s_plus * grit
     minus = (
@@ -180,7 +178,7 @@ class HilbertSeries:
     gf: RationalGF
 
 
-def hilbert_series(p, space, j=0, kmax=None):
+def hilbert_series(p, space, j=0):
     """Fit the dimension sequence of a graded space to a rational
     function with a factored denominator; for series with an embedded
     presentation its denominator is used and its numerator reproduced."""
@@ -189,9 +187,7 @@ def hilbert_series(p, space, j=0, kmax=None):
     last_error = None
     for denoms in candidates:
         margin = sum(denoms)
-        n = kmax if kmax is not None else 40 + 2 * margin
-        if n <= 2 * margin:
-            n = 2 * margin + 40
+        n = 40 + 2 * margin
         seq = _space_sequence(p, space, n, j)
         try:
             num = fit_numerator(seq, denoms, n - margin - 1)

@@ -6,14 +6,12 @@ well under two minutes.
 """
 import time
 
-import pytest
-
 from paradim.arith import primes_up_to
 from paradim.characters import WeightParams, chi_bracket_young, chi_closed, chi_series
 from paradim.compact import class_and_type, dim_M_signed, trace_R
 from paradim.corpus import run_checks
 from paradim.data import jacobi_weight2, load_csv, load_json
-from paradim.elliptic import ALSign, dim_new_gamma0, dim_new_gamma0_signed
+from paradim.elliptic import dim_new_gamma0, dim_new_gamma0_signed
 from paradim.exactmath import fit_numerator, is_palindromic, series_coeffs
 from paradim.paramodular import (
     _space_sequence,
@@ -62,8 +60,7 @@ def test_criterion_02_higher_weight_tables():
             d = dim_paramodular_signed(r["p"], k)
             assert (m.total, m.trace, m.plus, m.minus) == (
                 r["H"], r["R"], r["M_plus"], r["M_minus"]), (name, r["p"])
-            assert (dim_new_gamma0_signed(r["p"], 2, ALSign.plus),
-                    dim_new_gamma0_signed(r["p"], 2, ALSign.minus)) == (
+            assert dim_new_gamma0_signed(r["p"], 2) == (
                 r["s2_plus"], r["s2_minus"]), (name, r["p"])
             assert (d.plus, d.minus) == (r["S_plus"], r["S_minus"]), (name, r["p"])
     # the corrected weight-8 level-277 values
@@ -218,8 +215,7 @@ def test_criterion_09_structural_invariants():
         assert T <= H <= 2 * T, p
     for p in primes_up_to(200):
         for k in range(2, 41, 2):
-            sp = dim_new_gamma0_signed(p, k, ALSign.plus)
-            sm = dim_new_gamma0_signed(p, k, ALSign.minus)
+            sp, sm = dim_new_gamma0_signed(p, k)
             assert sp >= 0 and sm >= 0, (p, k)
             assert sp + sm == dim_new_gamma0(p, k), (p, k)
 

@@ -8,10 +8,10 @@ the cached character vectors with the code they check.
 """
 from fractions import Fraction
 
-from paradim.arith import bernoulli_b2_chi, class_number, primes_up_to, split_symbol
+from paradim.arith import a_p, bernoulli_b2_chi, class_number, primes_up_to, split_symbol
 from paradim.characters import _br, chi_young
 from paradim.compact import dim_M_total, trace_R
-from paradim.elliptic import dim_cusp_level1, dim_new_gamma0
+from paradim.elliptic import dim_cusp_level1, dim_new_gamma0, dim_new_gamma0_signed
 
 
 def dim_M_oracle(p, f1, f2):
@@ -103,6 +103,16 @@ def dim_new_gamma0_oracle(p, k):
     )
 
 
+def new_gamma0_diff_oracle(p, k):
+    """(plus) - (minus) dimension of the weight-k newspace of Gamma_0(p), k >= 2."""
+    d2 = 1 if k == 2 else 0
+    if p == 2:
+        return Fraction((-1) ** (k // 2) - (-1) ** ((k - 4) * (k - 2) // 8), 2) + d2
+    if p == 3:
+        return d2 + {0: 1, 2: -1, 4: 0, 6: -1, 8: 1, 10: 0}[k % 12]
+    return (-1) ** (k // 2) * Fraction(a_p(p) * class_number(p), 2) + d2
+
+
 def test_compact_matches_oracle_on_young_grid():
     # the criterion-09 grid: every prime p <= 300, every (f1, f2) with f1 <= 40;
     # it holds all four branches of the trace formula and the chi_13 term at p = 5
@@ -125,3 +135,12 @@ def test_elliptic_matches_oracle():
     for p in primes_up_to(200):
         for k in range(0, 201, 2):
             assert dim_new_gamma0(p, k) == dim_new_gamma0_oracle(p, k), (p, k)
+
+
+def test_signed_newspace_matches_oracle():
+    for p in primes_up_to(200):
+        for k in range(0, 201, 2):
+            total = dim_new_gamma0_oracle(p, k)
+            diff = new_gamma0_diff_oracle(p, k) if k >= 2 else 0
+            expected = ((total + diff) / 2, (total - diff) / 2)
+            assert dim_new_gamma0_signed(p, k) == expected, (p, k)

@@ -57,6 +57,12 @@ def test_dim_nonprime_is_domain_error(capsys):
     assert rc == 3 and "not prime" in err
 
 
+def test_dim_weight_outside_domain_is_domain_error(capsys):
+    rc = main(["dim", "--p", "7", "--k", "1", "--j", "1"])
+    capsys.readouterr()
+    assert rc == 3
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["dim", "--p", "7", "--space", "Q", "--k", "4"])

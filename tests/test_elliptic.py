@@ -2,13 +2,12 @@ import pytest
 
 from paradim.arith import primes_up_to
 from paradim.elliptic import (
-    ALSign,
     dim_cusp_level1,
     dim_modular_level1,
     dim_new_gamma0,
     dim_new_gamma0_signed,
 )
-from paradim.errors import NotPrimeLevel, OddWeight, ParadimError
+from paradim.errors import NotPrimeLevel, OddWeight
 
 
 def test_level1_cusp_dims():
@@ -44,19 +43,17 @@ def test_newspace_known_values():
 
 def test_signed_newspace_known_splits():
     # X_0(37): one rank-0 and one rank-1 newform with opposite signs
-    assert dim_new_gamma0_signed(37, 2, ALSign.plus) == 1
-    assert dim_new_gamma0_signed(37, 2, ALSign.minus) == 1
+    assert dim_new_gamma0_signed(37, 2) == (1, 1)
     # X_0(11): the single newform has sign +1 (w_11-eigenvalue -1)
     total = dim_new_gamma0(11, 2)
-    sp = dim_new_gamma0_signed(11, 2, ALSign.plus)
+    sp, _ = dim_new_gamma0_signed(11, 2)
     assert total == 1 and sp in (0, 1)
 
 
 def test_signed_newspace_sums_and_nonneg():
     for p in primes_up_to(100):
         for k in range(2, 31, 2):
-            sp = dim_new_gamma0_signed(p, k, ALSign.plus)
-            sm = dim_new_gamma0_signed(p, k, ALSign.minus)
+            sp, sm = dim_new_gamma0_signed(p, k)
             assert sp >= 0 and sm >= 0, (p, k)
             assert sp + sm == dim_new_gamma0(p, k), (p, k)
 
@@ -65,7 +62,7 @@ def test_odd_weight_rejected():
     with pytest.raises(OddWeight):
         dim_new_gamma0(7, 3)
     with pytest.raises(OddWeight):
-        dim_new_gamma0_signed(7, 5, ALSign.plus)
+        dim_new_gamma0_signed(7, 5)
 
 
 def test_non_prime_level_is_refused():
@@ -74,19 +71,5 @@ def test_non_prime_level_is_refused():
             with pytest.raises(NotPrimeLevel):
                 dim_new_gamma0(p, k)
             with pytest.raises(NotPrimeLevel):
-                dim_new_gamma0_signed(p, k, ALSign.plus)
+                dim_new_gamma0_signed(p, k)
 
-
-def test_string_sign_accepted():
-    assert (dim_new_gamma0_signed(37, 2, "plus")
-            == dim_new_gamma0_signed(37, 2, ALSign.plus))
-
-
-def test_unknown_sign_is_refused():
-    # every sign other than "plus" used to count as minus
-    for sign in ("+", "-", None, "Plus", 1):
-        with pytest.raises(ParadimError):
-            dim_new_gamma0_signed(11, 2, sign)
-        with pytest.raises(ParadimError):
-            dim_new_gamma0_signed(11, 0, sign)
-    assert dim_new_gamma0_signed(11, 2, "minus") == dim_new_gamma0_signed(11, 2, ALSign.minus)

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paradim.arith import primes_up_to
-from paradim.compact import dim_M_signed
 from paradim.elliptic import dim_cusp_level1
 from paradim.errors import (
+    BadYoung,
     MissingData,
     MissingJacobiData,
     NotPrimeLevel,
@@ -28,6 +28,13 @@ from paradim.siegel1 import dim_cusp_sp4
 def test_odd_j_is_zero():
     d = dim_paramodular_signed(7, 5, 3)
     assert (d.plus, d.minus, d.total) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("k, j", [(1, 1), (4, -1), (-5, 3), (2, 0), (5, -2)])
+def test_weight_outside_domain_is_refused(k, j):
+    # odd j with k < 3 or j < 0 used to give the zero space
+    with pytest.raises(BadYoung):
+        dim_paramodular_signed(7, k, j)
 
 
 @pytest.mark.parametrize("p, k", [(65, 8), (9, 4), (1, 4), (0, 4), (-7, 4)])
