@@ -1,12 +1,11 @@
 """Exact dimensions of paramodular cusp forms of prime level with
 Atkin-Lehner sign, via algebraic modular forms on the compact twist."""
-from .compact import CompactDims, class_and_type, dim_M_signed, dim_M_total, trace_R
-from .characters import chi, chi_bracket_young, chi_young
+from .compact import class_and_type, dim_M_signed, dim_M_total, trace_R
+from .characters import chi_bracket_young, chi_young
 from .elliptic import dim_cusp_level1, dim_new_gamma0_signed
 from .errors import ParadimError
 from .paramodular import (
     HilbertSeries,
-    ParamodularDims,
     bias,
     check_bias_region,
     dim_A_signed,
@@ -21,13 +20,10 @@ from .siegel1 import dim_cusp_sp4
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompactDims",
     "HilbertSeries",
     "ParadimError",
-    "ParamodularDims",
     "bias",
     "check_bias_region",
-    "chi",
     "chi_bracket_young",
     "chi_young",
     "class_and_type",

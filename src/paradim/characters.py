@@ -27,8 +27,9 @@ class WeightParams:
     j: int
 
     def __post_init__(self):
-        if self.k < 3 or self.j < 0 or self.j % 2:
-            raise BadYoung(f"need k >= 3 and even j >= 0, got (k,j)=({self.k},{self.j})")
+        k, j = self.k, self.j
+        if not (isinstance(k, int) and isinstance(j, int)) or k < 3 or j < 0 or j % 2:
+            raise BadYoung(f"need integers k >= 3 and even j >= 0, got (k,j)=({k!r},{j!r})")
 
     @property
     def f1(self):
@@ -69,8 +70,8 @@ def _check_index(i):
 
 
 def _check_young(f1, f2):
-    if not (f1 >= f2 >= 0) or (f1 - f2) % 2:
-        raise BadYoung(f"need f1 >= f2 >= 0 with f1 = f2 (mod 2), got ({f1},{f2})")
+    if not (isinstance(f1, int) and isinstance(f2, int)) or not f1 >= f2 >= 0 or (f1 - f2) % 2:
+        raise BadYoung(f"need integers f1 >= f2 >= 0 with f1 = f2 (mod 2), got ({f1!r},{f2!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +266,6 @@ def chi_closed(i, w):
         10: [1, 1, 0, 0, -1, -1],
     }
     return _br(rows[j % 12], k)
-
-
-def chi(i, w):
-    """Dispatcher: the production route is the closed form."""
-    return chi_closed(i, w)
 
 
 def chi_young(i, f1, f2):

@@ -45,15 +45,13 @@ def _emit(rows, header, fmt):
 def cmd_dim(args):
     p, k, j = args.p, args.k, args.j
     if args.space == "S":
-        d = dim_paramodular_signed(p, k, j)
-        plus, minus = d.plus, d.minus
+        plus, minus = dim_paramodular_signed(p, k, j)
     elif args.space == "A":
         if j != 0:
             raise ParadimError("space A is only available for j = 0")
         plus, minus = dim_A_signed(p, k)
     else:
-        m = dim_M_signed(p, k + j - 3, k - 3)
-        plus, minus = m.plus, m.minus
+        plus, minus = dim_M_signed(p, k + j - 3, k - 3)
     _emit([[p, k, j, args.space, plus, minus, plus + minus]],
           ["p", "k", "j", "space", "plus", "minus", "total"], args.format)
 

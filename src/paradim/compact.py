@@ -8,7 +8,6 @@ turns them into integers over a common denominator once per prime, and
 each dimension is then a dot product with the character vector of
 (f1, f2) whose division by that denominator must be exact.
 """
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
@@ -39,17 +38,6 @@ TRACE_ROWS = {
     "3 mod 4": ((2, "b2", 1, 0, 96), (6, "h_p", 1, -1, 16), (11, "h_2p", 1, 0, 8),
                 (9, "h_3p", 1, 0, 12)),
 }
-
-
-@dataclass(frozen=True)
-class CompactDims:
-    p: int
-    f1: int
-    f2: int
-    total: int
-    trace: int
-    plus: int
-    minus: int
 
 
 class Level(NamedTuple):
@@ -112,7 +100,8 @@ def level(p):
     return Level(m, tr_den, tr)
 
 
-@lru_cache(maxsize=None)
+# typed, so that (2.0, 2.0) misses the entry of (2, 2) and is refused
+@lru_cache(maxsize=None, typed=True)
 def _chi_vector(f1, f2):
     """The characters at (f1, f2): those of M_INDEX, then those of TR_INDEX."""
     _check_young(f1, f2)
@@ -137,16 +126,15 @@ def trace_R(p, f1, f2):
 
 
 def dim_M_signed(p, f1, f2):
-    """Signed (Atkin-Lehner eigenspace) dimensions as a CompactDims record."""
+    """Signed (Atkin-Lehner eigenspace) dimensions (plus, minus): half the
+    sum and half the difference of dim_M_total and trace_R."""
     total = dim_M_total(p, f1, f2)
     trace = trace_R(p, f1, f2)
     if (total + trace) % 2:
         raise ParityFailure(
             f"p={p}, ({f1},{f2}): total {total} and trace {trace} have opposite parity"
         )
-    plus = (total + trace) // 2
-    minus = (total - trace) // 2
-    return CompactDims(p, f1, f2, total, trace, plus, minus)
+    return (total + trace) // 2, (total - trace) // 2
 
 
 def class_and_type(p):

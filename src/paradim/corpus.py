@@ -34,12 +34,13 @@ TABLES = [
 
 def _row_values(p, k, long):
     f = k - 3
-    m = dim_M_signed(p, f, f)
-    d = dim_paramodular_signed(p, k)
-    vals = {"H": m.total, "R": m.trace, "S_plus": d.plus, "S_minus": d.minus}
+    m_plus, m_minus = dim_M_signed(p, f, f)
+    s_plus, s_minus = dim_paramodular_signed(p, k)
+    vals = {"H": m_plus + m_minus, "R": m_plus - m_minus,
+            "S_plus": s_plus, "S_minus": s_minus}
     if long:
-        vals["M_plus"] = m.plus
-        vals["M_minus"] = m.minus
+        vals["M_plus"] = m_plus
+        vals["M_minus"] = m_minus
         vals["s2_plus"], vals["s2_minus"] = dim_new_gamma0_signed(p, 2)
     return vals
 

@@ -55,41 +55,6 @@ class Poly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[i] + other[i] for i in range(n)])
-
-    def __neg__(self):
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return Poly([])
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return Poly(out)
-        return Poly([c * other for c in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def reversed(self):
-        """t^deg * self(1/t): the coefficient list read backwards."""
-        return Poly(list(reversed(self.coeffs)))
-
     def __repr__(self):
         return f"Poly({self.coeffs})"
 

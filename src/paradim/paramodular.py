@@ -3,6 +3,7 @@ Atkin-Lehner sign, Hilbert series of the graded rings, the sign-bias
 check, and the weight-3 vanishing search."""
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .arith import check_level, primes_up_to
 from .compact import class_and_type, dim_M_signed
@@ -22,44 +23,31 @@ from .exactmath import RationalGF, fit_numerator
 from .siegel1 import dim_cusp_sp4
 
 
-@dataclass(frozen=True)
-class ParamodularDims:
-    p: int
-    k: int
-    j: int
-    plus: int
-    minus: int
-
-    @property
-    def total(self):
-        return self.plus + self.minus
-
-
 def dim_paramodular_signed(p, k, j=0):
-    """Signed dimensions of weight det^k Sym(j) paramodular cusp forms of
-    prime level p, k >= 3, j >= 0 (BadYoung otherwise).  Odd j gives the
-    zero space."""
-    if k < 3 or j < 0:
-        raise BadYoung(f"weight (k, j) = ({k}, {j}) needs k >= 3 and j >= 0")
+    """Signed dimensions (plus, minus) of weight det^k Sym(j) paramodular
+    cusp forms of prime level p, for integers k >= 3, j >= 0 (BadYoung
+    otherwise).  Odd j gives the zero space."""
+    if not (isinstance(k, int) and isinstance(j, int)) or k < 3 or j < 0:
+        raise BadYoung(f"weight (k, j) = ({k!r}, {j!r}) needs integers k >= 3 and j >= 0")
     if j % 2:
         check_level(p)
-        return ParamodularDims(p, k, j, 0, 0)
+        return 0, 0
     sp = dim_cusp_sp4(k, j)
-    m = dim_M_signed(p, j + k - 3, k - 3)
+    m_plus, m_minus = dim_M_signed(p, j + k - 3, k - 3)
     grit = dim_cusp_level1(2 * k + j - 2)
     s_plus, s_minus = dim_new_gamma0_signed(p, j + 2)
     dj0 = 1 if j == 0 else 0
-    plus = sp + m.minus - s_plus * grit
+    plus = sp + m_minus - s_plus * grit
     minus = (
         sp
         - dj0 * dim_cusp_level1(2 * k - 2)
         - dj0 * (1 if k == 3 else 0)
-        + m.plus
+        + m_plus
         - s_minus * grit
     )
     if plus < 0 or minus < 0:
         raise NegativeDim(f"p={p}, (k,j)=({k},{j}): got ({plus},{minus})")
-    return ParamodularDims(p, k, j, plus, minus)
+    return plus, minus
 
 
 def dim_weight3(p):
@@ -80,6 +68,8 @@ def dim_A_signed(p, k):
     cusp space is the Gritsenko lift of weight-2 index-p Jacobi forms
     (valid for p < 277, embedded table covers p <= 97), all of sign +1.
     """
+    if not isinstance(k, int):
+        raise BadYoung(f"weight k = {k!r} must be an integer")
     if k < 3:
         check_level(p)
     if k == 0:
@@ -91,12 +81,26 @@ def dim_A_signed(p, k):
         if p not in table:
             raise MissingJacobiData(f"no embedded weight-2 Jacobi dimension for p = {p}")
         return table[p], 0
-    d = dim_paramodular_signed(p, k)
-    return d.plus + dim_modular_level1(k), d.minus + dim_cusp_level1(k)
+    plus, minus = dim_paramodular_signed(p, k)
+    return plus + dim_modular_level1(k), minus + dim_cusp_level1(k)
 
 
 # the graded spaces of hilbert_series
 SPACES = ("M", "M+", "M-", "A", "A+", "A-", "S+", "S-")
+
+
+def _low_weight_cusp(p, k, j, sign):
+    """dim S_{k,j}^sign(K(p)) below weight 3: 0 below weight 2 and for
+    j != 0.  At weight 2 the plus space is read from the Jacobi table; the
+    minus space is 0 below the first non-lift, since every lift has sign +1."""
+    if k < 2 or j != 0:
+        return 0
+    if sign == "+":
+        return dim_A_signed(p, 2)[0]
+    if p >= LIFTS_ONLY_BELOW:
+        raise MissingJacobiData(f"dim S_2^-(K({p})) is unknown here: "
+                                f"non-lifts exist from p = {LIFTS_ONLY_BELOW}")
+    return 0
 
 
 def _space_sequence(p, space, nmax, j=0):
@@ -104,37 +108,21 @@ def _space_sequence(p, space, nmax, j=0):
 
     S+/S-/A+/A-/A are graded by the weight k; M+/M-/M by the Young
     parameter f of the weight (f + j, f).  A spaces exist for j = 0 only.
+    Each base space has one (plus, minus) pair function; the suffix picks
+    the sum, the plus or the minus entry.
     """
     if space not in SPACES:
         raise BadSpace(f"space must be one of {', '.join(SPACES)}, got {space!r}")
-    if space in ("M", "M+", "M-"):
-        out = []
-        for f in range(nmax + 1):
-            m = dim_M_signed(p, f + j, f)
-            out.append({"M": m.total, "M+": m.plus, "M-": m.minus}[space])
-        return out
-    if space in ("A", "A+", "A-") and j != 0:
+    base, sign = space[0], space[1:]
+    if base == "A" and j != 0:
         raise UnsupportedJ(f"space {space} is only graded at j = 0, got j = {j}")
-    out = []
-    for k in range(nmax + 1):
-        if space in ("A", "A+", "A-"):
-            ap, am = dim_A_signed(p, k)
-            out.append({"A": ap + am, "A+": ap, "A-": am}[space])
-        else:
-            if k < 2 or (k == 2 and j != 0):
-                out.append(0)
-            elif k == 2 and space == "S-":
-                # all lifts, of sign +1, below the first non-lift
-                if p >= LIFTS_ONLY_BELOW:
-                    raise MissingJacobiData(f"dim S_2^-(K({p})) is unknown here: "
-                                            f"non-lifts exist from p = {LIFTS_ONLY_BELOW}")
-                out.append(0)
-            elif k == 2:
-                out.append(dim_A_signed(p, 2)[0])
-            else:
-                d = dim_paramodular_signed(p, k, j)
-                out.append(d.plus if space == "S+" else d.minus)
-    return out
+    pair = {"M": lambda f: dim_M_signed(p, f + j, f),
+            "A": lambda k: dim_A_signed(p, k),
+            "S": lambda k: dim_paramodular_signed(p, k, j)}[base]
+    pick = {"": sum, "+": itemgetter(0), "-": itemgetter(1)}[sign]
+    low = ([_low_weight_cusp(p, k, j, sign) for k in range(min(nmax, 2) + 1)]
+           if base == "S" else [])
+    return low + [pick(pair(n)) for n in range(len(low), nmax + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -200,8 +188,8 @@ def hilbert_series(p, space, j=0):
 
 def bias(p, k):
     """(-1)^k (dim plus - dim minus) in weight k, scalar valued."""
-    d = dim_paramodular_signed(p, k)
-    return (-1) ** k * (d.plus - d.minus)
+    plus, minus = dim_paramodular_signed(p, k)
+    return (-1) ** k * (plus - minus)
 
 
 def search_weight3_zero(pmax):

@@ -373,19 +373,3 @@ def verify_trace_p23(p, f1, f2):
                 for key, cnt in tallies.items())
     return exact_quotient(total, size, "trace at p={}, ({},{})", p, f1, f2)
 
-
-def feasible_ab(p):
-    """Integer pairs (a, b) compatible with a similitude-p element whose
-    rescaled principal polynomial x^4 - a x^3 + b x^2 - a p x + p^2 has
-    all roots of absolute value sqrt(p)."""
-    out = []
-    amax = 0
-    while (amax + 1) ** 2 * p <= 16:
-        amax += 1
-    for a in range(-amax, amax + 1):
-        blo = -(-(p * a * a - 4) // 2)  # ceil((p a^2 - 4)/2)
-        bhi = (a * a * p + 8) // 4      # floor(a^2 p / 4 + 2)
-        for b in range(blo, bhi + 1):
-            if 4 * p * a * a <= (b + 2) ** 2:
-                out.append((a, b))
-    return sorted(out)

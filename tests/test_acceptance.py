@@ -8,7 +8,7 @@ import time
 
 from paradim.arith import primes_up_to
 from paradim.characters import WeightParams, chi_bracket_young, chi_closed, chi_series
-from paradim.compact import class_and_type, dim_M_signed, trace_R
+from paradim.compact import class_and_type, dim_M_signed, dim_M_total, trace_R
 from paradim.corpus import run_checks
 from paradim.data import jacobi_weight2, load_csv, load_json
 from paradim.elliptic import dim_new_gamma0, dim_new_gamma0_signed
@@ -39,10 +39,10 @@ def test_criterion_01_weight4_table_fast():
     assert [r["p"] for r in rows] == [p for p in primes_up_to(607) if p >= 7]
     start = time.perf_counter()
     for r in rows:
-        m = dim_M_signed(r["p"], 1, 1)
+        m_plus, m_minus = dim_M_signed(r["p"], 1, 1)
         d = dim_paramodular_signed(r["p"], 4)
-        assert (m.total, m.trace) == (r["H"], r["R"]), r["p"]
-        assert (d.plus, d.minus) == (r["S_plus"], r["S_minus"]), r["p"]
+        assert (m_plus + m_minus, m_plus - m_minus) == (r["H"], r["R"]), r["p"]
+        assert d == (r["S_plus"], r["S_minus"]), r["p"]
     assert time.perf_counter() - start < 1.0
 
 
@@ -50,22 +50,21 @@ def test_criterion_02_higher_weight_tables():
     for name, k in (("table_k5.csv", 5), ("table_k6.csv", 6),
                     ("table_k8.csv", 8)):
         for r in _table_rows(name):
-            m = dim_M_signed(r["p"], k - 3, k - 3)
+            m_plus, m_minus = dim_M_signed(r["p"], k - 3, k - 3)
             d = dim_paramodular_signed(r["p"], k)
-            assert (m.total, m.trace) == (r["H"], r["R"]), (name, r["p"])
-            assert (d.plus, d.minus) == (r["S_plus"], r["S_minus"]), (name, r["p"])
+            assert (m_plus + m_minus, m_plus - m_minus) == (r["H"], r["R"]), (name, r["p"])
+            assert d == (r["S_plus"], r["S_minus"]), (name, r["p"])
     for name, k in (("table_k7.csv", 7), ("table_k10.csv", 10)):
         for r in _table_rows(name):
-            m = dim_M_signed(r["p"], k - 3, k - 3)
+            m_plus, m_minus = dim_M_signed(r["p"], k - 3, k - 3)
             d = dim_paramodular_signed(r["p"], k)
-            assert (m.total, m.trace, m.plus, m.minus) == (
+            assert (m_plus + m_minus, m_plus - m_minus, m_plus, m_minus) == (
                 r["H"], r["R"], r["M_plus"], r["M_minus"]), (name, r["p"])
             assert dim_new_gamma0_signed(r["p"], 2) == (
                 r["s2_plus"], r["s2_minus"]), (name, r["p"])
-            assert (d.plus, d.minus) == (r["S_plus"], r["S_minus"]), (name, r["p"])
+            assert d == (r["S_plus"], r["S_minus"]), (name, r["p"])
     # the corrected weight-8 level-277 values
-    d = dim_paramodular_signed(277, 8)
-    assert (d.plus, d.minus) == (1761, 768)
+    assert dim_paramodular_signed(277, 8) == (1761, 768)
 
 
 def test_criterion_03_generating_function_corpus():
@@ -207,9 +206,10 @@ def test_criterion_09_structural_invariants():
     for p in primes_up_to(300):
         for f1 in range(0, 41):
             for f2 in range(f1 % 2, f1 + 1, 2):
-                m = dim_M_signed(p, f1, f2)
-                assert (m.total + m.trace) % 2 == 0, (p, f1, f2)
-                assert m.plus >= 0 and m.minus >= 0, (p, f1, f2)
+                total, trace = dim_M_total(p, f1, f2), trace_R(p, f1, f2)
+                assert (total + trace) % 2 == 0, (p, f1, f2)
+                plus, minus = dim_M_signed(p, f1, f2)
+                assert plus >= 0 and minus >= 0, (p, f1, f2)
     for p in primes_up_to(1000):
         H, T = class_and_type(p)
         assert T <= H <= 2 * T, p

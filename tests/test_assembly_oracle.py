@@ -8,10 +8,20 @@ the cached character vectors with the code they check.
 """
 from fractions import Fraction
 
+import pytest
+
 from paradim.arith import a_p, bernoulli_b2_chi, class_number, primes_up_to, split_symbol
 from paradim.characters import _br, chi_young
 from paradim.compact import dim_M_total, trace_R
 from paradim.elliptic import dim_cusp_level1, dim_new_gamma0, dim_new_gamma0_signed
+from paradim.errors import MissingJacobiData
+from paradim.paramodular import (
+    LIFTS_ONLY_BELOW,
+    SPACES,
+    _space_sequence,
+    dim_A_signed,
+    dim_paramodular_signed,
+)
 
 
 def dim_M_oracle(p, f1, f2):
@@ -144,3 +154,38 @@ def test_signed_newspace_matches_oracle():
             diff = new_gamma0_diff_oracle(p, k) if k >= 2 else 0
             expected = ((total + diff) / 2, (total - diff) / 2)
             assert dim_new_gamma0_signed(p, k) == expected, (p, k)
+
+
+def space_sequence_oracle(p, space, nmax, j=0):
+    """The graded dimension sequence as a ladder of cases on the space
+    and the weight, with M's total and trace read from dim_M_total and
+    trace_R."""
+    out = []
+    for n in range(nmax + 1):
+        if space in ("M", "M+", "M-"):
+            total, trace = dim_M_total(p, n + j, n), trace_R(p, n + j, n)
+            out.append({"M": total, "M+": (total + trace) // 2,
+                        "M-": (total - trace) // 2}[space])
+        elif space in ("A", "A+", "A-"):
+            ap, am = dim_A_signed(p, n)
+            out.append({"A": ap + am, "A+": ap, "A-": am}[space])
+        elif n < 2 or (n == 2 and j != 0):
+            out.append(0)
+        elif n == 2 and space == "S-":
+            if p >= LIFTS_ONLY_BELOW:
+                raise MissingJacobiData(p)
+            out.append(0)
+        elif n == 2:
+            out.append(dim_A_signed(p, 2)[0])
+        else:
+            plus, minus = dim_paramodular_signed(p, n, j)
+            out.append(plus if space == "S+" else minus)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 11, 53])
+def test_space_sequence_matches_oracle(p):
+    for space in SPACES:
+        for j in ((0, 2) if space[0] in "MS" else (0,)):
+            assert _space_sequence(p, space, 30, j) == space_sequence_oracle(p, space, 30, j), (
+                p, space, j)

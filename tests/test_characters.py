@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from paradim.characters import (
     PHI_COEFFS,
     WeightParams,
-    chi,
     chi_bracket_young,
     chi_closed,
     chi_series,
@@ -85,12 +84,25 @@ def test_bracket_forms_limited():
         chi_bracket_young(1, 0, 0)
 
 
-def test_chi_dispatcher():
-    assert chi(2, WeightParams(4, 2)) == chi_closed(2, WeightParams(4, 2))
-
-
 def test_young_validation():
     with pytest.raises(BadYoung):
         chi_young(2, 1, 0)  # parity mismatch
     with pytest.raises(BadYoung):
         chi_series(2, 0, 2)  # f1 < f2
+
+
+@pytest.mark.parametrize("f1, f2", [(2.5, 0.5), (2.0, 0), (2, "0")])
+def test_non_integer_young_is_refused(f1, f2):
+    # (2.5, 0.5) used to raise IrrationalResidue
+    with pytest.raises(BadYoung):
+        chi_young(2, f1, f2)
+    with pytest.raises(BadYoung):
+        chi_series(2, f1, f2)
+
+
+@pytest.mark.parametrize("k, j", [(5.5, 2), (5, 2.0), ("5", 2)])
+def test_non_integer_weight_params_are_refused(k, j):
+    with pytest.raises(BadYoung):
+        WeightParams(k, j)
+    with pytest.raises(BadYoung):
+        chi_closed(2, (k, j))

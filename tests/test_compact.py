@@ -77,21 +77,20 @@ def test_inexact_assembly_raises(monkeypatch):
 def test_signed_consistency():
     for p in (2, 3, 7, 11, 101):
         for f1, f2 in ((0, 0), (2, 0), (3, 1), (4, 4), (10, 2)):
-            m = dim_M_signed(p, f1, f2)
-            assert m.plus + m.minus == m.total
-            assert m.plus - m.minus == m.trace
-            assert m.plus >= 0 and m.minus >= 0
+            plus, minus = dim_M_signed(p, f1, f2)
+            assert plus + minus == dim_M_total(p, f1, f2)
+            assert plus - minus == trace_R(p, f1, f2)
+            assert plus >= 0 and minus >= 0
 
 
 def test_known_table_rows():
     # weight (1,1): the weight-4 scalar case
-    m = dim_M_signed(7, 1, 1)
-    assert (m.total, m.trace) == (1, -1)
-    m = dim_M_signed(83, 1, 1)
-    assert (m.total, m.trace, m.plus, m.minus) == (19, -17, 1, 18)
+    assert (dim_M_total(7, 1, 1), trace_R(7, 1, 1)) == (1, -1)
+    assert (dim_M_total(83, 1, 1), trace_R(83, 1, 1)) == (19, -17)
+    assert dim_M_signed(83, 1, 1) == (1, 18)
     # weight (2,2): the weight-5 scalar case
-    m = dim_M_signed(47, 2, 2)
-    assert (m.total, m.trace, m.plus, m.minus) == (16, 14, 15, 1)
+    assert (dim_M_total(47, 2, 2), trace_R(47, 2, 2)) == (16, 14)
+    assert dim_M_signed(47, 2, 2) == (15, 1)
 
 
 def test_young_validation():
@@ -101,11 +100,21 @@ def test_young_validation():
         trace_R(7, 0, 2)
 
 
+@pytest.mark.parametrize("f1, f2", [(2.5, 0.5), (3, 0.5), (2.0, 2.0)])
+def test_non_integer_young_is_refused(f1, f2):
+    # (2.5, 0.5) used to raise IrrationalResidue
+    for fn in (dim_M_signed, dim_M_total, trace_R):
+        with pytest.raises(BadYoung):
+            fn(7, f1, f2)
+
+
 @settings(max_examples=40)
 @given(st.sampled_from(primes_up_to(150)), young)
 def test_parity_and_positivity(p, fs):
     f1, f2 = fs
-    m = dim_M_signed(p, f1, f2)
-    assert (m.total + m.trace) % 2 == 0
-    assert 0 <= m.plus and 0 <= m.minus
-    assert abs(m.trace) <= m.total
+    total, trace = dim_M_total(p, f1, f2), trace_R(p, f1, f2)
+    assert (total + trace) % 2 == 0
+    plus, minus = dim_M_signed(p, f1, f2)
+    assert (plus, minus) == ((total + trace) // 2, (total - trace) // 2)
+    assert 0 <= plus and 0 <= minus
+    assert abs(trace) <= total

@@ -23,22 +23,6 @@ class TestPoly:
         p = Poly([1, 2, 3])
         assert p[5] == 0 and p[-1] == 0
 
-    def test_mul(self):
-        assert Poly([1, 1]) * Poly([1, -1]) == Poly([1, 0, -1])
-        assert Poly([1, 1]) * 0 == Poly([])
-
-    def test_call(self):
-        p = Poly([1, 0, -2])
-        assert p(3) == 1 - 18
-
-    def test_reversed(self):
-        assert Poly([1, 2, 3]).reversed() == Poly([3, 2, 1])
-
-    @given(st.lists(small_ints, max_size=6), st.lists(small_ints, max_size=6))
-    def test_mul_matches_eval(self, a, b):
-        p, q = Poly(a), Poly(b)
-        assert (p * q)(7) == p(7) * q(7)
-
 
 class TestRationalGF:
     def test_geometric_series(self):

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paradim.arith import primes_up_to
-from paradim.elliptic import dim_cusp_level1
+from paradim.compact import dim_M_signed
+from paradim.elliptic import dim_cusp_level1, dim_new_gamma0_signed
 from paradim.errors import (
     BadYoung,
     MissingData,
@@ -26,8 +27,7 @@ from paradim.siegel1 import dim_cusp_sp4
 
 
 def test_odd_j_is_zero():
-    d = dim_paramodular_signed(7, 5, 3)
-    assert (d.plus, d.minus, d.total) == (0, 0, 0)
+    assert dim_paramodular_signed(7, 5, 3) == (0, 0)
 
 
 @pytest.mark.parametrize("k, j", [(1, 1), (4, -1), (-5, 3), (2, 0), (5, -2)])
@@ -35,6 +35,30 @@ def test_weight_outside_domain_is_refused(k, j):
     # odd j with k < 3 or j < 0 used to give the zero space
     with pytest.raises(BadYoung):
         dim_paramodular_signed(7, k, j)
+
+
+@pytest.mark.parametrize("k, j", [(4, 0.5), (4.5, 0), (4.0, 0), ("4", 0), (4, 2.0)])
+def test_non_integer_weight_is_refused(k, j):
+    # (4, 0.5) used to give the zero space and (4.5, 0) a bare TypeError
+    with pytest.raises(BadYoung):
+        dim_paramodular_signed(7, k, j)
+
+
+@pytest.mark.parametrize("k", [0.0, 1.0, 2.0, 2.5, 4.0, "4"])
+def test_non_integer_weight_of_full_space_is_refused(k):
+    # 0.0, 1.0 and 2.0 used to give (1, 0), (0, 0) and the Jacobi value
+    with pytest.raises(BadYoung):
+        dim_A_signed(37, k)
+
+
+def test_signed_entry_points_return_int_pairs():
+    values = [dim_paramodular_signed(7, 4), dim_paramodular_signed(61, 4, 2),
+              dim_paramodular_signed(7, 5, 3), dim_M_signed(83, 1, 1),
+              dim_M_signed(7, 0, 0), dim_A_signed(37, 2), dim_A_signed(11, 6),
+              dim_weight3(167), dim_new_gamma0_signed(11, 12)]
+    for value in values:
+        assert type(value) is tuple and len(value) == 2, value
+        assert all(type(x) is int for x in value), value
 
 
 @pytest.mark.parametrize("p, k", [(65, 8), (9, 4), (1, 4), (0, 4), (-7, 4)])
@@ -60,8 +84,7 @@ def test_table_spot_checks():
         (47, 10): (128, 39),
     }
     for (p, k), (sp, sm) in cases.items():
-        d = dim_paramodular_signed(p, k)
-        assert (d.plus, d.minus) == (sp, sm), (p, k)
+        assert dim_paramodular_signed(p, k) == (sp, sm), (p, k)
 
 
 def test_weight3():
@@ -85,11 +108,11 @@ def test_newform_dimensions_nonnegative():
     for p in primes_up_to(60):
         for j in (0, 2):
             for k in range(3, 25):
-                d = dim_paramodular_signed(p, k, j)
+                plus, minus = dim_paramodular_signed(p, k, j)
                 sp2 = dim_cusp_sp4(k, j)
                 sk = dim_cusp_level1(2 * k - 2) if j == 0 and k % 2 == 0 else 0
-                assert d.plus - sp2 >= 0, (p, k, j, "plus")
-                assert d.minus - (sp2 - sk) >= 0, (p, k, j, "minus")
+                assert plus - sp2 >= 0, (p, k, j, "plus")
+                assert minus - (sp2 - sk) >= 0, (p, k, j, "minus")
 
 
 def test_dim_A_low_weights():
@@ -148,9 +171,15 @@ def test_hilbert_series_minus_beyond_jacobi_table():
     gf = hilbert_series(101, "S-").gf
     coeffs = series_coeffs(gf, 41)
     assert coeffs[:3] == [0, 0, 0]
-    assert coeffs[3:] == [dim_paramodular_signed(101, k).minus for k in range(3, 41)]
+    assert coeffs[3:] == [dim_paramodular_signed(101, k)[1] for k in range(3, 41)]
     with pytest.raises(MissingJacobiData):
         hilbert_series(277, "S-")
+
+
+def test_hilbert_series_plus_beyond_jacobi_table():
+    # the weight-2 plus space needs the Jacobi table, embedded to p = 97
+    with pytest.raises(MissingJacobiData):
+        hilbert_series(101, "S+")
 
 
 def test_unknown_space_is_refused():
@@ -182,6 +211,5 @@ def test_vector_valued_grading():
 @given(st.sampled_from(primes_up_to(200)), st.integers(3, 40),
        st.sampled_from([0, 2, 4]))
 def test_signed_dims_nonnegative(p, k, j):
-    d = dim_paramodular_signed(p, k, j)
-    assert d.plus >= 0 and d.minus >= 0
-    assert d.total == d.plus + d.minus
+    plus, minus = dim_paramodular_signed(p, k, j)
+    assert plus >= 0 and minus >= 0

@@ -11,7 +11,6 @@ from paradim.quaternion import (
     elements_of_norm,
     enumerate_pi_gamma,
     family_tallies,
-    feasible_ab,
     in_hurwitz,
     in_order3,
     principal_poly,
@@ -175,12 +174,3 @@ def test_unsupported_prime_is_typed():
     with pytest.raises(ParadimError):
         verify_trace_p23(5, 0, 0)
 
-
-def test_feasible_ab():
-    assert feasible_ab(7) == [(0, -2), (0, -1), (0, 0), (0, 1), (0, 2)]
-    assert (1, 3) in feasible_ab(5) and (-1, 3) in feasible_ab(5)
-    assert (2, 4) in feasible_ab(2)
-    # symmetric under a -> -a (complex conjugation of the root set)
-    for p in (2, 3, 5, 7, 11):
-        pairs = set(feasible_ab(p))
-        assert {(-a, b) for a, b in pairs} == pairs, p
