@@ -4,26 +4,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .errors import DSquare, NotPrimeLevel, NotSquarefree, UnsupportedPrime
-from .kernels import b2_character_sum, class_number_from_disc, kronecker
-
-
-def squarefree_part(d):
-    """The squarefree d0 with d = s^2 * d0 (sign preserved)."""
-    sign = -1 if d < 0 else 1
-    d = abs(d)
-    d0 = 1
-    f = 2
-    while f * f <= d:
-        if d % f == 0:
-            e = 0
-            while d % f == 0:
-                d //= f
-                e += 1
-            if e % 2:
-                d0 *= f
-        f += 1 if f == 2 else 2
-    return sign * d0 * d
+from .errors import DSquare, NotPrimeLevel, NotSquarefree, ParadimError, UnsupportedPrime
+from .kernels import b2_character_sum, class_number_from_disc, kronecker, squarefree_part
 
 
 def fundamental_discriminant(d):
@@ -44,8 +26,8 @@ def split_symbol(d, p):
 @lru_cache(maxsize=None)
 def class_number(d):
     """h(sqrt(-d)): class number of the imaginary quadratic field Q(sqrt(-d))."""
-    if d < 1:
-        raise NotSquarefree(f"d must be a positive integer, got {d}")
+    if not isinstance(d, int) or d < 1:
+        raise NotSquarefree(f"d must be a positive integer, got {d!r}")
     if squarefree_part(d) != d:
         raise NotSquarefree(f"{d} is not squarefree")
     D = -d if d % 4 == 3 else -4 * d
@@ -89,13 +71,16 @@ def is_prime(n):
 
 
 def check_level(p):
-    """NotPrimeLevel unless p is prime, the only levels treated here."""
-    if not is_prime(p):
-        raise NotPrimeLevel(f"level {p} is not prime")
+    """NotPrimeLevel unless p is a prime int, the only levels treated here."""
+    if not isinstance(p, int) or not is_prime(p):
+        raise NotPrimeLevel(f"level {p!r} is not prime")
 
 
 def primes_up_to(n):
-    """Ascending list of primes <= n (simple sieve)."""
+    """Ascending list of primes <= n (simple sieve); ParadimError unless n
+    is an int."""
+    if not isinstance(n, int):
+        raise ParadimError(f"a prime bound must be an integer, got {n!r}")
     if n < 2:
         return []
     sieve = bytearray([1]) * (n + 1)

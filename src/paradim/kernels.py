@@ -2,12 +2,19 @@
 imaginary quadratic discriminant, and the quadratic character sum behind
 the generalized Bernoulli number B_{2,chi}.
 
+h(D) counts reduced forms.  The forms with 4a^2 < |D| are counted all at
+once through a multiplicative function of a, from (D/q) at the primes
+q <= sqrt(|D|)/2; the few forms with larger a are counted one by one; a
+non-fundamental D goes through its fundamental discriminant.
+
 The naive versions in ``paradim._kernels_py`` are kept as test oracles.
 """
 from array import array
-from math import gcd, isqrt
+from bisect import bisect_right
+from itertools import accumulate
+from math import isqrt
 
-from .errors import BadDiscriminant, NonIntegral
+from .errors import BadDiscriminant, NonIntegral, ParadimError
 
 
 def kronecker(a, n):
@@ -43,39 +50,124 @@ def kronecker(a, n):
     return sign if n == 1 else 0
 
 
-def class_number_from_disc(D):
-    """Class number of the imaginary quadratic order of discriminant D < 0.
+def squarefree_part(d):
+    """The squarefree d0 with d = s^2 * d0 (sign preserved; 0 for d = 0);
+    ParadimError unless d is an int.
 
-    Counts the reduced primitive forms (a, b, c), b^2 - 4ac = D, with
-    |b| <= a <= c and b >= 0 when |b| = a or a = c, taking b first
-    (Cohen, GTM 138, Alg. 5.3.5): for each b >= 0 with b = D (mod 2) and
-    3 b^2 <= |D|, the a are the divisors of N = (b^2 - D)/4 with
-    max(b, 1) <= a <= sqrt(N).  A form with 0 < b < a < c stands for
-    itself and (a, -b, c).
+    Trial division stops at the cube root of what is left, which then has
+    at most two prime factors and is q^2 exactly when it is a square.
     """
-    if D >= 0 or D % 4 not in (0, 1):
-        raise BadDiscriminant(f"{D} is not a negative discriminant")
-    h = 0
-    for b in range(D % 2, isqrt(-D // 3) + 1, 2):
-        N = (b * b - D) // 4
-        for a in range(max(b, 1), isqrt(N) + 1):
-            if N % a:
-                continue
-            c = N // a
-            if gcd(a, b, c) != 1:
-                continue
-            h += 1 if b == 0 or a == b or a == c else 2
+    if not isinstance(d, int):
+        raise ParadimError(f"{d!r} is not an integer")
+    n = abs(d)
+    d0 = -1 if d < 0 else 1
+    for q in _primes_to(1 << (n.bit_length() // 3 + 1)):  # past n^(1/3)
+        if q * q * q > n:
+            break
+        e = 0
+        while n % q == 0:
+            n //= q
+            e += 1
+        if e % 2:
+            d0 *= q
+    r = isqrt(n)
+    return d0 if n and r * r == n else d0 * n
+
+
+def class_number_from_disc(D):
+    """Class number h(D) of the imaginary quadratic order of discriminant
+    D < 0 (BadDiscriminant for anything else).
+
+    For D = D0 f^2 with D0 fundamental and f > 1 it is (Cox, *Primes of
+    the form x^2 + ny^2*, Thm 7.24)
+        h(D) = h(D0) f / u * prod_{q | f} (1 - (D0/q) / q),
+    with the unit index u = 3 at D0 = -3, 2 at D0 = -4 and 1 otherwise.
+    """
+    if not isinstance(D, int) or D >= 0 or D % 4 not in (0, 1):
+        raise BadDiscriminant(f"{D!r} is not a negative discriminant")
+    m = squarefree_part(D)
+    D0 = m if m % 4 == 1 else 4 * m
+    f = isqrt(D // D0)
+    h = _reduced_forms(D0)
+    if f == 1:
+        return h
+    h *= f
+    rest = f
+    for q in _primes_to(isqrt(f)):
+        if q * q > rest:
+            break
+        if rest % q == 0:
+            h = h // q * (q - kronecker(D0, q))
+            while rest % q == 0:
+                rest //= q
+    if rest > 1:  # a prime
+        h = h // rest * (rest - kronecker(D0, rest))
+    return h // (3 if D0 == -3 else 2 if D0 == -4 else 1)
+
+
+def _reduced_forms(D):
+    """Number of reduced forms (a, b, c), b^2 - 4ac = D, |b| <= a <= c and
+    b >= 0 when |b| = a or a = c, for a fundamental D < 0 (all of them are
+    primitive).
+
+    While 4a^2 < |D| every b in (-a, a] with b^2 = D (mod 4a) has c > a,
+    so these a contribute rho(a) = #{b mod 2a : b^2 = D (mod 4a)}, which
+    is multiplicative: rho(q^e) = 1 + (D/q) for q not dividing D (q = 2
+    included), and 1 for e = 1, 0 for e >= 2 when q | D.  The primes q up
+    to sqrt(amax) act on a list of rho; a larger prime divides each
+    a <= amax at most once, as a = q m with m < q, so it adds
+    (D/q) * sum_{m <= amax/q} rho(m).  The few a with
+    |D| <= 4a^2 <= 4|D|/3 are counted directly, b from sqrt(4a^2 - |D|),
+    except where the small primes of a already make rho(a) = 0.
+    """
+    n = -D
+    amax = isqrt((n - 1) // 4)  # the a with 4 a^2 < |D|
+    top = isqrt(n // 3)
+    root = isqrt(amax)
+    primes = _primes_to(amax)
+    rho = [1] * (top + 1)
+    rho[0] = 0
+    for q in primes[:bisect_right(primes, root)]:
+        chi = kronecker(D, q)
+        if chi == 1:
+            rho[q::q] = [2 * r for r in rho[q::q]]
+        elif chi == -1:
+            rho[q::q] = [0] * len(range(q, top + 1, q))
+        else:
+            rho[q * q::q * q] = [0] * len(range(q * q, top + 1, q * q))
+    h = sum(rho[:amax + 1])
+    below = list(accumulate(rho[:root + 1]))
+    for q in primes[bisect_right(primes, root):bisect_right(primes, amax)]:
+        h += kronecker(D, q) * below[amax // q]
+    for a in range(amax + 1, top + 1):
+        if not rho[a]:
+            continue
+        four_a = 4 * a
+        t = a * four_a - n
+        b = isqrt(t - 1) + 1 if t else 0  # the least b with c >= a
+        b += (b - D) % 2
+        for b in range(b, a + 1, 2):
+            num = b * b - D
+            if num % four_a == 0:
+                # (a, -b, c) is reduced too unless b = a or c = a; b = 0
+                # here only with c = a
+                h += 1 if b == a or num == a * four_a else 2
     return h
 
 
 # _spf[n] is the smallest prime factor of n (for n >= 2); grown on demand.
 _spf = array("i", [0, 1])
+# _primes lists every prime below _primes_end, read off _spf.
+_primes = []
+_primes_end = 2
 
 
 def _grow_spf(n):
-    """Make _spf reach n, at least doubling its length."""
+    """Make _spf reach n, at least doubling its length to a power of two
+    (so _sigma1 and _primes_to, growing it in either order, leave it the
+    same size)."""
     global _spf
-    size = max(n + 1, 2 * len(_spf))
+    size = max(1 << n.bit_length(), 2 * len(_spf))
     spf = array("i", range(size))
     primes = [q for q in range(2, isqrt(size - 1) + 1)
               if all(q % r for r in range(2, isqrt(q) + 1))]
@@ -83,6 +175,19 @@ def _grow_spf(n):
     for q in reversed(primes):
         spf[q * q::q] = array("i", [q]) * len(range(q * q, size, q))
     _spf = spf
+
+
+def _primes_to(m):
+    """Ascending list of the primes up to at least m, read off _spf."""
+    global _primes, _primes_end
+    if m >= _primes_end:
+        end = max(m + 1, 2 * _primes_end)
+        if end > len(_spf):
+            _grow_spf(end - 1)
+        spf = _spf
+        _primes = [q for q in range(2, end) if spf[q] == q]
+        _primes_end = end
+    return _primes
 
 
 def _sigma1(n):
@@ -110,7 +215,7 @@ def _is_fundamental(D):
         m = D // 4
     else:
         return False
-    return D > 1 and all(m % (d * d) for d in range(2, isqrt(m) + 1))
+    return D > 1 and squarefree_part(m) == m
 
 
 def b2_character_sum(D0, f):

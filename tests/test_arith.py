@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from paradim.arith import (
     a_p,
     bernoulli_b2_chi,
+    check_level,
     class_number,
     fundamental_discriminant,
     is_prime,
@@ -13,7 +14,13 @@ from paradim.arith import (
     split_symbol,
     squarefree_part,
 )
-from paradim.errors import DSquare, NotSquarefree, UnsupportedPrime
+from paradim.errors import (
+    DSquare,
+    NotPrimeLevel,
+    NotSquarefree,
+    ParadimError,
+    UnsupportedPrime,
+)
 
 
 def test_squarefree_part():
@@ -89,3 +96,20 @@ def test_primes():
     assert primes_up_to(1) == []
     assert [n for n in range(60) if is_prime(n)] == primes_up_to(59)
     assert len(primes_up_to(607)) == 111
+
+
+@pytest.mark.parametrize("x", [7.0, 7.5, "7"])
+def test_non_integer_input_is_typed_error(x):
+    # each used to raise a bare TypeError, except that squarefree_part and
+    # split_symbol computed with 7.0 as if it were 7
+    class_number(7)
+    with pytest.raises(NotPrimeLevel):
+        check_level(x)
+    with pytest.raises(NotSquarefree):
+        class_number(x)
+    with pytest.raises(ParadimError):
+        primes_up_to(x)
+    with pytest.raises(ParadimError):
+        squarefree_part(x)
+    with pytest.raises(ParadimError):
+        split_symbol(x, 7)

@@ -46,10 +46,13 @@ def test_class_and_type_bound_is_checked(monkeypatch):
 
 
 def test_composite_level_is_refused():
-    # dim_M_signed(15, 1, 1) used to raise NonIntegral "19/9"
-    for p in (15, 1, 0, -3, 4):
+    # dim_M_signed(15, 1, 1) used to raise NonIntegral "19/9", and level 7.0
+    # a bare TypeError
+    for p in (15, 1, 0, -3, 4, 7.0):
         with pytest.raises(NotPrimeLevel):
             level(p)
+    with pytest.raises(NotPrimeLevel):
+        dim_M_total(7.0, 0, 0)
     with pytest.raises(NotPrimeLevel):
         dim_M_signed(15, 1, 1)
     with pytest.raises(NotPrimeLevel):

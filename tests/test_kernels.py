@@ -27,6 +27,28 @@ def test_class_number_from_disc_matches_pure():
                     == _kernels_py.class_number_from_disc(D)), D
 
 
+# every fifth prime up to 3 500, and the last few
+LEVEL_SAMPLE = sorted({*primes_up_to(3500)[::5], 3457, 3461, 3463, 3467, 3469, 3491, 3499})
+
+
+def test_class_number_from_disc_matches_pure_on_level_discriminants():
+    # the discriminants of Q(sqrt(-d)), d in {p, 2p, 3p}, reach |D| = 42 000
+    for p in LEVEL_SAMPLE:
+        for d in {p, 2 * p, 3 * p} - {9}:
+            D = -d if d % 4 == 3 else -4 * d
+            assert (kernels.class_number_from_disc(D)
+                    == _kernels_py.class_number_from_disc(D)), D
+
+
+@pytest.mark.parametrize("D0", [-3, -4, -7, -8, -15, -20, -23])
+def test_class_number_from_disc_matches_pure_on_orders(D0):
+    # D0 f^2: the unit index is 3 at D0 = -3, 2 at D0 = -4 and 1 otherwise
+    for f in range(1, 21):
+        D = D0 * f * f
+        assert (kernels.class_number_from_disc(D)
+                == _kernels_py.class_number_from_disc(D)), D
+
+
 def test_b2_character_sum_matches_pure():
     for p in primes_up_to(3000):
         if p < 5:
@@ -43,7 +65,7 @@ def test_b2_character_sum_rejects_bad_input(D0, f):
         kernels.b2_character_sum(D0, f)
 
 
-@pytest.mark.parametrize("D", [0, 5, -1, -2])
+@pytest.mark.parametrize("D", [0, 5, -1, -2, -7.0, -3.0, "-7"])
 def test_class_number_from_disc_rejects_bad_input(D):
     with pytest.raises(BadDiscriminant):
         kernels.class_number_from_disc(D)

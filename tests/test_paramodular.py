@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from paradim.arith import primes_up_to
 from paradim.compact import dim_M_signed
+from paradim.data import load_json
 from paradim.elliptic import dim_cusp_level1, dim_new_gamma0_signed
 from paradim.errors import (
     BadYoung,
@@ -61,9 +62,10 @@ def test_signed_entry_points_return_int_pairs():
         assert all(type(x) is int for x in value), value
 
 
-@pytest.mark.parametrize("p, k", [(65, 8), (9, 4), (1, 4), (0, 4), (-7, 4)])
+@pytest.mark.parametrize("p, k", [(65, 8), (9, 4), (1, 4), (0, 4), (-7, 4), (7.0, 4)])
 def test_non_prime_level_is_refused(p, k):
-    # 65 used to give (124, 27); 9, 1 and 0 a misleading DSquare
+    # 65 used to give (124, 27); 9, 1 and 0 a misleading DSquare; 7.0 a
+    # bare TypeError
     with pytest.raises(NotPrimeLevel):
         dim_paramodular_signed(p, k)
     with pytest.raises(NotPrimeLevel):
@@ -99,6 +101,18 @@ def test_weight3_search():
     assert 241 in zeros and 251 not in zeros
     assert all(p <= 163 or p in (179, 181, 191, 193, 199, 211, 229, 241)
                for p in zeros)
+
+
+def test_weight3_search_bound_must_be_integer():
+    # 10.5 used to raise a bare TypeError
+    with pytest.raises(ParadimError):
+        search_weight3_zero(10.5)
+
+
+def test_weight3_zero_list_is_exhaustive_to_20000():
+    # the exhaustive oracle for a certified list: no weight-3 plus form
+    # vanishes between 241 and 20 000
+    assert search_weight3_zero(20000) == load_json("weight3.json")["zero"]
 
 
 def test_newform_dimensions_nonnegative():
