@@ -5,7 +5,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .errors import DSquare, NotPrimeLevel, NotSquarefree, ParadimError, UnsupportedPrime
-from .kernels import b2_character_sum, class_number_from_disc, kronecker, squarefree_part
+from .kernels import _reduced_forms, b2_character_sum, kronecker, squarefree_part
 
 
 def fundamental_discriminant(d):
@@ -18,6 +18,8 @@ def fundamental_discriminant(d):
 
 def split_symbol(d, p):
     """(d/p): 1, -1, 0 as p splits, is inert, or ramifies in Q(sqrt(d))."""
+    if not isinstance(p, int):
+        raise ParadimError(f"the prime of a split symbol must be an integer, got {p!r}")
     if d == 0:
         raise DSquare("d must be nonzero")
     return kronecker(fundamental_discriminant(d), p)
@@ -30,8 +32,9 @@ def class_number(d):
         raise NotSquarefree(f"d must be a positive integer, got {d!r}")
     if squarefree_part(d) != d:
         raise NotSquarefree(f"{d} is not squarefree")
-    D = -d if d % 4 == 3 else -4 * d
-    return class_number_from_disc(D)
+    # d squarefree makes D fundamental, so h(D) is its number of reduced
+    # forms; class_number_from_disc would factor D again to find that out
+    return _reduced_forms(-d if d % 4 == 3 else -4 * d)
 
 
 @lru_cache(maxsize=None)
@@ -50,6 +53,8 @@ def bernoulli_b2_chi(p):
 
 def a_p(p):
     """1, 2, 4 according to p = 1 (mod 4), 7 (mod 8), 3 (mod 8)."""
+    if not isinstance(p, int):
+        raise NotPrimeLevel(f"a_p needs an integer prime, got {p!r}")
     if p == 2:
         raise UnsupportedPrime("a_p is undefined at p = 2")
     if p % 4 == 1:

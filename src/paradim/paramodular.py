@@ -17,6 +17,7 @@ from .errors import (
     MissingJacobiData,
     NegativeDim,
     NonPolynomial,
+    ParadimError,
     UnsupportedJ,
 )
 from .exactmath import RationalGF, fit_numerator
@@ -199,6 +200,8 @@ def search_weight3_zero(pmax):
 
 def check_bias_region(pmax, kmax):
     """Assert bias >= 0 on the rectangle and return the zero pairs."""
+    if not isinstance(kmax, int):
+        raise ParadimError(f"a weight bound must be an integer, got {kmax!r}")
     zeros = []
     for p in primes_up_to(pmax):
         for k in range(3, kmax + 1):

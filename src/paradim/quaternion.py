@@ -8,6 +8,16 @@ at {p, infinity}.  For p = 2 and p = 3 that coset is small enough
 from its parametrized families, check the similitude condition, tally
 principal polynomials, and recompose the trace from character values.
 
+The p = 3 search is column-first.  Whether a candidate lies in the coset
+is a test on its first column (a, c) alone (see in_coset3), followed by
+a test on its second column that reuses a product of the first.  Two of
+the four candidate shapes fix the first column before the last unit e2
+is chosen, so the first-column test runs once per column, and a column
+that fails skips its 12 values of e2.  The pruning is exact: a skipped
+candidate fails the first test of in_coset3, and every other candidate
+meets the same second test as in in_coset3, in the order of the full
+loop.
+
 All arithmetic is on integers.  Both maximal orders lie in
 (1/2) Z<1, e1, e2, e3>, so a quaternion is stored by its doubled
 coordinates, and membership in either order is a parity condition on
@@ -21,12 +31,6 @@ from .characters import chi_young
 from .errors import (FamilySizeMismatch, NonIntegral, NotSimilitude,
                      UnsupportedPrime)
 from .exactmath import exact_quotient
-
-
-def _half(n):
-    if n % 2:
-        raise NonIntegral(f"quaternion product leaves (1/2) Z<1, e1, e2, e3>: {n}/4")
-    return n // 2
 
 
 class Quat:
@@ -60,12 +64,14 @@ class Quat:
         a, b = self.a, self.b
         w1, x1, y1, z1 = self.w, self.x, self.y, self.z
         w2, x2, y2, z2 = other.w, other.x, other.y, other.z
-        return self._like(
-            _half(w1 * w2 - a * x1 * x2 - b * y1 * y2 - a * b * z1 * z2),
-            _half(w1 * x2 + x1 * w2 + b * (y1 * z2 - z1 * y2)),
-            _half(w1 * y2 + y1 * w2 + a * (z1 * x2 - x1 * z2)),
-            _half(w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2),
-        )
+        w = w1 * w2 - a * x1 * x2 - b * y1 * y2 - a * b * z1 * z2
+        x = w1 * x2 + x1 * w2 + b * (y1 * z2 - z1 * y2)
+        y = w1 * y2 + y1 * w2 + a * (z1 * x2 - x1 * z2)
+        z = w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2
+        if (w | x | y | z) & 1:
+            raise NonIntegral(f"quaternion product leaves (1/2) Z<1, e1, e2, e3>: "
+                              f"({w}, {x}, {y}, {z})/4")
+        return Quat(w >> 1, x >> 1, y >> 1, z >> 1, a, b)
 
     def conjugate(self):
         return self._like(self.w, -self.x, -self.y, -self.z)
@@ -81,6 +87,12 @@ class Quat:
     def divisible_by(self, m):
         """True iff every doubled coordinate is divisible by m."""
         return not (self.w % m or self.x % m or self.y % m or self.z % m)
+
+    def divided_by(self, m):
+        """The quaternion self/m; NonIntegral unless divisible_by(m)."""
+        if not self.divisible_by(m):
+            raise NonIntegral(f"{self} is not divisible by {m}")
+        return self._like(self.w // m, self.x // m, self.y // m, self.z // m)
 
     def __eq__(self, other):
         return (self.w, self.x, self.y, self.z, self.a, self.b) == \
@@ -150,6 +162,11 @@ class QuatMat2:
     def trace(self):
         return self.a.trace() + self.d.trace()
 
+    def square_trace(self):
+        """tr(g^2), from the two diagonal entries of g^2 only."""
+        return ((self.a * self.a + self.b * self.c).trace()
+                + (self.c * self.b + self.d * self.d).trace())
+
 
 def principal_poly(g):
     """Monic degree-4 integer polynomial of a similitude matrix, as an
@@ -162,7 +179,7 @@ def principal_poly(g):
     """
     n = g.similitude()
     t = g.trace()
-    t2 = (g * g).trace()
+    t2 = g.square_trace()
     c2 = exact_quotient(t * t - t2, 2, "principal coefficient ({}^2 - {})/2", t, t2)
     c2_alt = (g.a.trace() * g.d.trace()
               - (g.b + g.c.conjugate()).norm() + 2 * n)
@@ -199,11 +216,67 @@ def _p2_families():
     return fams
 
 
+# The algebra ramified at {3, infinity}: e1 = alpha with alpha^2 = -3,
+# e2 = beta with beta^2 = -1 (doubled coordinates).
+_ALPHA = Quat(0, 2, 0, 0, 3, 1)
+_S = Quat(2, 0, 2, 0, 3, 1)    # s = 1 + beta
+_T = Quat(0, 2, 0, -2, 3, 1)   # t = (1 + beta) alpha
+_K = Quat(0, 0, 0, 2, 3, 1)    # alpha beta = 3 (beta alpha)^{-1}
+
+
+def in_coset3(delta):
+    """Whether delta, an integral matrix with delta delta* = 3, lies in the
+    coset pi*Gamma_1 at p = 3.
+
+    The stabilized lattice has basis matrix g = (1, s; 0, alpha) (its Gram
+    matrix has off-diagonal t) and the reference coset element is
+    gamma0 = diag(beta alpha, alpha).  delta is in the coset iff
+    u = delta gamma0^{-1} maps the lattice onto itself, i.e. iff
+    X = g u g^{-1} and g u* g^{-1} are integral at 3; u* = u^{-1}, as
+    delta delta* = gamma0* gamma0 = 3.  For delta = (a b; c d),
+        X11 = (a + s c) alpha beta / 3,   X12 = (X11 t - (b + s d)) / 3,
+        X21 = alpha c alpha beta / 3,     X22 = (X21 t - alpha d) / 3.
+    A quaternion with integer doubled coordinates, divided by 3, is
+    integral at 3 iff 3 divides those coordinates, because
+    Z<1, alpha, beta, alpha beta> has index 4 in the order.
+
+    Only X11, X12 and X22 are tested, and each of them rejects candidates
+    that pass the other two (tests/test_quaternion.py).  The rest holds
+    for every integral delta:
+    - X21 is integral: N(alpha) = 3, so alpha generates the maximal ideal
+      P of the order at 3 on either side, and alpha c alpha lies in
+      P^2 = 3 O there.
+    - g u* g^{-1} = X^{-1} is integral once X is: u has similitude 1, so
+      its principal (reduced characteristic) polynomial is
+      x^4 - T x^3 + m x^2 - T x + 1 (see principal_poly), and X, a
+      conjugate of u, is a root of it.  Hence
+      X^{-1} = T - m X + T X^2 - X^3, where T = tr X and
+      m = (T^2 - tr X^2)/2 are integral at 3 with X, 2 being a unit there.
+    """
+    column = _p3_column(delta.a, delta.c)
+    return column is not None and _p3_second_column(column, delta.b, delta.d)
+
+
+def _p3_column(a, c):
+    """(X11 t, X21 t) of in_coset3 for the first column (a, c), or None
+    when X11 is not integral at 3.  The second-column test reads a and c
+    only through this pair."""
+    x11 = (a + _S * c) * _K
+    if not x11.divisible_by(3):
+        return None
+    return x11.divided_by(3) * _T, (_ALPHA * c * _K).divided_by(3) * _T
+
+
+def _p3_second_column(column, b, d):
+    """Whether X12 and X22 of in_coset3 are integral at 3, given
+    column = _p3_column(a, c) for the matrix (a b; c d)."""
+    x11t, x21t = column
+    return ((x11t - (b + _S * d)).divisible_by(3)
+            and (x21t - _ALPHA * d).divisible_by(3))
+
+
 def _p3_families():
     a, b = 3, 1
-    one = Quat(2, 0, 0, 0, a, b)
-    alpha = Quat(0, 2, 0, 0, a, b)
-    beta = Quat(0, 0, 2, 0, a, b)
     zero = Quat(0, 0, 0, 0, a, b)
     units = elements_of_norm(1, a, b, in_order3)
     if len(units) != 12:
@@ -211,76 +284,33 @@ def _p3_families():
     norm2 = elements_of_norm(2, a, b, in_order3)
     norm3 = elements_of_norm(3, a, b, in_order3)
 
-    # basis matrix of the stabilized lattice (its Gram has off-diagonal
-    # (1+beta)alpha) is g = (1, 1+beta; 0, alpha); the reference coset
-    # element is diag(beta alpha, alpha).  The inverses
-    # alpha^{-1} = -alpha/3 and (beta alpha)^{-1} = alpha beta/3 and
-    # t = -(1+beta) alpha^{-1} are kept multiplied by 3 (kv, k1, t), so
-    # every product below stays in the order.
-    kv = -alpha
-    s = one + beta
-    t = s * alpha
-    k1 = alpha * beta
-
-    def in_coset(delta):
-        # delta belongs to the coset iff u = delta gamma0^{-1} is a unit
-        # of the lattice at 3, i.e. g u g^{-1} and g u* g^{-1} are both
-        # integral there; the checks are staged to fail fast.  Each
-        # quantity checked is 3 or 9 times its true value q, and q is
-        # integral at 3 iff 3 or 9 divides the doubled coordinates,
-        # because Z<1, alpha, beta, alpha beta> has index 4 in the order.
-        u11 = delta.a * k1
-        u21 = delta.c * k1
-        x11 = u11 + s * u21
-        if not x11.divisible_by(3):
-            return False
-        y21 = alpha * u21
-        if not y21.divisible_by(3):
-            return False
-        u12 = delta.b * kv
-        u22 = delta.d * kv
-        x12 = u12 + s * u22
-        if not (x11 * t + x12 * kv).divisible_by(9):
-            return False
-        y22 = alpha * u22
-        if not (y21 * t + y22 * kv).divisible_by(9):
-            return False
-        c11, c12 = u11.conjugate(), u12.conjugate()
-        c21, c22 = u21.conjugate(), u22.conjugate()
-        p11 = c11 + s * c12
-        if not p11.divisible_by(3):
-            return False
-        p21 = alpha * c12
-        if not p21.divisible_by(3):
-            return False
-        p12 = c21 + s * c22
-        if not (p11 * t + p12 * kv).divisible_by(9):
-            return False
-        p22 = alpha * c22
-        return (p21 * t + p22 * kv).divisible_by(9)
-
     # the four shapes exhaust the integral matrices with delta delta* = 3:
     # row norms split as (3,0)/(0,3), (0,3)/(3,0), (1,2)/(2,1), (2,1)/(1,2)
     fams = [[], [], [], []]
     for A in norm3:
         for D in norm3:
             m = QuatMat2(A, zero, zero, D)
-            if in_coset(m):
+            if in_coset3(m):
                 fams[0].append(m)
             m = QuatMat2(zero, A, D, zero)
-            if in_coset(m):
+            if in_coset3(m):
                 fams[1].append(m)
+    # column first: the shapes (e1 y; c2 e2) and (c2 e2; e1 y) fix their
+    # first column before e2 is chosen, so a failing column skips all 12 e2
     for c2 in norm2:
         c2bar = c2.conjugate()
         for e1 in units:
+            col2 = _p3_column(e1, c2)
+            col3 = _p3_column(c2, e1)
+            if col2 is None and col3 is None:
+                continue
+            e1c2bar = e1 * c2bar
             for e2 in units:
-                y = -(e1 * c2bar * e2)  # forced by row orthogonality
-                m = QuatMat2(e1, y, c2, e2)
-                if in_coset(m):
-                    fams[2].append(m)
-                m = QuatMat2(c2, e2, e1, y)
-                if in_coset(m):
-                    fams[3].append(m)
+                y = -(e1c2bar * e2)  # forced by row orthogonality
+                if col2 is not None and _p3_second_column(col2, y, e2):
+                    fams[2].append(QuatMat2(e1, y, c2, e2))
+                if col3 is not None and _p3_second_column(col3, e2, y):
+                    fams[3].append(QuatMat2(c2, e2, e1, y))
     _check_sizes(3, fams, (36, 36, 324, 324))
     return fams
 

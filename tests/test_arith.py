@@ -113,3 +113,8 @@ def test_non_integer_input_is_typed_error(x):
         squarefree_part(x)
     with pytest.raises(ParadimError):
         split_symbol(x, 7)
+    # a_p(7.0) returned 2 and split_symbol(2, 7.0) returned 1
+    with pytest.raises(NotPrimeLevel):
+        a_p(x)
+    with pytest.raises(ParadimError):
+        split_symbol(2, x)

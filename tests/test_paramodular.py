@@ -153,6 +153,13 @@ def test_bias_zero_pairs_small():
     ]
 
 
+@pytest.mark.parametrize("kmax", [5.5, 10.0, "10"])
+def test_bias_region_weight_bound_must_be_integer(kmax):
+    # 5.5 and "10" raised a bare TypeError from range, and 10.0 as well
+    with pytest.raises(ParadimError):
+        check_bias_region(10, kmax)
+
+
 def test_printed_series_expansion():
     gf = printed_series(2, "S+")
     seq = series_coeffs(gf, 13)

@@ -1,3 +1,6 @@
+from collections import Counter
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,9 +11,14 @@ from paradim.quaternion import (
     COSET_SIZE,
     Quat,
     QuatMat2,
+    _ALPHA,
+    _K,
+    _S,
+    _T,
     elements_of_norm,
     enumerate_pi_gamma,
     family_tallies,
+    in_coset3,
     in_hurwitz,
     in_order3,
     principal_poly,
@@ -60,9 +68,11 @@ class TestQuat:
         assert omega * omega == omega - Quat(2, 0, 0, 0, 3, 1)
 
     def test_product_outside_half_lattice_raises(self):
-        # (1/2)^2 = 1/4 has no integer doubled coordinate
-        with pytest.raises(NonIntegral):
-            Quat(1, 0, 0, 0, 1, 1) * Quat(1, 0, 0, 0, 1, 1)
+        # (1/2) (e/2) = e/4 for e = 1, e1, e2, e3: one doubled coordinate,
+        # and a different one each time, is odd
+        for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
+            with pytest.raises(NonIntegral):
+                Quat(1, 0, 0, 0, 1, 1) * Quat(*e, 1, 1)
 
     @given(hurwitz, hurwitz)
     def test_norm_multiplicative(self, x, y):
@@ -107,6 +117,106 @@ def test_principal_poly_of_scalar():
     g = QuatMat2(two, zero, zero, two)
     # 2 * identity: (x - 2)^4 with similitude 4
     assert principal_poly(g) == (16, -32, 24, -8, 1)
+
+
+@given(hurwitz, hurwitz, hurwitz, hurwitz)
+def test_square_trace_matches_full_square(a, b, c, d):
+    g = QuatMat2(a, b, c, d)
+    assert g.square_trace() == (g * g).trace()
+
+
+def q3(w, x, y, z):
+    """(w + x alpha + y beta + z alpha beta)/2, alpha^2 = -3, beta^2 = -1."""
+    return Quat(w, x, y, z, 3, 1)
+
+
+ONE3, ZERO3, ALPHA, BETA = q3(2, 0, 0, 0), q3(0, 0, 0, 0), q3(0, 2, 0, 0), q3(0, 0, 2, 0)
+
+
+def star(m):
+    """Conjugate transpose."""
+    return QuatMat2(m.a.conjugate(), m.c.conjugate(), m.b.conjugate(), m.d.conjugate())
+
+
+def test_p3_lattice_constants():
+    assert _ALPHA == ALPHA
+    assert _S == ONE3 + BETA
+    assert _T == _S * ALPHA
+    assert _K == ALPHA * BETA
+    assert _K * (BETA * ALPHA) == q3(6, 0, 0, 0)  # alpha beta = 3 (beta alpha)^{-1}
+
+
+@lru_cache(maxsize=None)
+def p3_candidates():
+    """Every matrix the p = 3 search considers, unpruned, in its order:
+    (family, matrix) pairs, 10 656 of them."""
+    units = elements_of_norm(1, 3, 1, in_order3)
+    norm2 = elements_of_norm(2, 3, 1, in_order3)
+    norm3 = elements_of_norm(3, 3, 1, in_order3)
+    out = []
+    for A in norm3:
+        for D in norm3:
+            out.append((0, QuatMat2(A, ZERO3, ZERO3, D)))
+            out.append((1, QuatMat2(ZERO3, A, D, ZERO3)))
+    for c2 in norm2:
+        c2bar = c2.conjugate()
+        for e1 in units:
+            for e2 in units:
+                y = -(e1 * c2bar * e2)
+                out.append((2, QuatMat2(e1, y, c2, e2)))
+                out.append((3, QuatMat2(c2, e2, e1, y)))
+    return out
+
+
+def lattice_integrality(delta):
+    """Which entries of X = g u g^{-1} (u = delta gamma0^{-1}) are integral
+    at 3, as (X11, X12, X21, X22), and whether g u* g^{-1} is integral
+    (None when X is not), straight from the matrices: g = (1, 1+beta;
+    0, alpha), gamma0 = diag(beta alpha, alpha).  Every matrix is kept
+    integral by scaling 9 X = (g delta)(3 gamma0^{-1})(3 g^{-1})."""
+    g = QuatMat2(ONE3, ONE3 + BETA, ZERO3, ALPHA)
+    g_inv3 = QuatMat2(q3(6, 0, 0, 0), (ONE3 + BETA) * ALPHA, ZERO3, -ALPHA)
+    k = QuatMat2(ALPHA * BETA, ZERO3, ZERO3, -ALPHA)
+    x9 = g * delta * (k * g_inv3)
+    entries = tuple(q.divisible_by(9) for q in (x9.a, x9.b, x9.c, x9.d))
+    if not all(entries):
+        return entries, None
+    y9 = g * star(k) * star(delta) * g_inv3
+    return entries, all(q.divisible_by(9) for q in (y9.a, y9.b, y9.c, y9.d))
+
+
+@lru_cache(maxsize=None)
+def p3_integrality():
+    return [lattice_integrality(m) for _, m in p3_candidates()]
+
+
+def test_p3_search_matches_unpruned_oracle():
+    """The column-first search returns exactly the candidates in the
+    coset, element by element and in the order of the full triple loop."""
+    cands = p3_candidates()
+    assert len(cands) == 10656
+    fams = [[], [], [], []]
+    for (fam, m), (entries, inverse) in zip(cands, p3_integrality()):
+        in_coset = all(entries) and inverse
+        assert in_coset3(m) == in_coset
+        if in_coset:
+            fams[fam].append(m)
+    key = lambda m: tuple((q.w, q.x, q.y, q.z) for q in (m.a, m.b, m.c, m.d))
+    for got, want in zip(enumerate_pi_gamma(3), fams):
+        assert [key(m) for m in got] == [key(m) for m in want]
+
+
+def test_p3_each_coset_check_is_needed():
+    """in_coset3 tests X11, X12 and X22 only: X21 is always integral and
+    the inverse is integral whenever X is.  Each tested entry is the only
+    non-integral one for some candidate, so no test can be dropped."""
+    pattern = Counter(entries for entries, _ in p3_integrality())
+    assert all(x21 for _, _, x21, _ in pattern)
+    assert all(inverse for entries, inverse in p3_integrality() if all(entries))
+    for alone in ((False, True, True, True), (True, False, True, True),
+                  (True, True, True, False)):
+        assert pattern[alone] > 0, alone
+    assert pattern[(True, True, True, True)] == 720
 
 
 def test_coset_sizes():
