@@ -37,9 +37,3 @@ def load_csv(name):
 def load_json(name):
     with open(data_path(name), encoding="utf-8") as fh:
         return json.load(fh)
-
-
-@lru_cache(maxsize=None)
-def jacobi_weight2():
-    """p -> dim of weight-2 index-p Jacobi forms (embedded for p <= 97)."""
-    return {int(r["p"]): int(r["dim"]) for r in load_csv("jacobi_weight2.csv")}

@@ -4,12 +4,15 @@ from functools import lru_cache
 
 from .arith import a_p, check_level, class_number, split_symbol
 from .characters import _br
-from .errors import OddWeight, ParityFailure
+from .errors import BadYoung, OddWeight, ParityFailure
 from .exactmath import exact_quotient
 
 
 def dim_cusp_level1(k):
-    """dim S_k(SL_2(Z)); 0 for odd k and for k <= 0."""
+    """dim S_k(SL_2(Z)); 0 for odd k and for k <= 0, BadYoung for a
+    non-integer k."""
+    if not isinstance(k, int):
+        raise BadYoung(f"weight k = {k!r} must be an integer")
     if k % 2 or k <= 0:
         return 0
     # 12 dim = (k - 1) + 3 (-1)^(k/2) + 4 [1, 0, -1; 3]_k - 6 + 12 [k = 2]
@@ -19,12 +22,9 @@ def dim_cusp_level1(k):
 
 
 def dim_modular_level1(k):
-    """dim M_k(SL_2(Z)), Eisenstein series included."""
-    if k % 2 or k == 2 or k < 0:
-        return 0
-    if k == 0:
-        return 1
-    return dim_cusp_level1(k) + 1
+    """dim M_k(SL_2(Z)): the cusp forms plus one Eisenstein series in every
+    even weight k >= 0 but 2; BadYoung for a non-integer k."""
+    return dim_cusp_level1(k) + (k % 2 == 0 and k >= 0 and k != 2)
 
 
 # The plus-minus difference rows at p = 2 and p = 3; at any other prime
@@ -47,8 +47,11 @@ def _gamma0(p):
 
 def dim_new_gamma0(p, k):
     """dim of the weight-k newspace of Gamma_0(p), trivial character, at a
-    prime p (NotPrimeLevel otherwise)."""
+    prime p (NotPrimeLevel otherwise) and an even integer k (BadYoung for a
+    non-integer k, OddWeight for an odd one)."""
     p1, c2, c3, _ = _gamma0(p)
+    if not isinstance(k, int):
+        raise BadYoung(f"weight k = {k!r} must be an integer")
     if k % 2:
         raise OddWeight(f"k = {k} must be even")
     if k < 2:

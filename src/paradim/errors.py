@@ -39,7 +39,8 @@ class IrrationalResidue(ParadimError):
 
 
 class BadYoung(ParadimError):
-    """Young parameters must satisfy f1 >= f2 >= 0 and f1 == f2 (mod 2)."""
+    """Weights must be integers in range; Young parameters must satisfy
+    f1 >= f2 >= 0 and f1 == f2 (mod 2)."""
 
 
 class OddWeight(ParadimError):
@@ -67,7 +68,8 @@ class MissingData(ParadimError):
 
 
 class MissingJacobiData(ParadimError):
-    """Weight-2 paramodular dimension requested beyond the embedded range."""
+    """Weight-2 signed paramodular dimension at a prime p >= 277: non-lifts
+    exist there, and their Atkin-Lehner signs are not computed here."""
 
 
 class TypeNumberBound(ParadimError):

@@ -7,7 +7,7 @@ from operator import itemgetter
 
 from .arith import check_level, primes_up_to
 from .compact import class_and_type, dim_M_signed
-from .data import jacobi_weight2, load_json
+from .data import load_json
 from .elliptic import dim_cusp_level1, dim_modular_level1, dim_new_gamma0_signed
 from .errors import (
     BadSpace,
@@ -58,50 +58,42 @@ def dim_weight3(p):
 
 
 # Below this prime every weight-2 paramodular cusp form of level p is a
-# Gritsenko lift; at p = 277 the first non-lift appears.
+# Gritsenko lift of a Jacobi cusp form in J_{2,p}, and J_{2,p}^cusp is
+# S_2^new(Gamma_0(p)) with Atkin-Lehner sign +1 (Skoruppa-Zagier); every
+# lift has sign +1.  At p = 277 the first non-lift appears.
 LIFTS_ONLY_BELOW = 277
 
 
-def dim_A_signed(p, k):
-    """Signed dimensions of the full (cusp + Eisenstein) space, j = 0.
-
-    Weight 0, 1, 2 are handled by their known structure; the weight-2
-    cusp space is the Gritsenko lift of weight-2 index-p Jacobi forms
-    (valid for p < 277, embedded table covers p <= 97), all of sign +1.
-    """
-    if not isinstance(k, int):
-        raise BadYoung(f"weight k = {k!r} must be an integer")
-    if k < 3:
-        check_level(p)
-    if k == 0:
-        return 1, 0
-    if k == 1:
+def dim_S_signed(p, k, j=0):
+    """Signed dimensions (plus, minus) of S_{k,j}(K(p)) for all integers
+    k, j >= 0 (BadYoung otherwise): dim_paramodular_signed from k = 3,
+    (0, 0) below weight 2 and for j != 0, and at weight 2 the lifts
+    (dim S_2^new(Gamma_0(p))^+, 0) below LIFTS_ONLY_BELOW.  From there on
+    weight 2 raises MissingJacobiData."""
+    if not (isinstance(k, int) and isinstance(j, int)) or k < 0 or j < 0:
+        raise BadYoung(f"weight (k, j) = ({k!r}, {j!r}) needs integers k, j >= 0")
+    if k >= 3:
+        return dim_paramodular_signed(p, k, j)
+    check_level(p)
+    if k < 2 or j != 0:
         return 0, 0
-    if k == 2:
-        table = jacobi_weight2()
-        if p not in table:
-            raise MissingJacobiData(f"no embedded weight-2 Jacobi dimension for p = {p}")
-        return table[p], 0
-    plus, minus = dim_paramodular_signed(p, k)
+    if p >= LIFTS_ONLY_BELOW:
+        raise MissingJacobiData(f"the signs of S_2(K({p})) are unknown here: "
+                                f"non-lifts exist from p = {LIFTS_ONLY_BELOW}")
+    return dim_new_gamma0_signed(p, 2)[0], 0
+
+
+def dim_A_signed(p, k):
+    """Signed dimensions of the full (cusp + Eisenstein) space, j = 0, for
+    every integer weight k >= 0: the cusp pair of dim_S_signed plus
+    (dim M_k(SL_2(Z)), dim S_k(SL_2(Z))).  Weight 2 is refused from
+    LIFTS_ONLY_BELOW on (MissingJacobiData)."""
+    plus, minus = dim_S_signed(p, k)
     return plus + dim_modular_level1(k), minus + dim_cusp_level1(k)
 
 
 # the graded spaces of hilbert_series
 SPACES = ("M", "M+", "M-", "A", "A+", "A-", "S+", "S-")
-
-
-def _low_weight_cusp(p, k, j, sign):
-    """dim S_{k,j}^sign(K(p)) below weight 3: 0 below weight 2 and for
-    j != 0.  At weight 2 the plus space is read from the Jacobi table; the
-    minus space is 0 below the first non-lift, since every lift has sign +1."""
-    if k < 2 or j != 0:
-        return 0
-    if sign == "+":
-        return dim_A_signed(p, 2)[0]
-    if p >= LIFTS_ONLY_BELOW:
-        raise MissingJacobiData(f"dim S_2^-(K({p})) is unknown here: "
-                                f"non-lifts exist from p = {LIFTS_ONLY_BELOW}")
-    return 0
 
 
 def _space_sequence(p, space, nmax, j=0):
@@ -114,16 +106,16 @@ def _space_sequence(p, space, nmax, j=0):
     """
     if space not in SPACES:
         raise BadSpace(f"space must be one of {', '.join(SPACES)}, got {space!r}")
+    if not isinstance(j, int):
+        raise BadYoung(f"j = {j!r} must be an integer")
     base, sign = space[0], space[1:]
     if base == "A" and j != 0:
         raise UnsupportedJ(f"space {space} is only graded at j = 0, got j = {j}")
     pair = {"M": lambda f: dim_M_signed(p, f + j, f),
             "A": lambda k: dim_A_signed(p, k),
-            "S": lambda k: dim_paramodular_signed(p, k, j)}[base]
+            "S": lambda k: dim_S_signed(p, k, j)}[base]
     pick = {"": sum, "+": itemgetter(0), "-": itemgetter(1)}[sign]
-    low = ([_low_weight_cusp(p, k, j, sign) for k in range(min(nmax, 2) + 1)]
-           if base == "S" else [])
-    return low + [pick(pair(n)) for n in range(len(low), nmax + 1)]
+    return [pick(pair(n)) for n in range(nmax + 1)]
 
 
 @lru_cache(maxsize=None)

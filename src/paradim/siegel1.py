@@ -3,7 +3,7 @@ weight det^k Sym(j), for j in {0, 2, 4}, via their generating functions.
 
 Any other j raises UnsupportedJ.
 """
-from .errors import UnsupportedJ
+from .errors import BadYoung, UnsupportedJ
 from .exactmath import RationalGF, series_coeffs
 
 
@@ -46,7 +46,9 @@ def _coeffs_up_to(j, k):
 
 def dim_cusp_sp4(k, j=0):
     """dim of weight det^k Sym(j) level-1 Siegel cusp forms of degree 2;
-    0 for k < 0."""
+    0 for k < 0, BadYoung for a non-integer k or j."""
+    if not (isinstance(k, int) and isinstance(j, int)):
+        raise BadYoung(f"weight (k, j) = ({k!r}, {j!r}) needs integers")
     if j not in LEVEL1_SERIES:
         raise UnsupportedJ(f"j = {j}: no level-1 series")
     if k < 0:

@@ -10,7 +10,7 @@ from paradim.arith import primes_up_to
 from paradim.characters import WeightParams, chi_bracket_young, chi_closed, chi_series
 from paradim.compact import class_and_type, dim_M_signed, dim_M_total, trace_R
 from paradim.corpus import run_checks
-from paradim.data import jacobi_weight2, load_csv, load_json
+from paradim.data import load_csv, load_json
 from paradim.elliptic import dim_new_gamma0, dim_new_gamma0_signed
 from paradim.exactmath import fit_numerator, is_palindromic, series_coeffs
 from paradim.paramodular import (
@@ -27,6 +27,25 @@ from paradim.quaternion import (
     family_tallies,
     verify_trace_p23,
 )
+
+
+# (p, dim J_{2,p}): the published weight-2 index-p Jacobi cusp form
+# dimensions, p <= 97
+JACOBI_WEIGHT2 = (
+    (2, 0), (3, 0), (5, 0), (7, 0), (11, 0), (13, 0), (17, 0), (19, 0),
+    (23, 0), (29, 0), (31, 0), (37, 1), (41, 0), (43, 1), (47, 0), (53, 1),
+    (59, 0), (61, 1), (67, 2), (71, 0), (73, 2), (79, 1), (83, 1), (89, 1),
+    (97, 3),
+)
+
+
+def dim_jacobi_weight2(p):
+    """dim J_{2,p} by Eichler-Zagier (The Theory of Jacobi Forms, Thm 9.3):
+    the sum over j = 0..p of dim M_{2+2j}(SL_2(Z)) - ceil(j^2 / 4p), with
+    dim M_2 = 0."""
+    def dim_mk(k):
+        return 0 if k == 2 else k // 12 + (k % 12 != 2)
+    return sum(dim_mk(2 + 2 * j) + (-j * j // (4 * p)) for j in range(p + 1))
 
 
 def _table_rows(name):
@@ -139,8 +158,18 @@ def test_criterion_06_palindromic_classification():
     ]
     # the plus-space list is exactly the vanishing locus of the weight-2
     # index-p Jacobi dimensions
-    jzero = [p for p, d in sorted(jacobi_weight2().items()) if d == 0]
+    jzero = [p for p, d in JACOBI_WEIGHT2 if d == 0]
     assert pal_plus == jzero
+
+
+def test_weight2_jacobi_rows_equal_newspace():
+    # J_{2,p}^cusp is S_2^new(Gamma_0(p)) with Atkin-Lehner sign +1
+    # (Skoruppa-Zagier), which dim_A_signed(p, 2) reads below p = 277
+    assert [p for p, _ in JACOBI_WEIGHT2] == primes_up_to(97)
+    for p, d in JACOBI_WEIGHT2:
+        assert dim_new_gamma0_signed(p, 2)[0] == d, p
+    for p in primes_up_to(400):
+        assert dim_jacobi_weight2(p) == dim_new_gamma0_signed(p, 2)[0], p
 
 
 def test_criterion_07_quaternion_enumeration():

@@ -140,6 +140,18 @@ def test_hilbert_fit(capsys):
     assert "(1-t^" in out and "palindromic" in out
 
 
+def test_hilbert_weight2_from_newspace(capsys):
+    # weight 2 used to come from a Jacobi table that stopped at p = 97
+    rc, out = run(capsys, "hilbert", "--p", "101", "--space", "S+", "--fit",
+                  "--nmax", "4", "--format", "csv")
+    assert rc == 0
+    assert "(1-t^" in out
+    assert out.splitlines()[-3:] == ["2,1", "3,0", "4,27"]
+    rc = main(["hilbert", "--p", "277", "--space", "A"])
+    err = capsys.readouterr().err
+    assert rc == 3 and "277" in err
+
+
 def test_search_zero3(capsys):
     rc, out = run(capsys, "search", "zero3", "--pmax", "50", "--format", "json")
     ps = [r["p"] for r in json.loads(out)]

@@ -1,6 +1,6 @@
 import pytest
 
-from paradim.data import data_dir, data_path, jacobi_weight2, load_csv, load_json
+from paradim.data import data_dir, data_path, load_csv, load_json
 from paradim.errors import MissingData
 
 
@@ -27,10 +27,3 @@ def test_load_json():
     records = load_json("hilbert_series.json")
     assert len(records) == 54
     assert all({"p", "space", "den", "num"} <= set(r) for r in records)
-
-
-def test_jacobi_weight2():
-    table = jacobi_weight2()
-    assert table[2] == 0 and table[7] == 0
-    assert table[37] > 0
-    assert all(p <= 97 for p in table)

@@ -1,10 +1,17 @@
+from operator import itemgetter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from paradim.arith import primes_up_to
 from paradim.compact import dim_M_signed
 from paradim.data import load_json
-from paradim.elliptic import dim_cusp_level1, dim_new_gamma0_signed
+from paradim.elliptic import (
+    dim_cusp_level1,
+    dim_modular_level1,
+    dim_new_gamma0,
+    dim_new_gamma0_signed,
+)
 from paradim.errors import (
     BadYoung,
     MissingData,
@@ -19,6 +26,7 @@ from paradim.paramodular import (
     check_bias_region,
     dim_A_signed,
     dim_paramodular_signed,
+    dim_S_signed,
     dim_weight3,
     hilbert_series,
     printed_series,
@@ -50,6 +58,27 @@ def test_non_integer_weight_of_full_space_is_refused(k):
     # 0.0, 1.0 and 2.0 used to give (1, 0), (0, 0) and the Jacobi value
     with pytest.raises(BadYoung):
         dim_A_signed(37, k)
+
+
+@pytest.mark.parametrize("func, args", [
+    pytest.param(dim_cusp_level1, (12.0,), id="dim_cusp_level1(12.0)"),
+    pytest.param(dim_cusp_level1, (13.0,), id="dim_cusp_level1(13.0)"),
+    pytest.param(dim_modular_level1, (12.0,), id="dim_modular_level1(12.0)"),
+    pytest.param(dim_modular_level1, (0.0,), id="dim_modular_level1(0.0)"),
+    pytest.param(dim_new_gamma0, (7, 4.0), id="dim_new_gamma0(7,4.0)"),
+    pytest.param(dim_new_gamma0_signed, (7, 4.0), id="dim_new_gamma0_signed(7,4.0)"),
+    pytest.param(dim_cusp_sp4, (10, 2.0), id="dim_cusp_sp4(10,2.0)"),
+    pytest.param(dim_cusp_sp4, (10.0,), id="dim_cusp_sp4(10.0)"),
+    pytest.param(hilbert_series, (7, "A", 0.0), id="hilbert_series(7,A,0.0)"),
+    pytest.param(dim_S_signed, (7, 2.0), id="dim_S_signed(7,2.0)"),
+    pytest.param(dim_S_signed, (7, 2, 2.0), id="dim_S_signed(7,2,2.0)"),
+    pytest.param(dim_S_signed, (7, -1), id="dim_S_signed(7,-1)"),
+])
+def test_non_integer_weight_is_typed_error(func, args):
+    # the level-1, Gamma_0(p) and Sp(4, Z) dimensions raised a bare
+    # TypeError or returned a number, and the series was returned
+    with pytest.raises(BadYoung):
+        func(*args)
 
 
 def test_signed_entry_points_return_int_pairs():
@@ -136,8 +165,31 @@ def test_dim_A_low_weights():
     # weight-2 cusp forms are Gritsenko lifts, all in the plus space
     plus, minus = dim_A_signed(37, 2)
     assert plus > 0 and minus == 0
+    # beyond the old embedded Jacobi table (p <= 97), read from the newspace
+    assert dim_A_signed(101, 2) == (dim_new_gamma0_signed(101, 2)[0], 0) == (1, 0)
     with pytest.raises(MissingJacobiData):
-        dim_A_signed(101, 2)
+        dim_A_signed(277, 2)
+    with pytest.raises(BadYoung):
+        dim_A_signed(7, -1)
+
+
+def test_cusp_pair_every_weight():
+    for p in (2, 3, 37, 101, 277):
+        for j in (0, 1, 2, 4):
+            for k in range(3, 20):
+                assert dim_S_signed(p, k, j) == dim_paramodular_signed(p, k, j)
+            assert dim_S_signed(p, 0, j) == dim_S_signed(p, 1, j) == (0, 0)
+            if j:
+                assert dim_S_signed(p, 2, j) == (0, 0)
+        for k in range(0, 30):
+            if p < 277 or k != 2:
+                plus, minus = dim_S_signed(p, k)
+                assert dim_A_signed(p, k) == (plus + dim_modular_level1(k),
+                                              minus + dim_cusp_level1(k))
+    with pytest.raises(MissingJacobiData):
+        dim_S_signed(277, 2)
+    with pytest.raises(NotPrimeLevel):
+        dim_S_signed(9, 1)
 
 
 def test_bias_nonnegative_small():
@@ -187,8 +239,8 @@ def test_hilbert_series_fallback():
 
 
 def test_hilbert_series_minus_beyond_jacobi_table():
-    # the weight-2 minus space is 0 below the first non-lift, so S- needs
-    # no weight-2 Jacobi data, which the embedded table has only to p = 97
+    # the weight-2 minus space is 0 below the first non-lift, where every
+    # weight-2 form is a lift of sign +1, and refused from p = 277 on
     gf = hilbert_series(101, "S-").gf
     coeffs = series_coeffs(gf, 41)
     assert coeffs[:3] == [0, 0, 0]
@@ -198,9 +250,41 @@ def test_hilbert_series_minus_beyond_jacobi_table():
 
 
 def test_hilbert_series_plus_beyond_jacobi_table():
-    # the weight-2 plus space needs the Jacobi table, embedded to p = 97
+    # the weight-2 plus space is the plus part of S_2^new(Gamma_0(p)) below
+    # p = 277, also beyond the old embedded Jacobi table (p <= 97)
+    gf = hilbert_series(101, "S+").gf
+    coeffs = series_coeffs(gf, 41)
+    assert coeffs[:3] == [0, 0, dim_new_gamma0_signed(101, 2)[0]] == [0, 0, 1]
+    assert coeffs[3:] == [dim_paramodular_signed(101, k)[0] for k in range(3, 41)]
     with pytest.raises(MissingJacobiData):
-        hilbert_series(101, "S+")
+        hilbert_series(277, "S+")
+
+
+def test_weight2_below_the_first_non_lift():
+    stored = load_json("palindromic.json")
+    pal_full, pal_plus = [], []
+    for p in primes_up_to(276):
+        assert dim_A_signed(p, 2) == (dim_new_gamma0_signed(p, 2)[0], 0), p
+        assert series_coeffs(hilbert_series(p, "S+").gf, 3)[2] == dim_A_signed(p, 2)[0]
+        hilbert_series(p, "A-")
+        if is_palindromic(hilbert_series(p, "A").gf):
+            pal_full.append(p)
+        if is_palindromic(hilbert_series(p, "A+").gf):
+            pal_plus.append(p)
+    # no palindromic numerator between 100 and 276 beyond the lists for p < 100
+    assert pal_full == stored["A"]
+    assert pal_plus == stored["A_plus"]
+    for space in ("S+", "S-", "A", "A+", "A-"):
+        with pytest.raises(MissingJacobiData):
+            hilbert_series(277, space)
+
+
+def test_full_space_series_at_211():
+    for space, pick in (("A", sum), ("A+", itemgetter(0)), ("A-", itemgetter(1))):
+        gf = hilbert_series(211, space).gf
+        assert series_coeffs(gf, 121) == [pick(dim_A_signed(211, k)) for k in range(121)], space
+    assert dim_A_signed(211, 2) == (dim_new_gamma0_signed(211, 2)[0], 0)
+    assert dim_A_signed(211, 2)[0] > 0
 
 
 def test_unknown_space_is_refused():
