@@ -5,8 +5,9 @@ parameters (f1, f2), evaluated at any group element whose principal
 polynomial is phi_i(+-x).  Two independent evaluation routes are
 provided:
 
-* chi_closed -- the closed-form / periodic-bracket expressions in the
-  weight coordinates (k, j) = (f2 + 3, f1 - f2);
+* chi_closed -- one table, CHI_TABLE: chi_i is a sum of polynomial factors
+  F(u, v) times periodic brackets [row]_k over a denominator, in the weight
+  coordinates (k, j) = (f2 + 3, f1 - f2);
 * chi_series -- the Weyl character formula
   p_{f1}(p_{f2} + p_{f2-2}) - p_{f2-1}(p_{f1+1} + p_{f1-1})
   where 1/phi_i(x) = sum p_f x^f, computed by the exact integer
@@ -17,6 +18,7 @@ They must agree everywhere; the test suite sweeps this.
 from dataclasses import dataclass
 
 from .errors import BadIndex, BadYoung, IrrationalResidue
+from .exactmath import exact_quotient
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,7 @@ def chi_series(i, f1, f2, negate=False):
 
 
 # ---------------------------------------------------------------------------
-# Closed forms in (k, j)
+# Closed forms in (k, j): one table
 # ---------------------------------------------------------------------------
 
 def _br(vals, b):
@@ -139,133 +141,89 @@ def _br(vals, b):
     return vals[b % len(vals)]
 
 
-def _exact_div(num, den):
-    q, r = divmod(num, den)
-    if r:
-        raise IrrationalResidue(f"non-exact division {num}/{den}")
-    return q
-
-
 def _sgn(n):
     return -1 if n % 2 else 1
 
 
+# The factors F(u, v) of the table, with u = k - 2 = f2 + 1, v = j + k - 1 = f1 + 2.
+def _one(u, v):
+    return 1
+
+
+def _u(u, v):
+    return u
+
+
+def _v(u, v):
+    return v
+
+
+def _uv(u, v):
+    return u * v
+
+
+def _weyl(u, v):
+    return u * v * (v * v - u * u)
+
+
+# i -> (den, terms): chi_i = (sum of F(u, v) * [row]_k over the terms) / den,
+# where a term (F, rows) reads its row number (j/2) mod len(rows).  So chi_i
+# is a quasi-polynomial in k of period the lcm of its row lengths, and in j
+# of period twice its row count; every F has degree <= 3 in k.
+CHI_TABLE = {
+    1: (6, ((_weyl, ((1,),)),)),
+    2: (2, ((_uv, ((-1, 1),)),)),
+    3: (2, ((_u, ((1, 0, -1, 0), (-1, 0, 1, 0))), (_v, ((0, -1, 0, 1),)))),
+    4: (3, ((_u, ((1, 0, -1), (-1, 1, 0), (0, -1, 1))), (_v, ((1, -1, 0),)))),
+    5: (1, ((_u, ((1, 0, -1, -1, 0, 1), (-1, -1, 0, 1, 1, 0), (0, 1, 1, 0, -1, -1))),
+            (_v, ((-1, -1, 0, 1, 1, 0),)))),
+    6: (2, ((_u, ((1, 0), (-1, 0))), (_v, ((0, 1), (0, -1))))),
+    7: (3, ((_u, ((1, 0, 2), (-1, 1, 0), (0, -1, -2))),
+            (_v, ((1, 2, 0), (1, -1, 0), (-2, -1, 0))))),
+    8: (1, ((_one, ((-1, 0, 0, 1, 1, 1, 1, 0, 0, -1, -1, -1),
+                    (1, -1, 0, -1, -1, 0, -1, 1, 0, 1, 1, 0),
+                    (-1, 1, 0, 0, 1, -1, 1, -1, 0, 0, -1, 1),
+                    (1, 0, 0, 1, -1, 1, -1, 0, 0, -1, 1, -1),
+                    (-1, -1, 0, -1, 1, 0, 1, 1, 0, 1, -1, 0),
+                    (1, 1, 0, 0, -1, -1, -1, -1, 0, 0, 1, 1))),)),
+    9: (1, ((_one, ((-1, 0, 0, 1, 0, 0), (1, -1, 0, -1, 1, 0), (0, 1, 0, 0, -1, 0))),)),
+    10: (1, ((_one, ((-1, 0, 0, 1, 0), (1, -1, 0, 0, 0), (0,),
+                     (0, 0, 0, -1, 1), (0, 1, 0, 0, -1))),)),
+    11: (1, ((_one, ((-1, 0, 0, 1), (1, -1, 0, 0), (1, 0, 0, -1), (-1, 1, 0, 0))),)),
+    12: (1, ((_one, ((-1, 0, 0, 1, -2, 2), (1, -1, 0), (2, -1, 0, 0, 1, -2),
+                     (1, 0, 0, -1, 2, -2), (-1, 1, 0), (-2, 1, 0, 0, -1, 2))),)),
+    13: (1, ((_one, ((-1, 0, 0, 1, 2, 1, 0, 0, -1, -2),
+                     (1, -1, 0, 2, 0, -1, 1, 0, -2, 0),
+                     (-2, -2, 0, -2, -2, 2, 2, 0, 2, 2),
+                     (0, 2, 0, -1, 1, 0, -2, 0, 1, -1),
+                     (2, 1, 0, 0, -1, -2, -1, 0, 0, 1))),)),
+    14: (1, ((_u, ((0, 0, 1, 1), (0, 1, 1, 0), (0, 0, -1, -1), (0, -1, -1, 0))),
+             (_v, ((1, 1, 0, 0), (1, 0, 0, 1), (-1, -1, 0, 0), (-1, 0, 0, -1))))),
+    15: (1, ((_one, ((-1, 0, 0, 1, 0, -2, 1, 2, -2, -1, 2, 0), (1, -1, 0),
+                     (0, -1, 0, 2, -1, -2, 2, 1, -2, 0, 1, 0),
+                     (1, -2, 0, 1, 0, 0, -1, 0, 2, -1, -2, 2), (1, -1, 0),
+                     (0, -1, 0, 0, 1, 0, -2, 1, 2, -2, -1, 2),
+                     (1, 0, 0, -1, 0, 2, -1, -2, 2, 1, -2, 0), (-1, 1, 0),
+                     (0, 1, 0, -2, 1, 2, -2, -1, 2, 0, -1, 0),
+                     (-1, 2, 0, -1, 0, 0, 1, 0, -2, 1, 2, -2), (-1, 1, 0),
+                     (0, 1, 0, 0, -1, 0, 2, -1, -2, 2, 1, -2))),)),
+    16: (1, ((_one, ((-1, 0, 0, 1, 1, 0, 0, -1), (1, -1, 0, 0, -1, 1, 0, 0),
+                     (-1, 0, 0, -1, 1, 0, 0, 1), (1, 1, 0, 0, -1, -1, 0, 0))),)),
+    17: (1, ((_one, ((-1, 0, 0, 1, 1, -1), (1, -1, 0), (-1, -1, 0, 0, 1, 1),
+                     (1, 0, 0, -1, -1, 1), (-1, 1, 0), (1, 1, 0, 0, -1, -1))),)),
+}
+
+
 def chi_closed(i, w):
-    """chi_i at weight w = WeightParams(k, j) (or a (k, j) pair)."""
+    """chi_i at weight w = WeightParams(k, j) (or a (k, j) pair), read from CHI_TABLE."""
     _check_index(i)
     if not isinstance(w, WeightParams):
         w = WeightParams(*w)
     k, j = w.k, w.j
-
-    if i == 1:
-        return _exact_div((j + 1) * (k - 2) * (j + k - 1) * (j + 2 * k - 3), 6)
-    if i == 2:
-        return _sgn(k - 3) * _exact_div((k - 2) * (k + j - 1), 2)
-    if i == 3:
-        s = _sgn(j // 2)
-        return _exact_div(
-            _br([s * (k - 2), -(j + k - 1), -s * (k - 2), j + k - 1], k), 2
-        )
-    if i == 4:
-        return _exact_div(
-            (j + k - 1) * _br([1, -1, 0], k) + (k - 2) * _br([1, 0, -1], j + k), 3
-        )
-    if i == 5:
-        return (j + k - 1) * _br([-1, -1, 0, 1, 1, 0], k) + (k - 2) * _br(
-            [1, 0, -1, -1, 0, 1], j + k
-        )
-    if i == 6:
-        return _sgn((2 * k + j - 6) // 2) * _exact_div(_br([-(k - 2), j + k - 1], k), 2)
-    if i == 7:
-        rows = {
-            0: [2 * k + j - 3, 2 * k + 2 * j - 2, 2 * k - 4],
-            1: [-(2 * k + 2 * j - 2), -(2 * k + j - 3), -(2 * k - 4)],
-            2: [j + 1, -(j + 1), 0],
-        }
-        return _exact_div(_br(rows[j % 3], k), 3)
-    if i == 8:
-        rows = {
-            0: [-1, 0, 0, 1, 1, 1, 1, 0, 0, -1, -1, -1],
-            2: [1, -1, 0, -1, -1, 0, -1, 1, 0, 1, 1, 0],
-            4: [-1, 1, 0, 0, 1, -1, 1, -1, 0, 0, -1, 1],
-            6: [1, 0, 0, 1, -1, 1, -1, 0, 0, -1, 1, -1],
-            8: [-1, -1, 0, -1, 1, 0, 1, 1, 0, 1, -1, 0],
-            10: [1, 1, 0, 0, -1, -1, -1, -1, 0, 0, 1, 1],
-        }
-        return _br(rows[j % 12], k)
-    if i == 9:
-        rows = {
-            0: [-1, 0, 0, 1, 0, 0],
-            2: [1, -1, 0, -1, 1, 0],
-            4: [0, 1, 0, 0, -1, 0],
-        }
-        return _br(rows[j % 6], k)
-    if i == 10:
-        rows = {
-            0: [-1, 0, 0, 1, 0],
-            2: [1, -1, 0, 0, 0],
-            4: None,
-            6: [0, 0, 0, -1, 1],
-            8: [0, 1, 0, 0, -1],
-        }
-        row = rows[j % 10]
-        return 0 if row is None else _br(row, k)
-    if i == 11:
-        rows = {
-            0: [-1, 0, 0, 1],
-            2: [1, -1, 0, 0],
-            4: [1, 0, 0, -1],
-            6: [-1, 1, 0, 0],
-        }
-        return _br(rows[j % 8], k)
-    if i == 12:
-        rows = {
-            0: [-1, 0, 0, 1, -2, 2],
-            2: [-1, 1, 0],
-            4: [2, -1, 0, 0, 1, -2],
-        }
-        return _sgn(j // 2) * _br(rows[j % 6], k)
-    if i == 13:
-        rows = {
-            0: [-1, 0, 0, 1, 2, 1, 0, 0, -1, -2],
-            2: [1, -1, 0, 2, 0, -1, 1, 0, -2, 0],
-            4: [-2, -2, 0, -2, -2, 2, 2, 0, 2, 2],
-            6: [0, 2, 0, -1, 1, 0, -2, 0, 1, -1],
-            8: [2, 1, 0, 0, -1, -2, -1, 0, 0, 1],
-        }
-        return _br(rows[j % 10], k)
-    if i == 14:
-        if j % 4 == 0:
-            return _sgn(j // 4) * _br([j + k - 1, j + k - 1, k - 2, k - 2], k)
-        return _sgn((j - 2) // 4) * _br([j + k - 1, k - 2, k - 2, j + k - 1], k)
-    if i == 15:
-        rows = {
-            0: [-1, 0, 0, 1, 0, -2, 1, 2, -2, -1, 2, 0],
-            2: [1, -1, 0],
-            4: [0, -1, 0, 2, -1, -2, 2, 1, -2, 0, 1, 0],
-            6: [1, -2, 0, 1, 0, 0, -1, 0, 2, -1, -2, 2],
-            8: [1, -1, 0],
-            10: [0, -1, 0, 0, 1, 0, -2, 1, 2, -2, -1, 2],
-        }
-        return _sgn(j // 12) * _br(rows[j % 12], k)
-    if i == 16:
-        rows = {
-            0: [-1, 0, 0, 1, 1, 0, 0, -1],
-            2: [1, -1, 0, 0, -1, 1, 0, 0],
-            4: [-1, 0, 0, -1, 1, 0, 0, 1],
-            6: [1, 1, 0, 0, -1, -1, 0, 0],
-        }
-        return _br(rows[j % 8], k)
-    # i == 17
-    rows = {
-        0: [-1, 0, 0, 1, 1, -1],
-        2: [1, -1, 0],
-        4: [-1, -1, 0, 0, 1, 1],
-        6: [1, 0, 0, -1, -1, 1],
-        8: [-1, 1, 0],
-        10: [1, 1, 0, 0, -1, -1],
-    }
-    return _br(rows[j % 12], k)
+    u, v = k - 2, j + k - 1
+    den, terms = CHI_TABLE[i]
+    num = sum([f(u, v) * _br(rows[j // 2 % len(rows)], k) for f, rows in terms])
+    return exact_quotient(num, den, "chi_{}(k={}, j={})", i, k, j)
 
 
 def chi_young(i, f1, f2):
@@ -280,10 +238,10 @@ def chi_bracket_young(i, f1, f2):
     _check_young(f1, f2)
     d = f1 - f2
     if i == 2:
-        return _sgn(f1) * _exact_div((f1 + 2) * (f2 + 1), 2)
+        return _sgn(f1) * exact_quotient((f1 + 2) * (f2 + 1), 2, "chi_2({}, {})", f1, f2)
     if i == 6:
         body = f1 + 2 if f2 % 2 == 0 else -(f2 + 1)
-        return _sgn((f1 + f2) // 2) * _exact_div(body, 2)
+        return _sgn((f1 + f2) // 2) * exact_quotient(body, 2, "chi_6({}, {})", f1, f2)
     if i == 9:
         rows = {
             0: [1, 0, 0, -1, 0, 0],

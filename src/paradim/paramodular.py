@@ -96,6 +96,16 @@ def dim_A_signed(p, k):
 SPACES = ("M", "M+", "M-", "A", "A+", "A-", "S+", "S-")
 
 
+def _check_space(space, j):
+    """BadSpace, BadYoung or UnsupportedJ unless `space` graded at j exists."""
+    if space not in SPACES:
+        raise BadSpace(f"space must be one of {', '.join(SPACES)}, got {space!r}")
+    if not isinstance(j, int):
+        raise BadYoung(f"j = {j!r} must be an integer")
+    if space[0] == "A" and j != 0:
+        raise UnsupportedJ(f"space {space} is only graded at j = 0, got j = {j}")
+
+
 def _space_sequence(p, space, nmax, j=0):
     """Dimension sequence (index 0..nmax) of a graded space.
 
@@ -104,13 +114,8 @@ def _space_sequence(p, space, nmax, j=0):
     Each base space has one (plus, minus) pair function; the suffix picks
     the sum, the plus or the minus entry.
     """
-    if space not in SPACES:
-        raise BadSpace(f"space must be one of {', '.join(SPACES)}, got {space!r}")
-    if not isinstance(j, int):
-        raise BadYoung(f"j = {j!r} must be an integer")
+    _check_space(space, j)
     base, sign = space[0], space[1:]
-    if base == "A" and j != 0:
-        raise UnsupportedJ(f"space {space} is only graded at j = 0, got j = {j}")
     pair = {"M": lambda f: dim_M_signed(p, f + j, f),
             "A": lambda k: dim_A_signed(p, k),
             "S": lambda k: dim_S_signed(p, k, j)}[base]
@@ -129,6 +134,8 @@ def _printed_registry():
 
 def printed_series(p, space, j=0):
     """The embedded presentation of a graded dimension series, if any."""
+    check_level(p)
+    _check_space(space, j)
     rec = _printed_registry().get((p, space, j))
     if rec is None:
         raise MissingData(f"no embedded series for p={p}, space={space}, j={j}")
@@ -140,8 +147,10 @@ def printed_series(p, space, j=0):
 # For primes without a printed presentation, try these in order; an even
 # factor count keeps the palindromicity test well defined (the functional
 # equation F(1/t) = (-1)^m t^l F(t) has the same sign for every 4-factor
-# presentation).  The last entry always succeeds: every weight graded
-# dimension here is a degree-3 quasi-polynomial whose period divides 120.
+# presentation).  The last entry always succeeds: every graded dimension
+# here is a quasi-polynomial of degree <= 3 whose period divides 120, and
+# tests/test_characters.py::test_table_period_and_degree checks this for
+# the character values it is built from.
 FALLBACK_DENOMINATORS = [
     [4, 6, 10, 12],
     [4, 4, 6, 12],

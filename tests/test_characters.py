@@ -1,7 +1,10 @@
+from math import lcm
+
 import pytest
 from hypothesis import given, strategies as st
 
 from paradim.characters import (
+    CHI_TABLE,
     PHI_COEFFS,
     WeightParams,
     chi_bracket_young,
@@ -9,7 +12,7 @@ from paradim.characters import (
     chi_series,
     chi_young,
 )
-from paradim.errors import BadIndex, BadYoung
+from paradim.errors import BadIndex, BadYoung, NonIntegral
 
 
 def test_weight_params():
@@ -70,6 +73,33 @@ def test_negation_invariance(k, j, i):
     # f1 + f2 is even, so the character is insensitive to x -> -x
     w = WeightParams(k, j)
     assert chi_series(i, w.f1, w.f2, negate=True) == chi_series(i, w.f1, w.f2)
+
+
+def test_table_period_and_degree():
+    # The periods are read off CHI_TABLE: in k the lcm of a character's row
+    # lengths, in j twice its row count.  With its own k-period d as step
+    # the fourth difference in k of chi_i vanishes for every even j below
+    # twice the common period 120: chi_i is a quasi-polynomial of degree
+    # <= 3 in k.  As d divides 120, so does the difference with step 120,
+    # the bound the Hilbert-series fallback relies on.
+    k_period = {i: lcm(*(len(row) for _, rows in terms for row in rows))
+                for i, (_, terms) in CHI_TABLE.items()}
+    j_period = {i: lcm(*(2 * len(rows) for _, rows in terms))
+                for i, (_, terms) in CHI_TABLE.items()}
+    assert lcm(*k_period.values()) == lcm(*j_period.values()) == 120
+    for i, d in k_period.items():
+        for j in range(0, 240, 2):
+            vals = [chi_closed(i, (k, j)) for k in range(3, 3 + 5 * d)]
+            for k in range(d):
+                diff = sum(c * vals[k + t * d] for t, c in enumerate((1, -4, 6, -4, 1)))
+                assert diff == 0, (i, j, k + 3)
+
+
+def test_table_division_is_checked(monkeypatch):
+    # chi_1(3, 2) = 60 / 6; over 7 the evaluator refuses to round
+    monkeypatch.setitem(CHI_TABLE, 1, (7, CHI_TABLE[1][1]))
+    with pytest.raises(NonIntegral, match=r"chi_1\(k=3, j=2\)"):
+        chi_closed(1, (3, 2))
 
 
 def test_bracket_forms_agree():

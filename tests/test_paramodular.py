@@ -13,6 +13,7 @@ from paradim.elliptic import (
     dim_new_gamma0_signed,
 )
 from paradim.errors import (
+    BadSpace,
     BadYoung,
     MissingData,
     MissingJacobiData,
@@ -218,6 +219,19 @@ def test_printed_series_expansion():
     assert seq[8] == 1 and seq[10] == 1 and seq[12] == 2
     with pytest.raises(MissingData):
         printed_series(101, "S+")
+
+
+def test_printed_series_checks_level_space_and_j():
+    # (7, "A", 0.0) and (7.0, "A", 0) hashed like (7, "A", 0) and returned
+    # that series; an unknown space raised MissingData
+    with pytest.raises(NotPrimeLevel):
+        printed_series(7.0, "A")
+    with pytest.raises(BadYoung):
+        printed_series(7, "A", 0.0)
+    with pytest.raises(BadSpace):
+        printed_series(7, "Q")
+    with pytest.raises(UnsupportedJ):
+        printed_series(7, "A", 2)
 
 
 def test_hilbert_series_matches_printed():
