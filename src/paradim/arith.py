@@ -1,11 +1,12 @@
 """Number-theoretic ingredients: splitting symbols, imaginary quadratic
 class numbers, generalized Bernoulli numbers B_{2,chi}, and a_p."""
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
 from .errors import DSquare, NotPrimeLevel, NotSquarefree, ParadimError, UnsupportedPrime
-from .kernels import _reduced_forms, b2_character_sum, kronecker, squarefree_part
+from .kernels import _primes_to, _reduced_forms, b2_character_sum, kronecker, squarefree_part
 
 
 def fundamental_discriminant(d):
@@ -37,24 +38,23 @@ def class_number(d):
     return _reduced_forms(-d if d % 4 == 3 else -4 * d)
 
 
-@lru_cache(maxsize=None)
+# typed, so that 5.0 misses the entry of 5 and is refused
+@lru_cache(maxsize=None, typed=True)
 def bernoulli_b2_chi(p):
-    """B_{2,chi} for chi the quadratic character attached to Q(sqrt(p)).
-
-    The conductor is p for p = 1 (mod 4) and 4p for p = 3 (mod 4); the
-    linear term of the defining sum vanishes for even chi.
-    """
+    """B_{2,chi} = b2_character_sum(D0) / D0 for chi the quadratic
+    character of Q(sqrt(p)), p a prime other than 2, 3, of conductor D0 =
+    p or 4p as p = 1 or 3 (mod 4); the linear term of the defining sum
+    vanishes for even chi."""
+    check_level(p)
     if p in (2, 3):
         raise UnsupportedPrime(f"B_2,chi is not consumed for p = {p}")
-    D0 = fundamental_discriminant(p)
-    f = p if p % 4 == 1 else 4 * p
-    return Fraction(b2_character_sum(D0, f), f)
+    D0 = p if p % 4 == 1 else 4 * p
+    return Fraction(b2_character_sum(D0), D0)
 
 
 def a_p(p):
-    """1, 2, 4 according to p = 1 (mod 4), 7 (mod 8), 3 (mod 8)."""
-    if not isinstance(p, int):
-        raise NotPrimeLevel(f"a_p needs an integer prime, got {p!r}")
+    """1, 2, 4 as the prime p > 2 is 1 (mod 4), 7 (mod 8) or 3 (mod 8)."""
+    check_level(p)
     if p == 2:
         raise UnsupportedPrime("a_p is undefined at p = 2")
     if p % 4 == 1:
@@ -82,15 +82,9 @@ def check_level(p):
 
 
 def primes_up_to(n):
-    """Ascending list of primes <= n (simple sieve); ParadimError unless n
-    is an int."""
+    """Ascending list of primes <= n, sliced off the kernels' prime table;
+    ParadimError unless n is an int."""
     if not isinstance(n, int):
         raise ParadimError(f"a prime bound must be an integer, got {n!r}")
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, n + 1) if sieve[i]]
+    primes = _primes_to(n)
+    return primes[:bisect_right(primes, n)]

@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 from .arith import bernoulli_b2_chi, check_level, class_number, split_symbol
 from .characters import _check_young, chi_young
-from .errors import NonIntegral, ParityFailure, TypeNumberBound
-from .exactmath import exact_quotient
+from .errors import TypeNumberBound
+from .exactmath import exact_quotient, plus_minus
 
 # The characters entering each formula, in the order of the coefficients.
 M_INDEX = (1, 2, 3, 4, 6, 7, 9, 10, 11, 12)
@@ -128,22 +128,15 @@ def trace_R(p, f1, f2):
 def dim_M_signed(p, f1, f2):
     """Signed (Atkin-Lehner eigenspace) dimensions (plus, minus): half the
     sum and half the difference of dim_M_total and trace_R."""
-    total = dim_M_total(p, f1, f2)
-    trace = trace_R(p, f1, f2)
-    if (total + trace) % 2:
-        raise ParityFailure(
-            f"p={p}, ({f1},{f2}): total {total} and trace {trace} have opposite parity"
-        )
-    return (total + trace) // 2, (total - trace) // 2
+    return plus_minus(dim_M_total(p, f1, f2), trace_R(p, f1, f2),
+                      "M({},{},{})", p, f1, f2)
 
 
 def class_and_type(p):
-    """Class number H and type number T of the non-principal genus."""
-    H = dim_M_total(p, 0, 0)
-    tr = trace_R(p, 0, 0)
-    if (H + tr) % 2:
-        raise NonIntegral(f"H = {H} and trace = {tr} have opposite parity")
-    T = (H + tr) // 2
+    """Class number H and type number T of the non-principal genus: the
+    plus space at weight (0, 0) has dimension T, the minus space H - T."""
+    T, H_minus_T = dim_M_signed(p, 0, 0)
+    H = T + H_minus_T
     if not T <= H <= 2 * T:
         raise TypeNumberBound(f"p = {p}: H = {H} and T = {T} violate T <= H <= 2T")
     return H, T

@@ -4,8 +4,8 @@ from functools import lru_cache
 
 from .arith import a_p, check_level, class_number, split_symbol
 from .characters import _br
-from .errors import BadYoung, OddWeight, ParityFailure
-from .exactmath import exact_quotient
+from .errors import BadYoung, OddWeight
+from .exactmath import exact_quotient, plus_minus
 
 
 def dim_cusp_level1(k):
@@ -71,8 +71,4 @@ def dim_new_gamma0_signed(p, k):
     if k < 2:
         return 0, 0
     diff = _br(_gamma0(p)[3], k // 2) + (1 if k == 2 else 0)
-    if (total + diff) % 2:
-        raise ParityFailure(
-            f"Gamma0({p}) weight {k}: total {total} and difference {diff} have opposite parity"
-        )
-    return (total + diff) // 2, (total - diff) // 2
+    return plus_minus(total, diff, "S_{}^new(Gamma0({}))", k, p)

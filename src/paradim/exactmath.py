@@ -1,5 +1,6 @@
-"""Exact arithmetic: checked integer division, polynomials, and rational
-generating functions with factored denominators Prod (1 - t^a_i).
+"""Exact arithmetic: checked integer division and (plus, minus) splits,
+polynomials, and rational generating functions with factored
+denominators Prod (1 - t^a_i).
 
 Everything here is immutable and pure.  Rational numbers are plain
 `fractions.Fraction`; there is no custom rational type.
@@ -8,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NonIntegral, NonPolynomial
+from .errors import NonIntegral, NonPolynomial, ParityFailure
 
 
 def exact_quotient(num, den, what, *args):
@@ -23,6 +24,17 @@ def exact_quotient(num, den, what, *args):
     return q
 
 
+def plus_minus(total, diff, what, *args):
+    """(plus, minus) = ((total + diff) / 2, (total - diff) / 2), the
+    eigenspaces of an involution of trace diff on a space of dimension
+    total; ParityFailure, naming the space as exact_quotient does, when
+    total and diff have opposite parity."""
+    if (total + diff) % 2:
+        raise ParityFailure(f"{what.format(*args)}: total {total} and difference "
+                            f"{diff} have opposite parity")
+    return (total + diff) // 2, (total - diff) // 2
+
+
 class Poly:
     """Polynomial with ascending coefficients; trailing zeros trimmed."""
 
@@ -33,6 +45,14 @@ class Poly:
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         self.coeffs = coeffs
+
+    @classmethod
+    def from_terms(cls, terms):
+        """The sum of c t^e over the pairs (e, c) of the sequence terms."""
+        coeffs = [0] * (max((e for e, _ in terms), default=-1) + 1)
+        for e, c in terms:
+            coeffs[e] += c
+        return cls(coeffs)
 
     @property
     def degree(self):

@@ -7,6 +7,10 @@ once through a multiplicative function of a, from (D/q) at the primes
 q <= sqrt(|D|)/2; the few forms with larger a are counted one by one; a
 non-fundamental D goes through its fundamental discriminant.
 
+Every prime used comes from one table grown on demand: _spf, the least
+prime factor of each n below a power of two, with _primes, the primes
+below its end, which ``arith.primes_up_to`` slices.
+
 The naive versions in ``paradim._kernels_py`` are kept as test oracles.
 """
 from array import array
@@ -14,7 +18,8 @@ from bisect import bisect_right
 from itertools import accumulate
 from math import isqrt
 
-from .errors import BadDiscriminant, NonIntegral, ParadimError
+from .errors import BadDiscriminant, ParadimError
+from .exactmath import exact_quotient
 
 
 def kronecker(a, n):
@@ -155,45 +160,40 @@ def _reduced_forms(D):
     return h
 
 
-# _spf[n] is the smallest prime factor of n (for n >= 2); grown on demand.
+# _spf[n] is the smallest prime factor of n (for n >= 2), and _primes
+# lists every prime below len(_spf); _grow extends both together.
 _spf = array("i", [0, 1])
-# _primes lists every prime below _primes_end, read off _spf.
 _primes = []
-_primes_end = 2
 
 
-def _grow_spf(n):
+def _grow(n):
     """Make _spf reach n, at least doubling its length to a power of two
-    (so _sigma1 and _primes_to, growing it in either order, leave it the
-    same size)."""
-    global _spf
+    (so that its size does not depend on the order of the calls), sieved by
+    the primes to sqrt(size) of the old table, grown first if too short."""
+    global _spf, _primes
     size = max(1 << n.bit_length(), 2 * len(_spf))
+    root = isqrt(size - 1)
+    if root >= len(_spf):
+        _grow(root)
     spf = array("i", range(size))
-    primes = [q for q in range(2, isqrt(size - 1) + 1)
-              if all(q % r for r in range(2, isqrt(q) + 1))]
     # largest prime first, so the smallest one writes last
-    for q in reversed(primes):
+    for q in reversed(_primes[:bisect_right(_primes, root)]):
         spf[q * q::q] = array("i", [q]) * len(range(q * q, size, q))
     _spf = spf
+    _primes = [q for q in range(2, size) if spf[q] == q]
 
 
 def _primes_to(m):
-    """Ascending list of the primes up to at least m, read off _spf."""
-    global _primes, _primes_end
-    if m >= _primes_end:
-        end = max(m + 1, 2 * _primes_end)
-        if end > len(_spf):
-            _grow_spf(end - 1)
-        spf = _spf
-        _primes = [q for q in range(2, end) if spf[q] == q]
-        _primes_end = end
+    """Ascending list of every prime below len(_spf), which exceeds m."""
+    if m >= len(_spf):
+        _grow(m)
     return _primes
 
 
 def _sigma1(n):
     """Sum of the divisors of n >= 1, from its factorisation by _spf."""
     if n >= len(_spf):
-        _grow_spf(n)
+        _grow(n)
     spf = _spf
     total = 1
     while n > 1:
@@ -218,24 +218,18 @@ def _is_fundamental(D):
     return D > 1 and squarefree_part(m) == m
 
 
-def b2_character_sum(D0, f):
-    """sum_{a=1}^{f} (D0/a) * a^2 for f = D0 a positive fundamental
-    discriminant; it equals D0 * B_{2,chi} for chi = (D0/.).
+def b2_character_sum(D0):
+    """sum_{a=1}^{D0} (D0/a) * a^2 for D0 a positive fundamental
+    discriminant, the conductor of chi = (D0/.); it equals D0 * B_{2,chi}.
 
     Cohen (Math. Ann. 217, 1975): B_{2,chi} = 24 zeta_K(-1) and
     zeta_K(-1) = (1/60) S with S = sum sigma_1((D0 - s^2)/4) over all
     integers s = D0 (mod 2) with s^2 < D0, so the sum is (2/5) D0 S.
     """
-    if f != D0:
-        raise BadDiscriminant(f"only the full conductor f = D0 is supported, "
-                              f"got D0 = {D0}, f = {f}")
     if not _is_fundamental(D0):
         raise BadDiscriminant(f"{D0} is not a positive fundamental discriminant")
     S = 0
     for s in range(D0 % 2, isqrt(D0 - 1) + 1, 2):
         term = _sigma1((D0 - s * s) // 4)
         S += term if s == 0 else 2 * term
-    q, r = divmod(2 * D0 * S, 5)
-    if r:
-        raise NonIntegral(f"2 * {D0} * {S} / 5 is not an integer")
-    return q
+    return exact_quotient(2 * D0 * S, 5, "2 * {} * {} / 5", D0, S)

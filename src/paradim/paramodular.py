@@ -20,7 +20,7 @@ from .errors import (
     ParadimError,
     UnsupportedJ,
 )
-from .exactmath import RationalGF, fit_numerator
+from .exactmath import Poly, RationalGF, fit_numerator
 from .siegel1 import dim_cusp_sp4
 
 
@@ -139,10 +139,7 @@ def printed_series(p, space, j=0):
     rec = _printed_registry().get((p, space, j))
     if rec is None:
         raise MissingData(f"no embedded series for p={p}, space={space}, j={j}")
-    coeffs = [0] * (max(d for d, _ in rec["num"]) + 1)
-    for d, c in rec["num"]:
-        coeffs[d] += c
-    return RationalGF(coeffs, rec["den"])
+    return RationalGF(Poly.from_terms(rec["num"]), rec["den"])
 
 # For primes without a printed presentation, try these in order; an even
 # factor count keeps the palindromicity test well defined (the functional

@@ -28,8 +28,8 @@ from itertools import product
 from math import isqrt
 
 from .characters import chi_young
-from .errors import (FamilySizeMismatch, NonIntegral, NotSimilitude,
-                     UnsupportedPrime)
+from .errors import (FamilySizeMismatch, NonIntegral, NotPrimeLevel,
+                     NotSimilitude, UnsupportedPrime)
 from .exactmath import exact_quotient
 
 
@@ -321,15 +321,24 @@ def _check_sizes(p, fams, expected):
         raise FamilySizeMismatch(f"p={p}: family sizes {sizes}, expected {expected}")
 
 
-@lru_cache(maxsize=None)
+def _check_p23(p):
+    """NotPrimeLevel unless p is an int, UnsupportedPrime unless it is 2 or
+    3; run before the caches, which would serve 2.0 from the entry of 2."""
+    if not isinstance(p, int):
+        raise NotPrimeLevel(f"level {p!r} is not an integer prime")
+    if p not in (2, 3):
+        raise UnsupportedPrime(f"enumeration only implemented for p = 2, 3, got {p}")
+
+
 def enumerate_pi_gamma(p):
     """Per-family lists of the similitude-p coset elements, p in {2, 3}."""
-    if p == 2:
-        fams = _p2_families()
-    elif p == 3:
-        fams = _p3_families()
-    else:
-        raise UnsupportedPrime(f"enumeration only implemented for p = 2, 3, got {p}")
+    _check_p23(p)
+    return _coset(p)
+
+
+@lru_cache(maxsize=None)
+def _coset(p):
+    fams = _p2_families() if p == 2 else _p3_families()
     for fam in fams:
         for g in fam:
             if g.similitude() != p:
@@ -345,14 +354,15 @@ def _family_tallies(p):
 
 def family_tallies(p):
     """List (one dict per family) of principal-polynomial tallies."""
+    _check_p23(p)
     return [dict(t) for t in _family_tallies(p)]
 
 
 def principal_tallies(p):
     """Aggregate tally of principal polynomials over the whole coset."""
     total = {}
-    for t in _family_tallies(p):
-        for key, cnt in t:
+    for t in family_tallies(p):
+        for key, cnt in t.items():
             total[key] = total.get(key, 0) + cnt
     return total
 

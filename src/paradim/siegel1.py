@@ -4,31 +4,23 @@ weight det^k Sym(j), for j in {0, 2, 4}, via their generating functions.
 Any other j raises UnsupportedJ.
 """
 from .errors import BadYoung, UnsupportedJ
-from .exactmath import RationalGF, series_coeffs
-
-
-def _sparse(*terms):
-    """Numerator coefficient list from (exponent, coefficient) pairs."""
-    coeffs = [0] * (max(e for e, _ in terms) + 1)
-    for e, c in terms:
-        coeffs[e] += c
-    return coeffs
+from .exactmath import Poly, RationalGF, series_coeffs
 
 
 LEVEL1_SERIES = {
-    0: RationalGF(_sparse((10, 1), (12, 1), (22, -1), (35, 1)), [4, 6, 10, 12]),
+    0: RationalGF(Poly.from_terms([(10, 1), (12, 1), (22, -1), (35, 1)]), [4, 6, 10, 12]),
     2: RationalGF(
-        _sparse(
+        Poly.from_terms([
             (14, 1), (16, 2), (18, 1), (22, 1), (26, -1), (28, -1),
             (21, 1), (23, 1), (27, 1), (29, 1), (33, -1),
-        ),
+        ]),
         [4, 6, 10, 12],
     ),
     4: RationalGF(
-        _sparse(
+        Poly.from_terms([
             (10, 1), (12, 1), (14, 1), (15, 1), (16, 1), (17, 1), (18, 1),
             (19, 1), (20, 1), (21, 1), (23, 1), (30, -1),
-        ),
+        ]),
         [4, 6, 10, 12],
     ),
 }

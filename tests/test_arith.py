@@ -83,6 +83,15 @@ def test_bernoulli_b2_chi():
         bernoulli_b2_chi(2)
 
 
+@pytest.mark.parametrize("n", [15, 9, 4, 1, 0, -5])
+def test_non_prime_level_is_refused(n):
+    # a_p(9) returned 1, a_p(4) 4, and bernoulli_b2_chi(15) B_2 of Q(sqrt(15))
+    with pytest.raises(NotPrimeLevel):
+        a_p(n)
+    with pytest.raises(NotPrimeLevel):
+        bernoulli_b2_chi(n)
+
+
 def test_a_p():
     assert a_p(5) == 1 and a_p(13) == 1
     assert a_p(7) == 2 and a_p(23) == 2
@@ -103,6 +112,7 @@ def test_non_integer_input_is_typed_error(x):
     # each used to raise a bare TypeError, except that squarefree_part and
     # split_symbol computed with 7.0 as if it were 7
     class_number(7)
+    bernoulli_b2_chi(7)
     with pytest.raises(NotPrimeLevel):
         check_level(x)
     with pytest.raises(NotSquarefree):
@@ -116,5 +126,7 @@ def test_non_integer_input_is_typed_error(x):
     # a_p(7.0) returned 2 and split_symbol(2, 7.0) returned 1
     with pytest.raises(NotPrimeLevel):
         a_p(x)
+    with pytest.raises(NotPrimeLevel):
+        bernoulli_b2_chi(x)
     with pytest.raises(ParadimError):
         split_symbol(2, x)

@@ -11,7 +11,7 @@ from paradim.compact import (
     level,
     trace_R,
 )
-from paradim.errors import BadYoung, NonIntegral, NotPrimeLevel, TypeNumberBound
+from paradim.errors import BadYoung, NonIntegral, NotPrimeLevel, ParityFailure, TypeNumberBound
 
 young = st.tuples(st.integers(0, 20), st.integers(0, 10)).map(
     lambda t: (t[1] + 2 * t[0], t[1])
@@ -42,6 +42,16 @@ def test_class_and_type_bound_is_checked(monkeypatch):
     monkeypatch.setattr(compact, "dim_M_total", lambda p, f1, f2: 5)
     monkeypatch.setattr(compact, "trace_R", lambda p, f1, f2: -3)
     with pytest.raises(TypeNumberBound):
+        class_and_type(13)
+
+
+def test_opposite_parity_is_refused(monkeypatch):
+    # a total and a trace of opposite parity split into no (plus, minus)
+    monkeypatch.setattr(compact, "dim_M_total", lambda p, f1, f2: 4)
+    monkeypatch.setattr(compact, "trace_R", lambda p, f1, f2: 1)
+    with pytest.raises(ParityFailure, match=r"M\(13,2,0\): total 4 and difference 1"):
+        dim_M_signed(13, 2, 0)
+    with pytest.raises(ParityFailure, match=r"M\(13,0,0\)"):
         class_and_type(13)
 
 

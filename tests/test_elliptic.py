@@ -1,5 +1,6 @@
 import pytest
 
+from paradim import elliptic
 from paradim.arith import primes_up_to
 from paradim.elliptic import (
     dim_cusp_level1,
@@ -7,7 +8,7 @@ from paradim.elliptic import (
     dim_new_gamma0,
     dim_new_gamma0_signed,
 )
-from paradim.errors import NotPrimeLevel, OddWeight
+from paradim.errors import NotPrimeLevel, OddWeight, ParityFailure
 
 
 def test_level1_cusp_dims():
@@ -56,6 +57,13 @@ def test_signed_newspace_sums_and_nonneg():
             sp, sm = dim_new_gamma0_signed(p, k)
             assert sp >= 0 and sm >= 0, (p, k)
             assert sp + sm == dim_new_gamma0(p, k), (p, k)
+
+
+def test_opposite_parity_is_refused(monkeypatch):
+    # one newform more than the (1, 1) of X_0(37) cannot be split by sign
+    monkeypatch.setattr(elliptic, "dim_new_gamma0", lambda p, k: 3)
+    with pytest.raises(ParityFailure, match=r"S_2\^new\(Gamma0\(37\)\): total 3"):
+        dim_new_gamma0_signed(37, 2)
 
 
 def test_odd_weight_rejected():

@@ -1,9 +1,13 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and every private
+function or class is used somewhere.
 
 Each module under src/paradim and tests is parsed; a name bound by an
 import statement must appear somewhere in the module as a name.
 `__init__.py` files are skipped (their imports are re-exports), and so
-are `__future__` imports.
+are `__future__` imports.  A private (single-underscore) module-level
+function or class of src/paradim must be named, outside its own
+definition, somewhere in src/paradim or tests: one that is not is a
+leftover copy of something done elsewhere.
 """
 import ast
 from pathlib import Path
@@ -43,3 +47,45 @@ def test_no_unused_imports():
              for path in _modules()
              for line, name in unused_imports(path.read_text())]
     assert found == []
+
+
+def _named(node):
+    """Every name the node refers to: as a variable, an attribute or an
+    imported name."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name.rsplit(".", 1)[-1]
+
+
+def unnamed_private_defs(sources, checked):
+    """(label, line, name) of each private module-level function or class
+    of the sources labelled in `checked` that no top-level statement of any
+    source names, its own definition apart.  `sources` maps labels to
+    source text."""
+    defs, named = [], set()
+    for label, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            named.update(n for n in _named(stmt) if n != own)
+            if (label in checked and own and own.startswith("_")
+                    and not own.startswith("__")):
+                defs.append((label, stmt.lineno, own))
+    return [d for d in defs if d[2] not in named]
+
+
+def test_private_detector():
+    lib = ("def _used():\n    pass\n\n\ndef _recursive(n):\n    return _recursive(n - 1)\n"
+           "\n\nclass _Gone:\n    pass\n\n\ndef __getattr__(name):\n    pass\n")
+    test = "from lib import _used\n"
+    assert unnamed_private_defs({"lib": lib, "test": test}, {"lib"}) == [
+        ("lib", 5, "_recursive"), ("lib", 9, "_Gone")]
+
+
+def test_no_unnamed_private_defs():
+    sources = {path.relative_to(ROOT).as_posix(): path.read_text() for path in _modules()}
+    checked = {label for label in sources if label.startswith("src/")}
+    assert unnamed_private_defs(sources, checked) == []

@@ -1,3 +1,6 @@
+from array import array
+from math import isqrt
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,7 +12,12 @@ from paradim.errors import BadDiscriminant
 @given(st.integers(-60, 60), st.integers(-60, 60), st.integers(-40, 40))
 def test_kronecker_multiplicative_in_top(a, b, n):
     k = kernels.kronecker
-    assert k(a * b, n) == k(a, n) * k(b, n)
+    if n == -1 and a * b == 0:
+        # (a/-1) is the sign of a, with (0/-1) = 1: here, and only here in
+        # this range, (0/-1) differs from (0/-1)(b/-1) for a negative b
+        assert k(a * b, n) == 1
+    else:
+        assert k(a * b, n) == k(a, n) * k(b, n)
 
 
 def test_kronecker_odd_prime_is_legendre():
@@ -54,15 +62,50 @@ def test_b2_character_sum_matches_pure():
         if p < 5:
             continue
         D0 = p if p % 4 == 1 else 4 * p
-        assert (kernels.b2_character_sum(D0, D0)
-                == _kernels_py.b2_character_sum(D0, D0)), p
+        assert kernels.b2_character_sum(D0) == _kernels_py.b2_character_sum(D0, D0), p
 
 
-@pytest.mark.parametrize("D0, f", [(13, 1), (13, 26), (44, 11), (9, 9), (20, 20),
-                                   (16, 16), (1, 1), (0, 0), (-3, -3)])
-def test_b2_character_sum_rejects_bad_input(D0, f):
+# ids D0-f, f = D0 being the conductor the sum runs to
+@pytest.mark.parametrize("D0", [9, 20, 16, 1, 0, -3], ids=lambda D0: f"{D0}-{D0}")
+def test_b2_character_sum_rejects_bad_input(D0):
     with pytest.raises(BadDiscriminant):
-        kernels.b2_character_sum(D0, f)
+        kernels.b2_character_sum(D0)
+
+
+def _naive_primes(n):
+    return [q for q in range(2, n + 1) if all(q % r for r in range(2, isqrt(q) + 1))]
+
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    """The prime table as at import, restored after the test."""
+    monkeypatch.setattr(kernels, "_spf", array("i", [0, 1]))
+    monkeypatch.setattr(kernels, "_primes", [])
+
+
+def test_prime_table_grows_in_one_jump(fresh_table):
+    # the primes that sieve the new table reach past the end of the old one
+    assert kernels._sigma1(5000) == sum(d for d in range(1, 5001) if 5000 % d == 0)
+    size = len(kernels._spf)
+    assert size == 8192
+    for n in range(2, size):
+        q = 2
+        while n % q:
+            q += 1
+        assert kernels._spf[n] == q, n
+    for n in (-3, 0, 1, 2, 3, 100, size - 1):
+        assert primes_up_to(n) == _naive_primes(n), n
+    assert kernels._primes == _naive_primes(size - 1)
+
+
+@pytest.mark.parametrize("first", ["_sigma1", "_primes_to"])
+def test_prime_table_size_is_independent_of_call_order(fresh_table, first):
+    calls = {"_sigma1": lambda: kernels._sigma1(3000),
+             "_primes_to": lambda: kernels._primes_to(300)}
+    calls[first]()
+    calls["_primes_to" if first == "_sigma1" else "_sigma1"]()
+    assert len(kernels._spf) == 4096
+    assert kernels._primes == _naive_primes(4095)
 
 
 @pytest.mark.parametrize("D", [0, 5, -1, -2, -7.0, -3.0, "-7"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from paradim.compact import trace_R
-from paradim.errors import NonIntegral, NotSimilitude, ParadimError
+from paradim.errors import NonIntegral, NotPrimeLevel, NotSimilitude, ParadimError
 from paradim.quaternion import (
     CLASS_OF_POLY,
     COSET_SIZE,
@@ -284,3 +284,13 @@ def test_unsupported_prime_is_typed():
     with pytest.raises(ParadimError):
         verify_trace_p23(5, 0, 0)
 
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 5.0, "2"])
+def test_non_int_prime_is_refused_before_the_caches(p):
+    # verify_trace_p23(2.0, 4, 2) returned a trace and enumerate_pi_gamma(3.0)
+    # the p = 3 families, served by untyped caches from the entries of 2, 3
+    principal_tallies(2), principal_tallies(3)
+    for call in (lambda: enumerate_pi_gamma(p), lambda: family_tallies(p),
+                 lambda: principal_tallies(p), lambda: verify_trace_p23(p, 4, 2)):
+        with pytest.raises(NotPrimeLevel):
+            call()
