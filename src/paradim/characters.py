@@ -15,23 +15,28 @@ provided:
 
 They must agree everywhere; the test suite sweeps this.
 """
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BadIndex, BadYoung, IrrationalResidue
 from .exactmath import exact_quotient
 
 
-@dataclass(frozen=True)
-class WeightParams:
-    """Weight (k, j) with the derived Young parameters."""
+class WeightParams(namedtuple("WeightParams", "k j")):
+    """Weight (k, j) with the derived Young parameters.  (A namedtuple
+    rather than a frozen dataclass: importing dataclasses loads inspect and
+    its dependencies, about 40 % of the package's import time.)"""
 
-    k: int
-    j: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        k, j = self.k, self.j
+    def __new__(cls, k, j):
         if not (isinstance(k, int) and isinstance(j, int)) or k < 3 or j < 0 or j % 2:
             raise BadYoung(f"need integers k >= 3 and even j >= 0, got (k,j)=({k!r},{j!r})")
+        return super().__new__(cls, k, j)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip the check in __new__
+        return cls(*iterable)
 
     @property
     def f1(self):

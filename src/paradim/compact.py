@@ -43,8 +43,9 @@ TRACE_ROWS = {
 class Level(NamedTuple):
     """Integer coefficients at one prime level: dim M = (m . chi) / M_DEN
     over the characters of M_INDEX, tr R = (tr . chi) / tr_den over those
-    of TR_INDEX.  (A NamedTuple rather than a dataclass: building a
-    frozen dataclass costs about 0.6 ms more at every import.)"""
+    of TR_INDEX.  (A NamedTuple rather than a dataclass: importing
+    dataclasses loads inspect and its dependencies, about 6 ms or 40 % of
+    the package's import, and paradim uses no dataclass.)"""
 
     m: tuple
     tr_den: int

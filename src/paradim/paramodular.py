@@ -1,9 +1,9 @@
 """Top-level dimensions of paramodular cusp forms of prime level with
 Atkin-Lehner sign, Hilbert series of the graded rings, the sign-bias
 check, and the weight-3 vanishing search."""
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
+from typing import NamedTuple
 
 from .arith import check_level, primes_up_to
 from .compact import class_and_type, dim_M_signed
@@ -158,8 +158,10 @@ FALLBACK_DENOMINATORS = [
 ]
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
+class HilbertSeries(NamedTuple):
+    """A fitted graded dimension series: the generating function `gf` of
+    `space` at the prime level `p`."""
+
     p: int
     space: str
     gf: RationalGF

@@ -333,29 +333,33 @@ def _check_p23(p):
 def enumerate_pi_gamma(p):
     """Per-family lists of the similitude-p coset elements, p in {2, 3}."""
     _check_p23(p)
-    return _coset(p)
+    return _coset(p)[0]
 
 
 @lru_cache(maxsize=None)
 def _coset(p):
+    """(families, tallies): the coset's families, and per family its
+    principal-polynomial tally as sorted (polynomial, count) pairs, built
+    in one pass.  Every element must have similitude p: the constant
+    coefficient of its principal polynomial, n^2 for similitude n >= 0,
+    must be p^2."""
     fams = _p2_families() if p == 2 else _p3_families()
+    tallies = []
     for fam in fams:
+        tally = {}
         for g in fam:
-            if g.similitude() != p:
+            key = principal_poly(g)
+            if key[0] != p * p:
                 raise NotSimilitude(f"p={p}: enumerated element has similitude != {p}")
-    return tuple(tuple(f) for f in fams)
-
-
-@lru_cache(maxsize=None)
-def _family_tallies(p):
-    return tuple(tuple(sorted(_tally(fam).items()))
-                 for fam in enumerate_pi_gamma(p))
+            tally[key] = tally.get(key, 0) + 1
+        tallies.append(tuple(sorted(tally.items())))
+    return tuple(tuple(f) for f in fams), tuple(tallies)
 
 
 def family_tallies(p):
     """List (one dict per family) of principal-polynomial tallies."""
     _check_p23(p)
-    return [dict(t) for t in _family_tallies(p)]
+    return [dict(t) for t in _coset(p)[1]]
 
 
 def principal_tallies(p):
@@ -365,14 +369,6 @@ def principal_tallies(p):
         for key, cnt in t.items():
             total[key] = total.get(key, 0) + cnt
     return total
-
-
-def _tally(fam):
-    out = {}
-    for g in fam:
-        key = principal_poly(g)
-        out[key] = out.get(key, 0) + 1
-    return out
 
 
 # principal polynomial (ascending coefficients) -> conjugacy-class index

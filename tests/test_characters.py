@@ -18,10 +18,26 @@ from paradim.errors import BadIndex, BadYoung, NonIntegral
 def test_weight_params():
     w = WeightParams(5, 4)
     assert (w.f1, w.f2) == (6, 2)
+
+
+def test_weight_params_is_an_immutable_value():
+    w = WeightParams(5, 4)
+    assert w == WeightParams(5, 4) and hash(w) == hash(WeightParams(5, 4))
+    assert w != WeightParams(5, 2)
+    with pytest.raises(AttributeError):
+        w.k = 7
+    with pytest.raises(AttributeError):
+        w.f1 = 0
+    assert w == WeightParams(5, 4)
+
+
+@pytest.mark.parametrize("k, j", [(2, 0), (4, 3), (4.0, 0), (4, -2)])
+def test_weight_params_refuses(k, j):
     with pytest.raises(BadYoung):
-        WeightParams(2, 0)
+        WeightParams(k, j)
+    # _replace builds a new value and checks it as the constructor does
     with pytest.raises(BadYoung):
-        WeightParams(4, 3)
+        WeightParams(5, 4)._replace(k=k, j=j)
 
 
 def test_phi_polys_are_reciprocal():

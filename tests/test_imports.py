@@ -1,5 +1,6 @@
-"""Every name a module imports is used in that module, and every private
-function or class is used somewhere.
+"""Every name a module imports is used in that module, every private
+function or class is used somewhere, and importing the package loads no
+module that no command needs.
 
 Each module under src/paradim and tests is parsed; a name bound by an
 import statement must appear somewhere in the module as a name.
@@ -8,8 +9,15 @@ are `__future__` imports.  A private (single-underscore) module-level
 function or class of src/paradim must be named, outside its own
 definition, somewhere in src/paradim or tests: one that is not is a
 leftover copy of something done elsewhere.
+
+Every command runs in a fresh process, so import time is paid on every
+call: `import paradim, paradim.cli` must not load dataclasses or inspect
+(with ast, dis and tokenize, inspect was about 40 % of the import).
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -89,3 +97,12 @@ def test_no_unnamed_private_defs():
     sources = {path.relative_to(ROOT).as_posix(): path.read_text() for path in _modules()}
     checked = {label for label in sources if label.startswith("src/")}
     assert unnamed_private_defs(sources, checked) == []
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    code = ("import sys, paradim, paradim.cli; "
+            "print(' '.join(sorted({'dataclasses', 'inspect'} & set(sys.modules))))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == []

@@ -242,6 +242,12 @@ def test_hilbert_series_matches_printed():
         assert hs.gf.denom_exponents == printed.denom_exponents
 
 
+def test_hilbert_series_fields():
+    hs = hilbert_series(7, "A")
+    assert (hs.p, hs.space) == (7, "A")
+    assert hs.gf.numerator == printed_series(7, "A").numerator
+
+
 def test_hilbert_series_fallback():
     # no printed presentation for p = 11; the fit must still succeed and
     # reproduce the directly computed dimensions

@@ -4,6 +4,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
+from paradim import quaternion
 from paradim.compact import trace_R
 from paradim.errors import NonIntegral, NotPrimeLevel, NotSimilitude, ParadimError
 from paradim.quaternion import (
@@ -224,6 +225,15 @@ def test_coset_sizes():
     assert [len(f) for f in enumerate_pi_gamma(3)] == [36, 36, 324, 324]
     for p in (2, 3):
         assert sum(len(f) for f in enumerate_pi_gamma(p)) == COSET_SIZE[p]
+
+
+def test_coset_refuses_an_element_of_other_similitude(monkeypatch):
+    # the identity has similitude 1; the uncached pass must refuse it
+    one, zero = q2(1, 0, 0, 0), q2(0, 0, 0, 0)
+    monkeypatch.setattr(quaternion, "_p2_families",
+                        lambda: [[QuatMat2(one, zero, zero, one)]])
+    with pytest.raises(NotSimilitude):
+        quaternion._coset.__wrapped__(2)
 
 
 def test_every_poly_is_classified():
