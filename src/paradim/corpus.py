@@ -31,6 +31,15 @@ TABLES = [
     ("table_k10.csv", 10, True),
 ]
 
+# the columns of a table row, in the order they are checked
+COLUMNS = ("H", "R", "S_plus", "S_minus")
+LONG_COLUMNS = COLUMNS + ("M_plus", "M_minus", "s2_plus", "s2_minus")
+
+
+def _selected(name, only):
+    """Whether the check called `name` is run under the filter `only`."""
+    return only is None or only in name
+
 
 def _row_values(p, k, long):
     f = k - 3
@@ -45,73 +54,94 @@ def _row_values(p, k, long):
     return vals
 
 
-def table_checks():
+def table_checks(only=None):
     for filename, k, long in TABLES:
         for row in load_csv(filename):
             p = int(row["p"])
+            cols = [col for col in (LONG_COLUMNS if long else COLUMNS)
+                    if _selected(f"{filename}:p={p}:{col}", only)]
+            if not cols:
+                continue
             computed = _row_values(p, k, long)
-            for col, got in computed.items():
-                expected = int(row[col])
-                yield Check(f"{filename}:p={p}:{col}",
-                            got == expected, expected, got)
+            for col in cols:
+                expected, got = int(row[col]), computed[col]
+                yield Check(f"{filename}:p={p}:{col}", got == expected, expected, got)
 
 
-def series_checks(nmax=80):
+def series_checks(nmax=80, only=None):
     for rec in load_json("hilbert_series.json"):
         p, space, j = rec["p"], rec["space"], rec.get("j", 0)
         tag = f"series:p={p}:{space}:j={j}"
+        expand, fit = _selected(f"{tag}:expand", only), _selected(f"{tag}:fit", only)
+        if not (expand or fit):
+            continue
         gf = printed_series(p, space, j)
         margin = sum(rec["den"])
         n = 2 * margin + 41
         seq = _space_sequence(p, space, max(n, nmax), j)
-        head = seq[:nmax + 1]
-        got = series_coeffs(gf, nmax + 1)
-        yield Check(f"{tag}:expand", got == head, head, got)
-        fit = fit_numerator(seq[:n + 1], rec["den"], n - margin - 1)
-        yield Check(f"{tag}:fit", fit == gf.numerator, gf.numerator, fit)
+        if expand:
+            head = seq[:nmax + 1]
+            got = series_coeffs(gf, nmax + 1)
+            yield Check(f"{tag}:expand", got == head, head, got)
+        if fit:
+            got = fit_numerator(seq[:n + 1], rec["den"], n - margin - 1)
+            yield Check(f"{tag}:fit", got == gf.numerator, gf.numerator, got)
 
 
-def weight3_checks(pmax=450):
+# (check name, dimension of the plus space, key of weight3.json)
+WEIGHT3 = (("weight3:zero", 0, "zero"), ("weight3:dim1", 1, "dim_plus_1"),
+           ("weight3:dim2", 2, "dim_plus_2"))
+
+
+def weight3_checks(pmax=450, only=None):
+    wanted = [entry for entry in WEIGHT3 if _selected(entry[0], only)]
+    if not wanted:
+        return
     stored = load_json("weight3.json")
     computed = {0: [], 1: [], 2: []}
     for p in primes_up_to(pmax):
         plus = dim_weight3(p)[0]
         if plus in computed:
             computed[plus].append(p)
-    yield Check("weight3:zero", computed[0] == stored["zero"],
-                stored["zero"], computed[0])
-    yield Check("weight3:dim1", computed[1] == stored["dim_plus_1"],
-                stored["dim_plus_1"], computed[1])
-    yield Check("weight3:dim2", computed[2] == stored["dim_plus_2"],
-                stored["dim_plus_2"], computed[2])
+    for name, plus, key in wanted:
+        yield Check(name, computed[plus] == stored[key], stored[key], computed[plus])
 
 
-def bias_checks(pmax=300, kmax=100):
+def bias_checks(pmax=300, kmax=100, only=None):
+    if not _selected("bias:zero-pairs", only):
+        return
     stored = [(int(r["p"]), int(r["k"])) for r in load_csv("bias_zero_pairs.csv")]
     got = check_bias_region(pmax, kmax)
     yield Check("bias:zero-pairs", got == stored, stored, got)
 
 
-def palindromic_checks():
+# space -> key of palindromic.json
+PALINDROMIC = {"A": "A", "A+": "A_plus"}
+
+
+def palindromic_checks(only=None):
+    found = {space: [] for space in PALINDROMIC
+             if _selected(f"palindromic:{space}", only)}
+    if not found:
+        return
     stored = load_json("palindromic.json")
-    pal_a, pal_ap = [], []
     for p in primes_up_to(97):
-        if is_palindromic(hilbert_series(p, "A").gf):
-            pal_a.append(p)
-        if is_palindromic(hilbert_series(p, "A+").gf):
-            pal_ap.append(p)
-    yield Check("palindromic:A", pal_a == stored["A"], stored["A"], pal_a)
-    yield Check("palindromic:A+", pal_ap == stored["A_plus"],
-                stored["A_plus"], pal_ap)
+        for space, pal in found.items():
+            if is_palindromic(hilbert_series(p, space).gf):
+                pal.append(p)
+    for space, pal in found.items():
+        want = stored[PALINDROMIC[space]]
+        yield Check(f"palindromic:{space}", pal == want, want, pal)
 
 
 def iter_checks(only=None):
+    """Every check whose name contains `only` (all of them for None).  A
+    table row, a series record or a group none of whose check names
+    contains `only` is skipped before anything is computed for it."""
     groups = [table_checks, series_checks, weight3_checks, bias_checks,
               palindromic_checks]
     for group in groups:
-        for check in group():
-            if only is None or only in check.name:
-                yield check
+        yield from group(only=only)
 
 
 def run_checks(only=None):

@@ -90,6 +90,17 @@ class RationalGF:
         self.numerator = numerator
         self.denom_exponents = tuple(sorted(denom_exponents))
 
+    def __eq__(self, other):
+        """Equal as presentations: the same numerator over the same
+        factors (not as power series, which other presentations share)."""
+        if not isinstance(other, RationalGF):
+            return NotImplemented
+        return (self.numerator == other.numerator
+                and self.denom_exponents == other.denom_exponents)
+
+    def __hash__(self):
+        return hash((self.numerator, self.denom_exponents))
+
     def __repr__(self):
         return f"RationalGF({self.numerator.coeffs}, {list(self.denom_exponents)})"
 

@@ -24,28 +24,43 @@ from .exactmath import Poly, RationalGF, fit_numerator
 from .siegel1 import dim_cusp_sp4
 
 
+# Both records are typed: (4.0, 2) would otherwise hit the entry of (4, 2).
+@lru_cache(maxsize=None, typed=True)
+def _weight_terms(k, j):
+    """The weight record of dim_paramodular_signed at (k, j): the level-1
+    Siegel dimension, the level-1 elliptic dimension that multiplies each
+    Gritsenko lift, and what the minus space loses (0 unless j = 0)."""
+    drop = 0
+    if j == 0:
+        drop = dim_cusp_level1(2 * k - 2) + (1 if k == 3 else 0)
+    return dim_cusp_sp4(k, j), dim_cusp_level1(2 * k + j - 2), drop
+
+
+@lru_cache(maxsize=None, typed=True)
+def _lifted_newspace(p, j):
+    """The level record of dim_paramodular_signed at (p, j): the signed
+    weight-(j + 2) newspace of Gamma_0(p) whose lifts S^± subtracts."""
+    return dim_new_gamma0_signed(p, j + 2)
+
+
 def dim_paramodular_signed(p, k, j=0):
     """Signed dimensions (plus, minus) of weight det^k Sym(j) paramodular
     cusp forms of prime level p, for integers k >= 3, j >= 0 (BadYoung
-    otherwise).  Odd j gives the zero space."""
+    otherwise).  Odd j gives the zero space.
+
+    Only the compact side M^∓ depends on both p and (k, j); the other
+    terms are read from the per-weight record `_weight_terms(k, j)` and
+    the per-level record `_lifted_newspace(p, j)`."""
     if not (isinstance(k, int) and isinstance(j, int)) or k < 3 or j < 0:
         raise BadYoung(f"weight (k, j) = ({k!r}, {j!r}) needs integers k >= 3 and j >= 0")
     if j % 2:
         check_level(p)
         return 0, 0
-    sp = dim_cusp_sp4(k, j)
+    sp, lift, minus_drop = _weight_terms(k, j)
     m_plus, m_minus = dim_M_signed(p, j + k - 3, k - 3)
-    grit = dim_cusp_level1(2 * k + j - 2)
-    s_plus, s_minus = dim_new_gamma0_signed(p, j + 2)
-    dj0 = 1 if j == 0 else 0
-    plus = sp + m_minus - s_plus * grit
-    minus = (
-        sp
-        - dj0 * dim_cusp_level1(2 * k - 2)
-        - dj0 * (1 if k == 3 else 0)
-        + m_plus
-        - s_minus * grit
-    )
+    s_plus, s_minus = _lifted_newspace(p, j)
+    plus = sp + m_minus - s_plus * lift
+    minus = sp - minus_drop + m_plus - s_minus * lift
     if plus < 0 or minus < 0:
         raise NegativeDim(f"p={p}, (k,j)=({k},{j}): got ({plus},{minus})")
     return plus, minus

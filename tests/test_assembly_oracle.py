@@ -4,7 +4,9 @@ oracle for the integer assembly of `compact.level` and `elliptic`.
 
 They read the ingredients from `paradim.arith` and the characters from
 `chi_young` directly, so they share neither the coefficient records nor
-the cached character vectors with the code they check.
+the cached character vectors with the code they check.  The oracle for
+S^± adds its terms as `dim_paramodular_signed` did before it read them
+from its per-weight and per-level records.
 """
 from fractions import Fraction
 
@@ -12,16 +14,19 @@ import pytest
 
 from paradim.arith import a_p, bernoulli_b2_chi, class_number, primes_up_to, split_symbol
 from paradim.characters import _br, chi_young
-from paradim.compact import dim_M_total, trace_R
+from paradim.compact import dim_M_signed, dim_M_total, trace_R
 from paradim.elliptic import dim_cusp_level1, dim_new_gamma0, dim_new_gamma0_signed
 from paradim.errors import MissingJacobiData
 from paradim.paramodular import (
     LIFTS_ONLY_BELOW,
     SPACES,
+    _lifted_newspace,
     _space_sequence,
+    _weight_terms,
     dim_A_signed,
     dim_paramodular_signed,
 )
+from paradim.siegel1 import dim_cusp_sp4
 
 
 def dim_M_oracle(p, f1, f2):
@@ -154,6 +159,30 @@ def test_signed_newspace_matches_oracle():
             diff = new_gamma0_diff_oracle(p, k) if k >= 2 else 0
             expected = ((total + diff) / 2, (total - diff) / 2)
             assert dim_new_gamma0_signed(p, k) == expected, (p, k)
+
+
+def paramodular_signed_oracle(p, k, j):
+    """S^± for even j, every term read from its uncached public function."""
+    sp = dim_cusp_sp4(k, j)
+    m_plus, m_minus = dim_M_signed(p, j + k - 3, k - 3)
+    grit = dim_cusp_level1(2 * k + j - 2)
+    s_plus, s_minus = dim_new_gamma0_signed(p, j + 2)
+    dj0 = 1 if j == 0 else 0
+    plus = sp + m_minus - s_plus * grit
+    minus = (sp - dj0 * dim_cusp_level1(2 * k - 2) - dj0 * (1 if k == 3 else 0)
+             + m_plus - s_minus * grit)
+    return plus, minus
+
+
+def test_cached_assembly_matches_term_by_term_oracle():
+    grid = [(p, k, j) for p in primes_up_to(200) for k in range(3, 61) for j in (0, 2, 4)]
+    # each walk starts from empty records, so neither order can read an
+    # entry the other one left behind
+    for walk in (grid, grid[::-1]):
+        _weight_terms.cache_clear()
+        _lifted_newspace.cache_clear()
+        for p, k, j in walk:
+            assert dim_paramodular_signed(p, k, j) == paramodular_signed_oracle(p, k, j), (p, k, j)
 
 
 def space_sequence_oracle(p, space, nmax, j=0):

@@ -1,3 +1,10 @@
+from collections import Counter
+from hashlib import sha256
+
+import pytest
+
+from paradim import corpus
+from paradim.arith import primes_up_to
 from paradim.corpus import iter_checks, run_checks, series_checks, table_checks
 
 
@@ -21,3 +28,55 @@ def test_only_filter():
 def test_run_checks_green():
     total, failures = run_checks(only="table_k5")
     assert failures == [] and total > 0
+
+
+@pytest.fixture(scope="module")
+def every_check():
+    return list(iter_checks())
+
+
+def test_full_run_names_are_unchanged(every_check):
+    # the 902 names, in order, as they were when every check was computed
+    # and then filtered
+    names = "\n".join(c.name for c in every_check).encode()
+    assert len(every_check) == 902
+    assert sha256(names).hexdigest() == (
+        "88d103122ecc73c29fe9fb4774895a456747e65108580224fb900aad02c64bdc")
+
+
+@pytest.mark.parametrize("only, total", [
+    (None, 902), ("table_k4", 432), ("series:p=7", 16), ("weight3", 3), ("bias", 1),
+    ("palindromic", 2), ("A+", 27), ("nomatch", 0)])
+def test_only_keeps_the_checks_of_the_full_run(every_check, only, total):
+    # selecting before computing must give what filtering every check gave
+    want = [c for c in every_check if only is None or only in c.name]
+    assert len(want) == total
+    assert list(iter_checks(only)) == want
+    assert run_checks(only) == (total, [])
+
+
+# the functions through which the corpus computes anything
+COMPUTING = ("dim_M_signed", "dim_paramodular_signed", "dim_new_gamma0_signed",
+             "printed_series", "_space_sequence", "dim_weight3", "check_bias_region",
+             "hilbert_series")
+
+
+@pytest.mark.parametrize("only, calls", [
+    ("nomatch", {}),
+    ("table_k4.csv:p=7:", {"dim_M_signed": 1, "dim_paramodular_signed": 1}),
+    ("table_k7.csv:p=7:s2", {"dim_M_signed": 1, "dim_paramodular_signed": 1,
+                             "dim_new_gamma0_signed": 1}),
+    ("series:p=7:A:j=0:fit", {"printed_series": 1, "_space_sequence": 1}),
+    ("weight3:dim2", {"dim_weight3": len(primes_up_to(450))}),
+    ("bias", {"check_bias_region": 1}),
+    ("palindromic:A+", {"hilbert_series": len(primes_up_to(97))}),
+])
+def test_only_computes_nothing_it_does_not_select(monkeypatch, only, calls):
+    seen = Counter()
+    for name in COMPUTING:
+        def counted(*args, _name=name, _fn=getattr(corpus, name), **kwargs):
+            seen[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(corpus, name, counted)
+    assert all(c.ok for c in iter_checks(only))
+    assert dict(seen) == calls

@@ -60,6 +60,16 @@ class TestRationalGF:
         seq = series_coeffs(RationalGF(num, den), n)
         assert fit_numerator(seq, den, deg) == Poly(num)
 
+    def test_equality_compares_the_presentation(self):
+        gf = RationalGF([1, 0, 1], [6, 4])
+        assert gf == RationalGF(Poly([1, 0, 1, 0]), (4, 6))
+        assert hash(gf) == hash(RationalGF([1, 0, 1], [4, 6]))
+        assert gf != RationalGF([1, 0, 2], [4, 6])
+        assert gf != RationalGF([1, 0, 1], [4, 6, 6])
+        # the same power series over other factors is another presentation
+        assert RationalGF([1], [1]) != RationalGF([1, 1], [2])
+        assert gf != Poly([1, 0, 1])
+
     def test_palindromic(self):
         assert is_palindromic(RationalGF([1, 2, 1], [2, 2]))
         assert not is_palindromic(RationalGF([1, 2], [2, 2]))

@@ -10,6 +10,10 @@ function or class of src/paradim must be named, outside its own
 definition, somewhere in src/paradim or tests: one that is not is a
 leftover copy of something done elsewhere.
 
+An `lru_cache` on a function of two or more parameters must be
+`typed=True`: an untyped key (7, 4.0) equals (7, 4), so a warm entry
+would answer a float that the function itself refuses.
+
 Every command runs in a fresh process, so import time is paid on every
 call: `import paradim, paradim.cli` must not load dataclasses or inspect
 (with ast, dis and tokenize, inspect was about 40 % of the import).
@@ -97,6 +101,45 @@ def test_no_unnamed_private_defs():
     sources = {path.relative_to(ROOT).as_posix(): path.read_text() for path in _modules()}
     checked = {label for label in sources if label.startswith("src/")}
     assert unnamed_private_defs(sources, checked) == []
+
+
+def untyped_multi_arg_caches(source):
+    """(line, name) of each function of `source` with two or more
+    parameters under an `lru_cache` that is not `typed=True`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        n_params = (len(args.posonlyargs) + len(args.args) + len(args.kwonlyargs)
+                    + (args.vararg is not None) + (args.kwarg is not None))
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            target = call.func if call else dec
+            name = getattr(target, "attr", getattr(target, "id", None))
+            if name != "lru_cache" or n_params < 2:
+                continue
+            typed = any(kw.arg == "typed" and isinstance(kw.value, ast.Constant)
+                        and kw.value.value is True for kw in (call.keywords if call else ()))
+            if not typed:
+                found.append((node.lineno, node.name))
+    return found
+
+
+def test_typed_cache_detector():
+    source = ("@lru_cache(maxsize=None)\ndef one(p):\n    pass\n\n"
+              "@lru_cache(maxsize=None)\ndef two(p, k):\n    pass\n\n"
+              "@functools.lru_cache\ndef bare(p, *k):\n    pass\n\n"
+              "@lru_cache(typed=False)\ndef off(p, k):\n    pass\n\n"
+              "@lru_cache(maxsize=None, typed=True)\ndef ok(p, k):\n    pass\n")
+    assert untyped_multi_arg_caches(source) == [(6, "two"), (10, "bare"), (14, "off")]
+
+
+def test_multi_arg_caches_are_typed():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in sorted((ROOT / "src" / "paradim").rglob("*.py"))
+             for line, name in untyped_multi_arg_caches(path.read_text())]
+    assert found == []
 
 
 def test_import_loads_no_dataclasses_or_inspect():

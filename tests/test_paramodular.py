@@ -23,6 +23,8 @@ from paradim.errors import (
 )
 from paradim.exactmath import is_palindromic, series_coeffs
 from paradim.paramodular import (
+    _lifted_newspace,
+    _weight_terms,
     bias,
     check_bias_region,
     dim_A_signed,
@@ -103,6 +105,22 @@ def test_non_prime_level_is_refused(p, k):
     for weight in (0, 1, 2, k):
         with pytest.raises(NotPrimeLevel):
             dim_A_signed(p, weight)
+
+
+def test_warm_records_still_refuse_non_int_input():
+    # an untyped record keyed (7, 4.0) would hit the entry of (7, 4)
+    dim_paramodular_signed(7, 4, 2)
+    for args in ((7, 4.0, 2), (7, 4, 2.0)):
+        with pytest.raises(BadYoung):
+            dim_paramodular_signed(*args)
+    with pytest.raises(NotPrimeLevel):
+        dim_paramodular_signed(7.0, 4, 2)
+    with pytest.raises(BadYoung):
+        _weight_terms(4.0, 2)
+    with pytest.raises(BadYoung):
+        _weight_terms(4, 2.0)
+    with pytest.raises(NotPrimeLevel):
+        _lifted_newspace(7.0, 2)
 
 
 def test_table_spot_checks():
@@ -240,6 +258,15 @@ def test_hilbert_series_matches_printed():
         printed = printed_series(p, space)
         assert hs.gf.numerator == printed.numerator
         assert hs.gf.denom_exponents == printed.denom_exponents
+
+
+def test_hilbert_series_equality():
+    # RationalGF compared by identity, so two fits of one series differed
+    assert hilbert_series(7, "A") == hilbert_series(7, "A")
+    assert hilbert_series(7, "A") != hilbert_series(7, "A+")
+    for rec in load_json("hilbert_series.json"):
+        p, space, j = rec["p"], rec["space"], rec.get("j", 0)
+        assert printed_series(p, space, j) == hilbert_series(p, space, j).gf, (p, space, j)
 
 
 def test_hilbert_series_fields():
