@@ -13,10 +13,11 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .arith import bernoulli_b2_chi, check_level, class_number, split_symbol
+from .arith import bernoulli_b2_chi, check_level, class_number
 from .characters import _check_young, chi_young
 from .errors import TypeNumberBound
 from .exactmath import exact_quotient, plus_minus
+from .kernels import kronecker
 
 # The characters entering each formula, in the order of the coefficients.
 M_INDEX = (1, 2, 3, 4, 6, 7, 9, 10, 11, 12)
@@ -52,6 +53,13 @@ class Level(NamedTuple):
     tr: tuple
 
 
+def _split_symbols(p):
+    """split_symbol(d, p) for d = -1, -3, 2, 3, and split_symbol(p, 5), as
+    Kronecker symbols of fixed discriminants, with nothing factored."""
+    # -4, -3, 8, 12: Q(i), Q(sqrt(-3)), Q(sqrt(2)), Q(sqrt(3)); Q(sqrt(p)) has p or 4p, (4/5) = 1
+    return kronecker(-4, p), kronecker(-3, p), kronecker(8, p), kronecker(12, p), kronecker(p, 5)
+
+
 @lru_cache(maxsize=None)
 def level(p):
     """The coefficient record of the prime level p; NotPrimeLevel for any
@@ -59,11 +67,7 @@ def level(p):
     check_level(p)
     d2 = 1 if p == 2 else 0
     d3 = 1 if p == 3 else 0
-    s_m1 = split_symbol(-1, p)
-    s_m3 = split_symbol(-3, p)
-    s_2 = split_symbol(2, p)
-    s_3 = split_symbol(3, p)
-    s_p5 = split_symbol(p, 5)
+    s_m1, s_m3, s_2, s_3, s_p5 = _split_symbols(p)
     # 2880 times the coefficients (p^2 - 1)/2880, [p=2]/192, [p=2]/16,
     # [p=3]/9, (p - s_m1)/24 + (p s_m1 - 1)/96, (p - s_m3)/24 + (p s_m3 - 1)/72,
     # [p=2]/6, (1 - s_p5)/5, (1 - s_2)/8, (1 - s_3 + s_m1 - s_m3)/24

@@ -5,11 +5,19 @@ the generalized Bernoulli number B_{2,chi}.
 h(D) counts reduced forms.  The forms with 4a^2 < |D| are counted all at
 once through a multiplicative function of a, from (D/q) at the primes
 q <= sqrt(|D|)/2; the few forms with larger a are counted one by one; a
-non-fundamental D goes through its fundamental discriminant.
+non-fundamental D goes through its fundamental discriminant.  (D/q) is
+read from the residue row of q, (r/q) for every r mod q at an odd q and
+(r/2) for every r mod 8, built once from the squares mod q.
 
-Every prime used comes from one table grown on demand: _spf, the least
-prime factor of each n below a power of two, with _primes, the primes
-below its end, which ``arith.primes_up_to`` slices.
+The B_{2,chi} sum adds values of sigma_1, read from a table built by the
+recursion sigma(n) = (q+1) sigma(n/q) - q sigma(n/q^2) [q^2 | n] at the
+smallest prime factor q of n.
+
+All of these come from one set of tables grown on demand: _spf, the
+least prime factor of each n below a power of two, with _primes, the
+primes below its end, which ``arith.primes_up_to`` slices; _rows, the
+residue rows of the first primes of _primes; and _sigma, sigma_1 of
+each n below a power of two no larger than the length of _spf.
 
 The naive versions in ``paradim._kernels_py`` are kept as test oracles.
 """
@@ -123,17 +131,22 @@ def _reduced_forms(D):
     a <= amax at most once, as a = q m with m < q, so it adds
     (D/q) * sum_{m <= amax/q} rho(m).  The few a with
     |D| <= 4a^2 <= 4|D|/3 are counted directly, b from sqrt(4a^2 - |D|),
-    except where the small primes of a already make rho(a) = 0.
+    except where the small primes of a already make rho(a) = 0.  Each
+    (D/q) is read from the residue row of q at D modulo the row's length,
+    q or, at q = 2, 8.
     """
     n = -D
     amax = isqrt((n - 1) // 4)  # the a with 4 a^2 < |D|
     top = isqrt(n // 3)
     root = isqrt(amax)
     primes = _primes_to(amax)
+    small = bisect_right(primes, root)
+    big = bisect_right(primes, amax)
+    rows = _rows_to(big)
     rho = [1] * (top + 1)
     rho[0] = 0
-    for q in primes[:bisect_right(primes, root)]:
-        chi = kronecker(D, q)
+    for q, row in zip(primes[:small], rows):
+        chi = row[D % len(row)]
         if chi == 1:
             rho[q::q] = [2 * r for r in rho[q::q]]
         elif chi == -1:
@@ -142,8 +155,8 @@ def _reduced_forms(D):
             rho[q * q::q * q] = [0] * len(range(q * q, top + 1, q * q))
     h = sum(rho[:amax + 1])
     below = list(accumulate(rho[:root + 1]))
-    for q in primes[bisect_right(primes, root):bisect_right(primes, amax)]:
-        h += kronecker(D, q) * below[amax // q]
+    for q, row in zip(primes[small:big], rows[small:big]):
+        h += row[D % len(row)] * below[amax // q]
     for a in range(amax + 1, top + 1):
         if not rho[a]:
             continue
@@ -162,8 +175,13 @@ def _reduced_forms(D):
 
 # _spf[n] is the smallest prime factor of n (for n >= 2), and _primes
 # lists every prime below len(_spf); _grow extends both together.
+# _rows[i] is the residue row of _primes[i], for the first len(_rows)
+# primes, and _sigma[n] is sigma_1(n) for n < len(_sigma) <= len(_spf),
+# both lengths powers of two.
 _spf = array("i", [0, 1])
 _primes = []
+_rows = []
+_sigma = array("q", [0, 1])
 
 
 def _grow(n):
@@ -190,21 +208,41 @@ def _primes_to(m):
     return _primes
 
 
-def _sigma1(n):
-    """Sum of the divisors of n >= 1, from its factorisation by _spf."""
-    if n >= len(_spf):
-        _grow(n)
-    spf = _spf
-    total = 1
-    while n > 1:
-        q = spf[n]
-        term = power = 1
-        while n % q == 0:
-            n //= q
-            power *= q
-            term += power
-        total *= term
-    return total
+def _rows_to(k):
+    """The list of residue rows, made to reach the first k primes of
+    _primes (which the caller has made that long).  The row of an odd q
+    holds (r/q) for r in range(q): 1 at the nonzero squares, 0 at 0 and
+    -1 elsewhere; that of q = 2 holds (r/2) for r in range(8)."""
+    for q in _primes[len(_rows):k]:
+        if q == 2:
+            row = array("b", [0, 1, 0, -1, 0, -1, 0, 1])
+        else:
+            row = array("b", [-1]) * q
+            row[0] = 0
+            for x in range(1, q // 2 + 1):
+                row[x * x % q] = 1
+        _rows.append(row)
+    return _rows
+
+
+def _sigma1_to(n):
+    """The table of sigma_1, made to reach n: at least doubled, to a power
+    of two no longer than _spf, which is grown first if too short.
+
+    sigma_1(q^e m) = sigma_1(q^e) sigma_1(m) for q not dividing m, and
+    sigma_1(q^e) = (q + 1) sigma_1(q^(e-1)) - q sigma_1(q^(e-2)) for e >= 2,
+    so with q = spf(n), sigma(n) = (q+1) sigma(n/q) - q sigma(n/q^2) [q^2 | n].
+    """
+    if n >= len(_sigma):
+        if n >= len(_spf):
+            _grow(n)
+        spf, sigma = _spf, _sigma
+        for m in range(len(sigma), min(max(1 << n.bit_length(), 2 * len(sigma)), len(spf))):
+            q = spf[m]
+            k = m // q
+            sigma.append((q + 1) * sigma[k] - q * sigma[k // q] if k % q == 0
+                         else (q + 1) * sigma[k])
+    return _sigma
 
 
 def _is_fundamental(D):
@@ -226,10 +264,10 @@ def b2_character_sum(D0):
     zeta_K(-1) = (1/60) S with S = sum sigma_1((D0 - s^2)/4) over all
     integers s = D0 (mod 2) with s^2 < D0, so the sum is (2/5) D0 S.
     """
-    if not _is_fundamental(D0):
-        raise BadDiscriminant(f"{D0} is not a positive fundamental discriminant")
-    S = 0
-    for s in range(D0 % 2, isqrt(D0 - 1) + 1, 2):
-        term = _sigma1((D0 - s * s) // 4)
-        S += term if s == 0 else 2 * term
+    if not isinstance(D0, int) or not _is_fundamental(D0):
+        raise BadDiscriminant(f"{D0!r} is not a positive fundamental discriminant")
+    sigma = _sigma1_to(D0 // 4)
+    S = 2 * sum(sigma[(D0 - s * s) // 4] for s in range(D0 % 2, isqrt(D0 - 1) + 1, 2))
+    if D0 % 2 == 0:  # the term of s = 0 is counted once
+        S -= sigma[D0 // 4]
     return exact_quotient(2 * D0 * S, 5, "2 * {} * {} / 5", D0, S)

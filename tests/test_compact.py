@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paradim import compact
-from paradim.arith import primes_up_to
+from paradim.arith import primes_up_to, split_symbol
 from paradim.compact import (
     Level,
     class_and_type,
@@ -75,6 +75,14 @@ def test_level_record_is_integer_data():
     lev = level(5)
     assert all(type(c) is int for c in (*lev.m, lev.tr_den, *lev.tr))
     assert level(5) is lev
+
+
+def test_split_symbols_match_split_symbol():
+    # every prime below 10 000, 2, 3 and 5 included
+    for p in primes_up_to(9999):
+        assert compact._split_symbols(p) == (
+            split_symbol(-1, p), split_symbol(-3, p), split_symbol(2, p),
+            split_symbol(3, p), split_symbol(p, 5)), p
 
 
 def test_inexact_assembly_raises(monkeypatch):

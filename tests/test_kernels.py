@@ -66,7 +66,8 @@ def test_b2_character_sum_matches_pure():
 
 
 # ids D0-f, f = D0 being the conductor the sum runs to
-@pytest.mark.parametrize("D0", [9, 20, 16, 1, 0, -3], ids=lambda D0: f"{D0}-{D0}")
+@pytest.mark.parametrize("D0", [9, 20, 16, 1, 0, -3, "5", None, 12.0],
+                         ids=lambda D0: f"{D0}-{D0}")
 def test_b2_character_sum_rejects_bad_input(D0):
     with pytest.raises(BadDiscriminant):
         kernels.b2_character_sum(D0)
@@ -78,14 +79,17 @@ def _naive_primes(n):
 
 @pytest.fixture
 def fresh_table(monkeypatch):
-    """The prime table as at import, restored after the test."""
+    """The prime, residue-row and sigma_1 tables as at import, restored
+    after the test."""
     monkeypatch.setattr(kernels, "_spf", array("i", [0, 1]))
     monkeypatch.setattr(kernels, "_primes", [])
+    monkeypatch.setattr(kernels, "_rows", [])
+    monkeypatch.setattr(kernels, "_sigma", array("q", [0, 1]))
 
 
 def test_prime_table_grows_in_one_jump(fresh_table):
     # the primes that sieve the new table reach past the end of the old one
-    assert kernels._sigma1(5000) == sum(d for d in range(1, 5001) if 5000 % d == 0)
+    assert kernels._sigma1_to(5000)[5000] == sum(d for d in range(1, 5001) if 5000 % d == 0)
     size = len(kernels._spf)
     assert size == 8192
     for n in range(2, size):
@@ -98,14 +102,60 @@ def test_prime_table_grows_in_one_jump(fresh_table):
     assert kernels._primes == _naive_primes(size - 1)
 
 
-@pytest.mark.parametrize("first", ["_sigma1", "_primes_to"])
+@pytest.mark.parametrize("first", ["_sigma1_to", "_primes_to"])
 def test_prime_table_size_is_independent_of_call_order(fresh_table, first):
-    calls = {"_sigma1": lambda: kernels._sigma1(3000),
+    calls = {"_sigma1_to": lambda: kernels._sigma1_to(3000),
              "_primes_to": lambda: kernels._primes_to(300)}
     calls[first]()
-    calls["_primes_to" if first == "_sigma1" else "_sigma1"]()
+    calls["_primes_to" if first == "_sigma1_to" else "_sigma1_to"]()
     assert len(kernels._spf) == 4096
     assert kernels._primes == _naive_primes(4095)
+
+
+def test_residue_rows_match_kronecker(fresh_table):
+    primes = primes_up_to(999)
+    rows = kernels._rows_to(len(primes))
+    assert len(rows) == len(primes)
+    for q, row in zip(primes, rows):
+        if q == 2:
+            # indexed by r mod 8; even r included
+            assert len(row) == 8
+            for r in range(-16, 17):
+                assert row[r % 8] == kernels.kronecker(r, 2), r
+        else:
+            assert len(row) == q
+            for r in range(q):
+                assert row[r] == kernels.kronecker(r, q), (r, q)
+
+
+def test_residue_rows_grow_in_order(fresh_table):
+    # a longer request extends the rows already built and keeps them
+    primes = kernels._primes_to(100)
+    first = kernels._rows_to(5)[:]
+    rows = kernels._rows_to(20)
+    assert rows[:5] == first
+    assert [len(row) for row in rows] == [8, *primes[1:20]]
+
+
+def test_sigma1_table_matches_divisor_sum(fresh_table):
+    n = 5000
+    naive = [0] * (n + 1)
+    for d in range(1, n + 1):
+        for m in range(d, n + 1, d):
+            naive[m] += d
+    sigma = kernels._sigma1_to(n)
+    assert list(sigma[1:n + 1]) == naive[1:]
+
+
+def test_sigma1_table_grows_to_a_power_of_two(fresh_table):
+    kernels._primes_to(5000)
+    assert len(kernels._spf) == 8192
+    # no longer than needed: to n's power of two, or double the old length
+    assert len(kernels._sigma1_to(100)) == 128
+    assert len(kernels._sigma1_to(130)) == 256
+    assert len(kernels._sigma1_to(255)) == 256
+    # never past the prime table, which grows first
+    assert len(kernels._sigma1_to(9000)) == len(kernels._spf) == 16384
 
 
 @pytest.mark.parametrize("D", [0, 5, -1, -2, -7.0, -3.0, "-7"])
