@@ -26,6 +26,12 @@ def split_symbol(d, p):
     return kronecker(fundamental_discriminant(d), p)
 
 
+def _split_symbols(p):
+    """split_symbol(d, p) for d = -1, -3, 2, 3 and split_symbol(p, 5), read by compact.level
+    and elliptic._gamma0, as Kronecker symbols of -4, -3, 8, 12 and p: (4p/5) = (p/5)."""
+    return kronecker(-4, p), kronecker(-3, p), kronecker(8, p), kronecker(12, p), kronecker(p, 5)
+
+
 @lru_cache(maxsize=None)
 def class_number(d):
     """h(sqrt(-d)): class number of the imaginary quadratic field Q(sqrt(-d))."""

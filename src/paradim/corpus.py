@@ -91,15 +91,18 @@ def series_checks(nmax=80, only=None):
 # (check name, dimension of the plus space, key of weight3.json)
 WEIGHT3 = (("weight3:zero", 0, "zero"), ("weight3:dim1", 1, "dim_plus_1"),
            ("weight3:dim2", 2, "dim_plus_2"))
+# the coverage of weight3.json (p <= 450) and bias_zero_pairs.csv (p <= 300, k <= 100)
+WEIGHT3_PMAX = 450
+BIAS_PMAX, BIAS_KMAX = 300, 100
 
 
-def weight3_checks(pmax=450, only=None):
+def weight3_checks(only=None):
     wanted = [entry for entry in WEIGHT3 if _selected(entry[0], only)]
     if not wanted:
         return
     stored = load_json("weight3.json")
     computed = {0: [], 1: [], 2: []}
-    for p in primes_up_to(pmax):
+    for p in primes_up_to(WEIGHT3_PMAX):
         plus = dim_weight3(p)[0]
         if plus in computed:
             computed[plus].append(p)
@@ -107,11 +110,11 @@ def weight3_checks(pmax=450, only=None):
         yield Check(name, computed[plus] == stored[key], stored[key], computed[plus])
 
 
-def bias_checks(pmax=300, kmax=100, only=None):
+def bias_checks(only=None):
     if not _selected("bias:zero-pairs", only):
         return
     stored = [(int(r["p"]), int(r["k"])) for r in load_csv("bias_zero_pairs.csv")]
-    got = check_bias_region(pmax, kmax)
+    got = check_bias_region(BIAS_PMAX, BIAS_KMAX)
     yield Check("bias:zero-pairs", got == stored, stored, got)
 
 

@@ -2,7 +2,7 @@
 level Gamma_0(p) split by Atkin-Lehner sign."""
 from functools import lru_cache
 
-from .arith import a_p, check_level, class_number, split_symbol
+from .arith import _split_symbols, a_p, check_level, class_number
 from .characters import _br
 from .errors import BadYoung, OddWeight
 from .exactmath import exact_quotient, plus_minus
@@ -42,7 +42,8 @@ def _gamma0(p):
     if row is None:
         c = a_p(p) * class_number(p) // 2
         row = (c, -c)
-    return p - 1, 3 * (1 - split_symbol(-1, p)), 4 * (1 - split_symbol(-3, p)), row
+    s_m1, s_m3 = _split_symbols(p)[:2]
+    return p - 1, 3 * (1 - s_m1), 4 * (1 - s_m3), row
 
 
 def dim_new_gamma0(p, k):

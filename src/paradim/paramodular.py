@@ -56,8 +56,9 @@ def dim_paramodular_signed(p, k, j=0):
     if j % 2:
         check_level(p)
         return 0, 0
-    sp, lift, minus_drop = _weight_terms(k, j)
+    # the level first: a non-prime p raises NotPrimeLevel at every j
     m_plus, m_minus = dim_M_signed(p, j + k - 3, k - 3)
+    sp, lift, minus_drop = _weight_terms(k, j)
     s_plus, s_minus = _lifted_newspace(p, j)
     plus = sp + m_minus - s_plus * lift
     minus = sp - minus_drop + m_plus - s_minus * lift

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from paradim.arith import (
+    _split_symbols,
     a_p,
     bernoulli_b2_chi,
     check_level,
@@ -55,6 +56,14 @@ def test_split_symbol():
     assert split_symbol(-1, 2) == 0
     assert split_symbol(2, 7) == 1
     assert split_symbol(2, 5) == -1
+
+
+def test_split_symbols_match_split_symbol():
+    # every prime below 10 000, 2, 3 and 5 included
+    for p in primes_up_to(9999):
+        assert _split_symbols(p) == (
+            split_symbol(-1, p), split_symbol(-3, p), split_symbol(2, p),
+            split_symbol(3, p), split_symbol(p, 5)), p
 
 
 def test_class_number_known_values():

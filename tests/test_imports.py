@@ -1,6 +1,6 @@
 """Every name a module imports is used in that module, every private
-function or class is used somewhere, and importing the package loads no
-module that no command needs.
+function or class and every module-level constant is used somewhere, and
+importing the package loads no module that no command needs.
 
 Each module under src/paradim and tests is parsed; a name bound by an
 import statement must appear somewhere in the module as a name.
@@ -8,7 +8,9 @@ import statement must appear somewhere in the module as a name.
 are `__future__` imports.  A private (single-underscore) module-level
 function or class of src/paradim must be named, outside its own
 definition, somewhere in src/paradim or tests: one that is not is a
-leftover copy of something done elsewhere.
+leftover copy of something done elsewhere.  So must every module-level
+constant assigned in src/paradim, outside its own assignment: one that
+is not is a leftover of a design that is gone.
 
 An `lru_cache` on a function of two or more parameters must be
 `typed=True`: an untyped key (7, 4.0) equals (7, 4), so a warm entry
@@ -73,20 +75,44 @@ def _named(node):
             yield sub.name.rsplit(".", 1)[-1]
 
 
-def unnamed_private_defs(sources, checked):
-    """(label, line, name) of each private module-level function or class
-    of the sources labelled in `checked` that no top-level statement of any
-    source names, its own definition apart.  `sources` maps labels to
-    source text."""
+def _bound(stmt):
+    """The names a top-level statement defines: a function or a class, or
+    the names an assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        return {n.id for t in stmt.targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return {stmt.target.id}
+    return set()
+
+
+def _unnamed(sources, checked, wanted):
+    """(label, line, name) of each module-level name, of the sources
+    labelled in `checked`, bound by a statement for which `wanted(stmt,
+    name)` holds, that no top-level statement of any source names, its
+    own apart.  `sources` maps labels to source text."""
     defs, named = [], set()
     for label, source in sources.items():
         for stmt in ast.parse(source).body:
-            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
-            named.update(n for n in _named(stmt) if n != own)
-            if (label in checked and own and own.startswith("_")
-                    and not own.startswith("__")):
-                defs.append((label, stmt.lineno, own))
+            own = _bound(stmt)
+            named.update(n for n in _named(stmt) if n not in own)
+            if label in checked:
+                defs.extend((label, stmt.lineno, name) for name in sorted(own)
+                            if not name.startswith("__") and wanted(stmt, name))
     return [d for d in defs if d[2] not in named]
+
+
+def unnamed_private_defs(sources, checked):
+    """The private module-level functions and classes that nothing names."""
+    return _unnamed(sources, checked, lambda stmt, name: (
+        name.startswith("_") and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))))
+
+
+def unnamed_constants(sources, checked):
+    """The module-level assigned names that nothing names."""
+    return _unnamed(sources, checked,
+                    lambda stmt, name: isinstance(stmt, (ast.Assign, ast.AnnAssign)))
 
 
 def test_private_detector():
@@ -101,6 +127,20 @@ def test_no_unnamed_private_defs():
     sources = {path.relative_to(ROOT).as_posix(): path.read_text() for path in _modules()}
     checked = {label for label in sources if label.startswith("src/")}
     assert unnamed_private_defs(sources, checked) == []
+
+
+def test_constant_detector():
+    lib = ("A = 1\nB, _C = 2, 3\nD: int = 4\nE = E_F = 5\n__all__ = []\n"
+           "\n\ndef f():\n    return A + _C\n")
+    test = "from lib import E_F\n"
+    assert unnamed_constants({"lib": lib, "test": test}, {"lib"}) == [
+        ("lib", 2, "B"), ("lib", 3, "D"), ("lib", 4, "E")]
+
+
+def test_no_unnamed_constants():
+    sources = {path.relative_to(ROOT).as_posix(): path.read_text() for path in _modules()}
+    checked = {label for label in sources if label.startswith("src/")}
+    assert unnamed_constants(sources, checked) == []
 
 
 def untyped_multi_arg_caches(source):

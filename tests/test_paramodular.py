@@ -100,8 +100,10 @@ def test_non_prime_level_is_refused(p, k):
     # bare TypeError
     with pytest.raises(NotPrimeLevel):
         dim_paramodular_signed(p, k)
-    with pytest.raises(NotPrimeLevel):
-        dim_paramodular_signed(p, k, 1)
+    # the level is checked before the weight: j = 6 used to raise UnsupportedJ
+    for j in (1, 2, 4, 6):
+        with pytest.raises(NotPrimeLevel):
+            dim_paramodular_signed(p, k, j)
     for weight in (0, 1, 2, k):
         with pytest.raises(NotPrimeLevel):
             dim_A_signed(p, weight)
@@ -149,6 +151,13 @@ def test_weight3_search():
     assert 241 in zeros and 251 not in zeros
     assert all(p <= 163 or p in (179, 181, 191, 193, 199, 211, 229, 241)
                for p in zeros)
+
+
+def test_weight3_routes_agree():
+    # search zero3 reads (H - T, T - 1) from class_and_type; bias reads the
+    # general assembly with its [k = 3] term
+    for p in primes_up_to(3499):
+        assert dim_weight3(p) == dim_paramodular_signed(p, 3), p
 
 
 def test_weight3_search_bound_must_be_integer():
