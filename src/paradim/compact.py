@@ -1,16 +1,16 @@
 """Quaternionic algebraic modular forms on the non-principal genus:
-signed dimensions, total dimension, Atkin-Lehner trace, and the class
+total dimension, Atkin-Lehner trace, signed dimensions, and the class
 and type numbers H, T.
 
 dim M and tr R are fixed linear combinations of the characters
 chi_i(f1, f2), i in CHI_INDEX, with coefficients that depend on the level
 p alone; `level(p)` holds both as integer vectors over one denominator.
-`dim_M_signed` divides their dot products with the cached character
-vector exactly and splits them into (plus, minus); dim_M_total and
-trace_R are the sum and the difference of that pair.
+dim_M_total and trace_R each divide a dot product with the cached
+character vector exactly, and dim_M_signed splits the two into
+(plus, minus).
 """
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -42,8 +42,8 @@ TRACE_ROWS = {
 
 class Level(NamedTuple):
     """One prime level: dim M = (m . chi) / den and tr R = (tr . chi) / den,
-    chi the characters of CHI_INDEX.  (Not a dataclass: importing
-    dataclasses loads inspect, about 40 % of the package's import.)"""
+    chi the characters of CHI_INDEX; m and tr cover its first 10 and at most
+    15.  (Not a dataclass: importing it loads inspect, 40 % of the import.)"""
 
     den: int
     m: tuple
@@ -82,17 +82,17 @@ def level(p):
         x.update(b2=(b2.numerator, b2.denominator), h_p=(class_number(p), 1),
                  h_2p=(class_number(2 * p), 1), h_3p=(class_number(3 * p), 1),
                  d5=(1 if p == 5 else 0, 1))
-    # each chi_i occurs once in a row; its coefficient num/d in lowest terms
-    # takes the place of chi_i in CHI_INDEX, and den is the lcm of 2880 and every d
-    coeff, den = dict.fromkeys(CHI_INDEX, (0, 1)), 2880
+    # den is the lcm of 2880 and every term's denominator.  Each chi_i occurs
+    # once in a row; tr ends at its last nonzero entry, where the dot product
+    # with the character vector may stop.
+    den = lcm(2880, *[d * x[name][1] for _, name, _, _, d in row])
+    tr = [0] * len(CHI_INDEX)
     for i, name, a, b, d in row:
-        num, d = x[name][0] * (a + b * s_2), d * x[name][1]
-        g = gcd(num, d)
-        coeff[i] = (num // g, d // g)
-        den = lcm(den, d // g)
-    tr = tuple([num * (den // d) for num, d in coeff.values()])
-    m = tuple([c * (den // 2880) for c in m]) + (0,) * (len(CHI_INDEX) - len(m))
-    return Level(den, m, tr)
+        tr[CHI_INDEX.index(i)] = x[name][0] * (a + b * s_2) * den // (d * x[name][1])
+    while tr and not tr[-1]:
+        tr.pop()
+    m = tuple([c * (den // 2880) for c in m])
+    return Level(den, m, tuple(tr))
 
 
 # typed, so that (2.0, 2.0) misses the entry of (2, 2) and is refused
@@ -103,27 +103,27 @@ def _chi_vector(f1, f2):
     return tuple(chi_young(i, f1, f2) for i in CHI_INDEX)
 
 
-def dim_M_signed(p, f1, f2):
-    """Signed (Atkin-Lehner eigenspace) dimensions (plus, minus) of the
-    algebraic modular forms of Young parameters (f1, f2) at prime level p
-    (non-principal genus): half the sum and half the difference of the
-    total dimension and the Atkin-Lehner trace."""
-    den, m, tr = level(p)
-    chi = _chi_vector(f1, f2)
-    total = exact_quotient(sum(map(mul, m, chi)), den, "dim M({},{},{})", p, f1, f2)
-    trace = exact_quotient(sum(map(mul, tr, chi)), den, "trace R({},{},{})", p, f1, f2)
-    return plus_minus(total, trace, "M({},{},{})", p, f1, f2)
-
-
 def dim_M_total(p, f1, f2):
-    """Total dimension of the same space: plus + minus of dim_M_signed."""
-    return sum(dim_M_signed(p, f1, f2))
+    """Total dimension of the space of algebraic modular forms with Young
+    parameters (f1, f2) at prime level p (both genera conventions fixed
+    to the non-principal one)."""
+    lev = level(p)
+    num = sum(map(mul, lev.m, _chi_vector(f1, f2)))
+    return exact_quotient(num, lev.den, "dim M({},{},{})", p, f1, f2)
 
 
 def trace_R(p, f1, f2):
-    """Atkin-Lehner trace on the same space: plus - minus of dim_M_signed."""
-    plus, minus = dim_M_signed(p, f1, f2)
-    return plus - minus
+    """Trace of the Atkin-Lehner operator on the same space."""
+    lev = level(p)
+    num = sum(map(mul, lev.tr, _chi_vector(f1, f2)))
+    return exact_quotient(num, lev.den, "trace R({},{},{})", p, f1, f2)
+
+
+def dim_M_signed(p, f1, f2):
+    """Signed (Atkin-Lehner eigenspace) dimensions (plus, minus): half the
+    sum and half the difference of dim_M_total and trace_R."""
+    return plus_minus(dim_M_total(p, f1, f2), trace_R(p, f1, f2),
+                      "M({},{},{})", p, f1, f2)
 
 
 def class_and_type(p):
