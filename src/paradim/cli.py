@@ -13,7 +13,7 @@ from .arith import primes_up_to
 from .compact import dim_M_signed
 from .errors import ParadimError
 from .corpus import _row_values, run_checks
-from .exactmath import Poly, is_palindromic, palindromic_ell, series_coeffs
+from .exactmath import is_palindromic, palindromic_ell, series_coeffs
 from .paramodular import (
     SPACES,
     check_bias_region,
@@ -77,22 +77,17 @@ def cmd_table(args):
     _emit(rows, header, args.format)
 
 
-def _plain(value):
-    """A check's expected or got value, with a Poly as its coefficients."""
-    return value.coeffs if isinstance(value, Poly) else value
-
-
 def cmd_verify(args):
     total, failures = run_checks(args.only)
     if args.format == "json":
         print(json.dumps({
             "checks": total,
             "failed": len(failures),
-            "failures": [{"name": f.name, "expected": _plain(f.expected),
-                          "got": _plain(f.got)} for f in failures],
+            "failures": [{"name": f.name, "expected": f.expected, "got": f.got}
+                         for f in failures],
         }))
     elif args.format == "csv":
-        rows = [[f.name, _plain(f.expected), _plain(f.got)] for f in failures]
+        rows = [[f.name, f.expected, f.got] for f in failures]
         rows.append(["summary", f"{total} checks", f"{len(failures)} failed"])
         _emit(rows, ["name", "expected", "got"], "csv")
     else:
@@ -111,8 +106,8 @@ def cmd_hilbert(args):
             head = "" if abs(c) == 1 else str(abs(c))
             return ("-" if c < 0 else "") + f"{head}t^{d}"
         num = " + ".join(
-            term(d, c) for d, c in enumerate(hs.gf.numerator.coeffs) if c
-        ).replace("+ -", "- ")
+            term(d, c) for d, c in enumerate(hs.gf.numerator) if c
+        ).replace("+ -", "- ") or "0"
         den = " ".join(f"(1-t^{a})" for a in hs.gf.denom_exponents)
         pal = "palindromic" if is_palindromic(hs.gf) else "not palindromic"
         print(f"({num}) / {den}   [{pal}, ell={palindromic_ell(hs.gf)}]")

@@ -68,7 +68,7 @@ def table_checks(only=None):
                 yield Check(f"{filename}:p={p}:{col}", got == expected, expected, got)
 
 
-def series_checks(nmax=80, only=None):
+def series_checks(only=None):
     for rec in load_json("hilbert_series.json"):
         p, space, j = rec["p"], rec["space"], rec.get("j", 0)
         tag = f"series:p={p}:{space}:j={j}"
@@ -78,10 +78,10 @@ def series_checks(nmax=80, only=None):
         gf = printed_series(p, space, j)
         margin = sum(rec["den"])
         n = 2 * margin + 41
-        seq = _space_sequence(p, space, max(n, nmax), j)
+        seq = _space_sequence(p, space, max(n, SERIES_NMAX), j)
         if expand:
-            head = seq[:nmax + 1]
-            got = series_coeffs(gf, nmax + 1)
+            head = seq[:SERIES_NMAX + 1]
+            got = series_coeffs(gf, SERIES_NMAX + 1)
             yield Check(f"{tag}:expand", got == head, head, got)
         if fit:
             got = fit_numerator(seq[:n + 1], rec["den"], n - margin - 1)
@@ -91,7 +91,9 @@ def series_checks(nmax=80, only=None):
 # (check name, dimension of the plus space, key of weight3.json)
 WEIGHT3 = (("weight3:zero", 0, "zero"), ("weight3:dim1", 1, "dim_plus_1"),
            ("weight3:dim2", 2, "dim_plus_2"))
-# the coverage of weight3.json (p <= 450) and bias_zero_pairs.csv (p <= 300, k <= 100)
+# the terms compared by each series expand check, and the coverage of
+# weight3.json (p <= 450) and bias_zero_pairs.csv (p <= 300, k <= 100)
+SERIES_NMAX = 80
 WEIGHT3_PMAX = 450
 BIAS_PMAX, BIAS_KMAX = 300, 100
 

@@ -84,6 +84,10 @@ class NonPolynomial(ParadimError):
     """fit_numerator: the series times the denominator does not terminate."""
 
 
+class BadPresentation(ParadimError, ValueError):
+    """A numerator, exponent or degree bound outside the integers, or too few terms to fit."""
+
+
 class BiasViolation(ParadimError):
     """A negative bias value was found inside the verified rectangle."""
 

@@ -1,15 +1,15 @@
 """Exact arithmetic: checked integer division and (plus, minus) splits,
-polynomials, and rational generating functions with factored
-denominators Prod (1 - t^a_i).
+and rational generating functions over factored denominators
+Prod (1 - t^a_i), kept as plain data: a numerator is a tuple of ints in
+ascending degree with its trailing zeros trimmed, the zero numerator ().
 
 Everything here is immutable and pure.  Rational numbers are plain
 `fractions.Fraction`; there is no custom rational type.
 """
-from __future__ import annotations
-
+from collections import namedtuple
 from fractions import Fraction
 
-from .errors import NonIntegral, NonPolynomial, ParityFailure
+from .errors import BadPresentation, NonIntegral, NonPolynomial, ParityFailure
 
 
 def exact_quotient(num, den, what, *args):
@@ -35,79 +35,55 @@ def plus_minus(total, diff, what, *args):
     return (total + diff) // 2, (total - diff) // 2
 
 
-class Poly:
-    """Polynomial with ascending coefficients; trailing zeros trimmed."""
+def _trim(coeffs):
+    """coeffs as a numerator: a tuple of ints with its trailing zeros dropped."""
+    q = tuple(coeffs)
+    if not set(map(type, q)) <= {int}:
+        raise BadPresentation(f"numerator {q} has a coefficient that is not an integer")
+    end = len(q)
+    while end and not q[end - 1]:
+        end -= 1
+    return q[:end]
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        self.coeffs = coeffs
+def _sorted_ints(values, least, what):
+    """values as a sorted tuple; BadPresentation unless each is an int >= least."""
+    values = tuple(values)
+    if not all(isinstance(a, int) and a >= least for a in values):
+        raise BadPresentation(f"{what} {values} must be integers >= {least}")
+    return tuple(sorted(values))
+
+
+def from_terms(pairs):
+    """The numerator sum of c t^e over the sequence of pairs (e, c)."""
+    exps = _sorted_ints((e for e, _ in pairs), 0, "exponents")
+    coeffs = [0] * (exps[-1] + 1 if exps else 0)
+    for e, c in pairs:
+        coeffs[e] += c
+    return _trim(coeffs)
+
+
+class RationalGF(namedtuple("RationalGF", "numerator denom_exponents")):
+    """numerator(t) / Prod_i (1 - t^{a_i}), the denominator kept factored:
+    a trimmed numerator and the sorted positive exponents a_i.  Equal as
+    presentations, not as power series, which other presentations share."""
+
+    __slots__ = ()
+
+    def __new__(cls, numerator, denom_exponents):
+        return super().__new__(cls, _trim(numerator),
+                               _sorted_ints(denom_exponents, 1, "denominator exponents"))
 
     @classmethod
-    def from_terms(cls, terms):
-        """The sum of c t^e over the pairs (e, c) of the sequence terms."""
-        coeffs = [0] * (max((e for e, _ in terms), default=-1) + 1)
-        for e, c in terms:
-            coeffs[e] += c
-        return cls(coeffs)
-
-    @property
-    def degree(self):
-        """Degree, or -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __repr__(self):
-        return f"Poly({self.coeffs})"
-
-
-class RationalGF:
-    """numerator(t) / Prod_i (1 - t^{a_i}), denominator kept factored."""
-
-    __slots__ = ("numerator", "denom_exponents")
-
-    def __init__(self, numerator, denom_exponents):
-        if not isinstance(numerator, Poly):
-            numerator = Poly(numerator)
-        self.numerator = numerator
-        self.denom_exponents = tuple(sorted(denom_exponents))
-
-    def __eq__(self, other):
-        """Equal as presentations: the same numerator over the same
-        factors (not as power series, which other presentations share)."""
-        if not isinstance(other, RationalGF):
-            return NotImplemented
-        return (self.numerator == other.numerator
-                and self.denom_exponents == other.denom_exponents)
-
-    def __hash__(self):
-        return hash((self.numerator, self.denom_exponents))
-
-    def __repr__(self):
-        return f"RationalGF({self.numerator.coeffs}, {list(self.denom_exponents)})"
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip the normalisation
+        return cls(*iterable)
 
 
 def series_coeffs(gf, n):
     """First n power-series coefficients of gf (t^0 .. t^{n-1})."""
-    c = [gf.numerator[i] for i in range(n)]
+    c = list(gf.numerator[:max(n, 0)])
+    c += [0] * (n - len(c))
     # Multiplying by 1/(1-t^a) is a prefix sum with stride a.
     for a in gf.denom_exponents:
         for i in range(a, n):
@@ -120,29 +96,26 @@ def fit_numerator(seq, denom_exponents, max_deg):
 
     seq must extend past max_deg + sum(a_i) so the tail check is honest.
     """
-    denoms = sorted(denom_exponents)
+    denoms = _sorted_ints(denom_exponents, 1, "denominator exponents")
+    _sorted_ints([max_deg], 0, "max_deg")
     margin = sum(denoms)
     if len(seq) <= max_deg + margin:
-        raise ValueError(
-            f"need more than {max_deg + margin} terms, got {len(seq)}"
-        )
+        raise BadPresentation(f"need more than {max_deg + margin} terms, got {len(seq)}")
     c = list(seq)
     for a in denoms:
         c = [c[i] - (c[i - a] if i >= a else 0) for i in range(len(c))]
     for i in range(max_deg + 1, len(c)):
         if c[i]:
-            raise NonPolynomial(
-                f"residual coefficient {c[i]} at degree {i} (> {max_deg})"
-            )
-    return Poly(c[: max_deg + 1])
+            raise NonPolynomial(f"residual coefficient {c[i]} at degree {i} (> {max_deg})")
+    return _trim(c[: max_deg + 1])
 
 
 def is_palindromic(gf):
     """True iff t^d * Q(1/t) = Q(t) for the numerator Q of gf."""
-    q = gf.numerator.coeffs
-    return bool(q) and q == q[::-1]
+    return bool(gf.numerator) and gf.numerator == gf.numerator[::-1]
 
 
 def palindromic_ell(gf):
-    """The exponent l with F(1/t) = (-1)^m t^l F(t) for palindromic gf."""
-    return sum(gf.denom_exponents) - gf.numerator.degree
+    """The exponent l with F(1/t) = (-1)^m t^l F(t) for palindromic gf
+    (the zero numerator counts as degree -1)."""
+    return sum(gf.denom_exponents) - len(gf.numerator) + 1

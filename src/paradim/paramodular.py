@@ -20,7 +20,7 @@ from .errors import (
     ParadimError,
     UnsupportedJ,
 )
-from .exactmath import Poly, RationalGF, fit_numerator
+from .exactmath import RationalGF, fit_numerator, from_terms
 from .siegel1 import dim_cusp_sp4
 
 
@@ -155,7 +155,7 @@ def printed_series(p, space, j=0):
     rec = _printed_registry().get((p, space, j))
     if rec is None:
         raise MissingData(f"no embedded series for p={p}, space={space}, j={j}")
-    return RationalGF(Poly.from_terms(rec["num"]), rec["den"])
+    return RationalGF(from_terms(rec["num"]), rec["den"])
 
 # For primes without a printed presentation, try these in order; an even
 # factor count keeps the palindromicity test well defined (the functional
@@ -199,7 +199,7 @@ def hilbert_series(p, space, j=0):
         except NonPolynomial as exc:
             last_error = exc
             continue
-        return HilbertSeries(p, space, RationalGF(num, list(denoms)))
+        return HilbertSeries(p, space, RationalGF(num, denoms))
     raise last_error
 
 

@@ -4,26 +4,17 @@ weight det^k Sym(j), for j in {0, 2, 4}, via their generating functions.
 Any other j raises UnsupportedJ.
 """
 from .errors import BadYoung, UnsupportedJ
-from .exactmath import Poly, RationalGF, series_coeffs
+from .exactmath import RationalGF, from_terms, series_coeffs
 
 
-LEVEL1_SERIES = {
-    0: RationalGF(Poly.from_terms([(10, 1), (12, 1), (22, -1), (35, 1)]), [4, 6, 10, 12]),
-    2: RationalGF(
-        Poly.from_terms([
-            (14, 1), (16, 2), (18, 1), (22, 1), (26, -1), (28, -1),
-            (21, 1), (23, 1), (27, 1), (29, 1), (33, -1),
-        ]),
-        [4, 6, 10, 12],
-    ),
-    4: RationalGF(
-        Poly.from_terms([
-            (10, 1), (12, 1), (14, 1), (15, 1), (16, 1), (17, 1), (18, 1),
-            (19, 1), (20, 1), (21, 1), (23, 1), (30, -1),
-        ]),
-        [4, 6, 10, 12],
-    ),
-}
+# numerators over (1-t^4)(1-t^6)(1-t^10)(1-t^12) as (exponent, coefficient) pairs
+LEVEL1_SERIES = {j: RationalGF(from_terms(terms), [4, 6, 10, 12]) for j, terms in {
+    0: [(10, 1), (12, 1), (22, -1), (35, 1)],
+    2: [(14, 1), (16, 2), (18, 1), (22, 1), (26, -1), (28, -1),
+        (21, 1), (23, 1), (27, 1), (29, 1), (33, -1)],
+    4: [(10, 1), (12, 1), (14, 1), (15, 1), (16, 1), (17, 1), (18, 1),
+        (19, 1), (20, 1), (21, 1), (23, 1), (30, -1)],
+}.items()}
 
 _coeff_cache = {}
 

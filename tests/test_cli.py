@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from paradim import cli
 from paradim.cli import main
 from paradim.corpus import Check
-from paradim.exactmath import Poly
+from paradim.data import data_dir
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -95,15 +96,15 @@ def test_verify_subset(capsys):
 
 @pytest.fixture
 def one_failure(monkeypatch):
-    failure = Check("series:p=2:M:j=0:fit", False, Poly([1, 0, 1]), Poly([1, 1]))
+    failure = Check("series:p=2:M:j=0:fit", False, (1, 0, 1), (1, 1))
     monkeypatch.setattr(cli, "run_checks", lambda only: (3, [failure]))
 
 
 def test_verify_text_unchanged(capsys, one_failure):
     rc, out = run(capsys, "verify")
     assert rc == 1
-    assert out == ("FAIL series:p=2:M:j=0:fit: expected Poly([1, 0, 1]), "
-                   "got Poly([1, 1])\n3 checks, 1 failed\n")
+    assert out == ("FAIL series:p=2:M:j=0:fit: expected (1, 0, 1), "
+                   "got (1, 1)\n3 checks, 1 failed\n")
 
 
 def test_verify_json(capsys, one_failure):
@@ -120,15 +121,20 @@ def test_verify_csv(capsys, one_failure):
     assert rc == 1
     assert list(csv.reader(io.StringIO(out))) == [
         ["name", "expected", "got"],
-        ["series:p=2:M:j=0:fit", "[1, 0, 1]", "[1, 1]"],
+        ["series:p=2:M:j=0:fit", "(1, 0, 1)", "(1, 1)"],
         ["summary", "3 checks", "1 failed"]]
 
 
-def test_python_dash_m():
-    env = dict(os.environ)
+def run_fresh(*argv, **env_vars):
+    """`python -m paradim argv` in a fresh process, with env_vars set."""
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "paradim", "dim", "--p", "7", "--k", "4"],
+    return subprocess.run([sys.executable, "-m", "paradim", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_python_dash_m():
+    proc = run_fresh("dim", "--p", "7", "--k", "4")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[1].split() == ["7", "4", "0", "S", "1", "0", "1"]
 
@@ -138,6 +144,30 @@ def test_hilbert_fit(capsys):
                   "--nmax", "6", "--fit")
     assert rc == 0
     assert "(1-t^" in out and "palindromic" in out
+
+
+def test_hilbert_zero_numerator_prints_0(capsys):
+    # odd j: the space is zero, and so is the fitted numerator
+    rc, out = run(capsys, "hilbert", "--p", "7", "--space", "S+", "--j", "3",
+                  "--nmax", "2", "--fit")
+    assert rc == 0
+    assert out.splitlines()[0] == ("(0) / (1-t^4) (1-t^6) (1-t^10) (1-t^12)   "
+                                   "[not palindromic, ell=33]")
+
+
+def test_hilbert_refuses_a_zero_denominator_exponent(tmp_path):
+    # a patched record over (1 - t^0) used to fit the zero numerator
+    patched = tmp_path / "data"
+    shutil.copytree(data_dir(), patched)
+    path = patched / "hilbert_series.json"
+    records = json.loads(path.read_text())
+    (rec,) = [r for r in records if (r["p"], r["space"]) == (2, "M")]
+    rec["den"] = [0, 6, 8, 10]
+    path.write_text(json.dumps(records))
+    proc = run_fresh("hilbert", "--p", "2", "--space", "M", "--fit",
+                     PARADIM_DATA_DIR=str(patched))
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "denominator exponents (0, 6, 8, 10)" in proc.stderr
 
 
 def test_hilbert_weight2_from_newspace(capsys):

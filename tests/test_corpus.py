@@ -15,7 +15,7 @@ def test_table_checks_pass():
 
 
 def test_series_checks_pass():
-    checks = list(series_checks(nmax=40))
+    checks = list(series_checks())
     assert len(checks) == 2 * 54
     assert all(c.ok for c in checks)
 
