@@ -103,7 +103,7 @@ def fit_numerator(seq, denom_exponents, max_deg):
         raise BadPresentation(f"need more than {max_deg + margin} terms, got {len(seq)}")
     c = list(seq)
     for a in denoms:
-        c = [c[i] - (c[i - a] if i >= a else 0) for i in range(len(c))]
+        c = c[:a] + [x - y for x, y in zip(c[a:], c)]
     for i in range(max_deg + 1, len(c)):
         if c[i]:
             raise NonPolynomial(f"residual coefficient {c[i]} at degree {i} (> {max_deg})")
