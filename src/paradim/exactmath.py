@@ -49,7 +49,7 @@ def _trim(coeffs):
 def _sorted_ints(values, least, what):
     """values as a sorted tuple; BadPresentation unless each is an int >= least."""
     values = tuple(values)
-    if not all(isinstance(a, int) and a >= least for a in values):
+    if not all(type(a) is int and a >= least for a in values):
         raise BadPresentation(f"{what} {values} must be integers >= {least}")
     return tuple(sorted(values))
 

@@ -47,12 +47,12 @@ class TestBadPresentation:
         assert issubclass(BadPresentation, ParadimError)
         assert issubclass(BadPresentation, ValueError)
 
-    @pytest.mark.parametrize("num", [[1, 0.5], [Fraction(1, 2)], ["1"], [None]])
+    @pytest.mark.parametrize("num", [[1, 0.5], [Fraction(1, 2)], ["1"], [None], [True]])
     def test_numerator_entries_are_ints(self, num):
         with pytest.raises(BadPresentation):
             RationalGF(num, [1])
 
-    @pytest.mark.parametrize("den", [[0], [4, -6], [2.0], [4, "6"], [None]])
+    @pytest.mark.parametrize("den", [[0], [4, -6], [2.0], [4, "6"], [None], [True]])
     def test_denominator_exponents_are_positive_ints(self, den):
         with pytest.raises(BadPresentation):
             RationalGF([1], den)
