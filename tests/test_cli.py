@@ -156,7 +156,7 @@ def test_hilbert_zero_numerator_prints_0(capsys):
 
 
 def test_hilbert_refuses_a_zero_denominator_exponent(tmp_path):
-    # a patched record over (1 - t^0) used to fit the zero numerator
+    # over a factor (1 - t^0) every sequence fits the zero numerator
     patched = tmp_path / "data"
     shutil.copytree(data_dir(), patched)
     path = patched / "hilbert_series.json"
