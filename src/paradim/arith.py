@@ -6,7 +6,8 @@ from functools import lru_cache
 from math import isqrt
 
 from .errors import DSquare, NotPrimeLevel, NotSquarefree, ParadimError, UnsupportedPrime
-from .kernels import _primes_to, _reduced_forms, b2_character_sum, kronecker, squarefree_part
+from .kernels import (_field_disc, _primes_to, _reduced_forms, b2_character_sum, kronecker,
+                      squarefree_part)
 
 
 def fundamental_discriminant(d):
@@ -14,7 +15,7 @@ def fundamental_discriminant(d):
     d0 = squarefree_part(d)
     if d0 == 1:
         raise DSquare(f"{d} is a perfect square")
-    return d0 if d0 % 4 == 1 else 4 * d0
+    return _field_disc(d0)
 
 
 def split_symbol(d, p):
@@ -26,10 +27,15 @@ def split_symbol(d, p):
     return kronecker(fundamental_discriminant(d), p)
 
 
+def _elliptic_symbols(p):
+    """split_symbol(d, p) for d = -1, -3, read by elliptic._gamma0: (-4/p) and (-3/p)."""
+    return kronecker(-4, p), kronecker(-3, p)
+
+
 def _split_symbols(p):
-    """split_symbol(d, p) for d = -1, -3, 2, 3 and split_symbol(p, 5), read by compact.level
-    and elliptic._gamma0, as Kronecker symbols of -4, -3, 8, 12 and p: (4p/5) = (p/5)."""
-    return kronecker(-4, p), kronecker(-3, p), kronecker(8, p), kronecker(12, p), kronecker(p, 5)
+    """_elliptic_symbols(p), then split_symbol(d, p) for d = 2, 3 and split_symbol(p, 5),
+    read by compact.level, as Kronecker symbols of 8, 12 and p: (4p/5) = (p/5)."""
+    return _elliptic_symbols(p) + (kronecker(8, p), kronecker(12, p), kronecker(p, 5))
 
 
 @lru_cache(maxsize=None)
@@ -41,7 +47,7 @@ def class_number(d):
         raise NotSquarefree(f"{d} is not squarefree")
     # d squarefree makes D fundamental, so h(D) is its number of reduced
     # forms; class_number_from_disc would factor D again to find that out
-    return _reduced_forms(-d if d % 4 == 3 else -4 * d)
+    return _reduced_forms(_field_disc(-d))
 
 
 # typed, so that 5.0 misses the entry of 5 and is refused
@@ -54,7 +60,7 @@ def bernoulli_b2_chi(p):
     check_level(p)
     if p in (2, 3):
         raise UnsupportedPrime(f"B_2,chi is not consumed for p = {p}")
-    D0 = p if p % 4 == 1 else 4 * p
+    D0 = _field_disc(p)
     return Fraction(b2_character_sum(D0), D0)
 
 

@@ -10,12 +10,14 @@ import json
 import sys
 
 from .arith import primes_up_to
+from .characters import WeightParams
 from .compact import dim_M_signed
 from .errors import ParadimError
-from .corpus import _row_values, run_checks
+from .corpus import LONG_WEIGHTS, _row_values, run_checks
 from .exactmath import is_palindromic, palindromic_ell, series_coeffs
 from .paramodular import (
     SPACES,
+    _check_space,
     check_bias_region,
     dim_A_signed,
     dim_paramodular_signed,
@@ -47,17 +49,17 @@ def cmd_dim(args):
     if args.space == "S":
         plus, minus = dim_paramodular_signed(p, k, j)
     elif args.space == "A":
-        if j != 0:
-            raise ParadimError("space A is only available for j = 0")
+        _check_space("A", j)
         plus, minus = dim_A_signed(p, k)
     else:
-        plus, minus = dim_M_signed(p, k + j - 3, k - 3)
+        w = WeightParams(k, j)
+        plus, minus = dim_M_signed(p, w.f1, w.f2)
     _emit([[p, k, j, args.space, plus, minus, plus + minus]],
           ["p", "k", "j", "space", "plus", "minus", "total"], args.format)
 
 
 def cmd_table(args):
-    long = args.k in (7, 10)
+    long = args.k in LONG_WEIGHTS
     header = ["p", "H", "R", "S_plus", "S_minus"]
     if long:
         header = ["p", "H", "R", "M_plus", "M_minus", "s2_plus", "s2_minus",
@@ -69,9 +71,7 @@ def cmd_table(args):
             raise ParadimError(f"unknown rows: {','.join(bad)}")
         header = ["p"] + [h for h in header[1:] if h in rows_filter]
     rows = []
-    for p in primes_up_to(args.pmax):
-        if p <= 5:
-            continue
+    for p in primes_up_to(args.pmax)[3:]:  # the tables start after 2, 3, 5
         vals = _row_values(p, args.k, long)
         rows.append([p] + [vals[h] for h in header[1:]])
     _emit(rows, header, args.format)
@@ -98,6 +98,8 @@ def cmd_verify(args):
 
 
 def cmd_hilbert(args):
+    if args.nmax < 0:
+        raise ParadimError(f"--nmax must be >= 0, got {args.nmax}")
     hs = hilbert_series(args.p, args.space, args.j)
     if args.fit:
         def term(d, c):

@@ -15,7 +15,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .arith import _split_symbols, bernoulli_b2_chi, check_level, class_number
-from .characters import _check_young, chi_young
+from .characters import chi_young
 from .errors import TypeNumberBound
 from .exactmath import exact_quotient, plus_minus
 
@@ -98,8 +98,7 @@ def level(p):
 # typed, so that (2.0, 2.0) misses the entry of (2, 2) and is refused
 @lru_cache(maxsize=None, typed=True)
 def _chi_vector(f1, f2):
-    """The characters of CHI_INDEX at (f1, f2)."""
-    _check_young(f1, f2)
+    """The characters of CHI_INDEX at (f1, f2), which chi_young checks."""
     return tuple(chi_young(i, f1, f2) for i in CHI_INDEX)
 
 

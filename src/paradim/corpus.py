@@ -7,11 +7,13 @@ what the `paradim verify` command and the test suite use.
 from collections import namedtuple
 
 from .arith import primes_up_to
+from .characters import WeightParams
 from .compact import dim_M_signed
 from .data import load_csv, load_json
 from .elliptic import dim_new_gamma0_signed
 from .exactmath import fit_numerator, is_palindromic, series_coeffs
 from .paramodular import (
+    FIT_SLACK,
     _space_sequence,
     check_bias_region,
     dim_paramodular_signed,
@@ -22,14 +24,9 @@ from .paramodular import (
 
 Check = namedtuple("Check", "name ok expected got")
 
-TABLES = [
-    ("table_k4.csv", 4, False),
-    ("table_k5.csv", 5, False),
-    ("table_k6.csv", 6, False),
-    ("table_k8.csv", 8, False),
-    ("table_k7.csv", 7, True),
-    ("table_k10.csv", 10, True),
-]
+# the weights whose tables also list M^± and the weight-2 newspace
+LONG_WEIGHTS = (7, 10)
+TABLES = [(f"table_k{k}.csv", k, k in LONG_WEIGHTS) for k in (4, 5, 6, 8, 7, 10)]
 
 # the columns of a table row, in the order they are checked
 COLUMNS = ("H", "R", "S_plus", "S_minus")
@@ -42,8 +39,8 @@ def _selected(name, only):
 
 
 def _row_values(p, k, long):
-    f = k - 3
-    m_plus, m_minus = dim_M_signed(p, f, f)
+    w = WeightParams(k, 0)
+    m_plus, m_minus = dim_M_signed(p, w.f1, w.f2)
     s_plus, s_minus = dim_paramodular_signed(p, k)
     vals = {"H": m_plus + m_minus, "R": m_plus - m_minus,
             "S_plus": s_plus, "S_minus": s_minus}
@@ -77,7 +74,7 @@ def series_checks(only=None):
             continue
         gf = printed_series(p, space, j)
         margin = sum(rec["den"])
-        n = 2 * margin + 41
+        n = 2 * margin + FIT_SLACK
         seq = _space_sequence(p, space, max(n, SERIES_NMAX), j)
         if expand:
             head = seq[:SERIES_NMAX + 1]

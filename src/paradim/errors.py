@@ -60,7 +60,8 @@ class BadSpace(ParadimError):
 
 
 class UnsupportedJ(ParadimError):
-    """No level-1 Siegel series for this j (only j = 0, 2, 4 are built in)."""
+    """No level-1 Siegel series for this j (only j = 0, 2, 4 are built in), or
+    an A space (cusp forms and Eisenstein series) at j != 0."""
 
 
 class MissingData(ParadimError):

@@ -87,6 +87,11 @@ def squarefree_part(d):
     return d0 if n and r * r == n else d0 * n
 
 
+def _field_disc(d0):
+    """The discriminant of Q(sqrt(d0)) for a squarefree d0 other than 1."""
+    return d0 if d0 % 4 == 1 else 4 * d0
+
+
 def class_number_from_disc(D):
     """Class number h(D) of the imaginary quadratic order of discriminant
     D < 0 (BadDiscriminant for anything else).
@@ -98,8 +103,7 @@ def class_number_from_disc(D):
     """
     if not isinstance(D, int) or D >= 0 or D % 4 not in (0, 1):
         raise BadDiscriminant(f"{D!r} is not a negative discriminant")
-    m = squarefree_part(D)
-    D0 = m if m % 4 == 1 else 4 * m
+    D0 = _field_disc(squarefree_part(D))
     f = isqrt(D // D0)
     h = _reduced_forms(D0)
     if f == 1:
@@ -245,17 +249,6 @@ def _sigma1_to(n):
     return _sigma
 
 
-def _is_fundamental(D):
-    """Whether D > 1 is the discriminant of a real quadratic field."""
-    if D % 4 == 1:
-        m = D
-    elif D % 16 in (8, 12):
-        m = D // 4
-    else:
-        return False
-    return D > 1 and squarefree_part(m) == m
-
-
 def b2_character_sum(D0):
     """sum_{a=1}^{D0} (D0/a) * a^2 for D0 a positive fundamental
     discriminant, the conductor of chi = (D0/.); it equals D0 * B_{2,chi}.
@@ -264,7 +257,7 @@ def b2_character_sum(D0):
     zeta_K(-1) = (1/60) S with S = sum sigma_1((D0 - s^2)/4) over all
     integers s = D0 (mod 2) with s^2 < D0, so the sum is (2/5) D0 S.
     """
-    if not isinstance(D0, int) or not _is_fundamental(D0):
+    if not isinstance(D0, int) or not (D0 > 1 and _field_disc(squarefree_part(D0)) == D0):
         raise BadDiscriminant(f"{D0!r} is not a positive fundamental discriminant")
     sigma = _sigma1_to(D0 // 4)
     S = 2 * sum(sigma[(D0 - s * s) // 4] for s in range(D0 % 2, isqrt(D0 - 1) + 1, 2))

@@ -173,6 +173,8 @@ FALLBACK_DENOMINATORS = [
     [120, 120, 120, 120],
 ]
 
+FIT_SLACK = 41  # hilbert_series and the corpus fit over den up to t^(2 sum(den) + FIT_SLACK)
+
 
 class HilbertSeries(NamedTuple):
     """A fitted graded dimension series: the generating function `gf` of
@@ -192,14 +194,13 @@ def hilbert_series(p, space, j=0):
     last_error = None
     for denoms in candidates:
         margin = sum(denoms)
-        n = 40 + 2 * margin
+        n = 2 * margin + FIT_SLACK
         seq = _space_sequence(p, space, n, j)
         try:
             num = fit_numerator(seq, denoms, n - margin - 1)
+            return HilbertSeries(p, space, RationalGF(num, denoms))
         except NonPolynomial as exc:
             last_error = exc
-            continue
-        return HilbertSeries(p, space, RationalGF(num, denoms))
     raise last_error
 
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -13,6 +14,7 @@ from paradim import cli
 from paradim.cli import main
 from paradim.corpus import Check
 from paradim.data import data_dir
+from paradim.errors import UnsupportedJ
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -62,6 +64,22 @@ def test_dim_weight_outside_domain_is_domain_error(capsys):
     rc = main(["dim", "--p", "7", "--k", "1", "--j", "1"])
     capsys.readouterr()
     assert rc == 3
+
+
+@pytest.mark.parametrize("argv", [["table", "--k", "2", "--pmax", "20"],
+                                  ["dim", "--p", "7", "--space", "M", "--k", "2"]])
+def test_weight_error_names_the_weight_typed(capsys, argv):
+    # not the Young pair (k + j - 3, k - 3) = (-1, -1) it maps to
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 3 and "(k,j)=(2,0)" in err
+
+
+def test_dim_space_A_refuses_j(capsys):
+    args = argparse.Namespace(p=7, k=4, j=2, space="A", format="text")
+    with pytest.raises(UnsupportedJ):
+        cli.cmd_dim(args)
+    assert capsys.readouterr().out == ""
 
 
 def test_usage_error_exit_code():
@@ -144,6 +162,12 @@ def test_hilbert_fit(capsys):
                   "--nmax", "6", "--fit")
     assert rc == 0
     assert "(1-t^" in out and "palindromic" in out
+
+
+def test_hilbert_refuses_a_negative_nmax(capsys):
+    rc = main(["hilbert", "--p", "7", "--space", "M", "--nmax", "-3", "--fit"])
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == "" and "--nmax" in err
 
 
 def test_hilbert_zero_numerator_prints_0(capsys):

@@ -6,6 +6,7 @@ import pytest
 from paradim import corpus
 from paradim.arith import primes_up_to
 from paradim.corpus import iter_checks, run_checks, series_checks, table_checks
+from paradim.paramodular import hilbert_series
 
 
 def test_table_checks_pass():
@@ -18,6 +19,16 @@ def test_series_checks_pass():
     checks = list(series_checks())
     assert len(checks) == 2 * 54
     assert all(c.ok for c in checks)
+
+
+def test_hilbert_series_fits_what_the_fit_checks_fit():
+    # both fit over the record's denominator with the same length
+    checks = list(series_checks(only=":fit"))
+    assert len(checks) == 54
+    for check in checks:
+        _, p, space, j, _ = check.name.split(":")
+        gf = hilbert_series(int(p[2:]), space, int(j[2:])).gf
+        assert gf.numerator == check.got, check.name
 
 
 def test_only_filter():

@@ -73,6 +73,32 @@ def test_b2_character_sum_rejects_bad_input(D0):
         kernels.b2_character_sum(D0)
 
 
+def _was_fundamental(D):
+    """The real quadratic field discriminant test _field_disc replaced."""
+    if D % 4 == 1:
+        m = D
+    elif D % 16 in (8, 12):
+        m = D // 4
+    else:
+        return False
+    return D > 1 and kernels.squarefree_part(m) == m
+
+
+def test_field_disc_matches_the_rules_it_replaced():
+    for d in range(-3000, 3000):
+        d0 = kernels.squarefree_part(d)
+        if d0 in (0, 1):
+            continue
+        # arith.fundamental_discriminant, kernels.class_number_from_disc
+        # and arith.bernoulli_b2_chi (d0 = p)
+        assert kernels._field_disc(d0) == (d0 if d0 % 4 == 1 else 4 * d0), d
+        if d > 0 and d0 == d:  # arith.class_number, at -d
+            assert kernels._field_disc(-d) == (-d if d % 4 == 3 else -4 * d), d
+    for D in range(-50, 20000):
+        is_field_disc = D > 1 and kernels._field_disc(kernels.squarefree_part(D)) == D
+        assert is_field_disc == _was_fundamental(D), D
+
+
 def _naive_primes(n):
     return [q for q in range(2, n + 1) if all(q % r for r in range(2, isqrt(q) + 1))]
 
