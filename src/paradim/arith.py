@@ -34,7 +34,7 @@ def _elliptic_symbols(p):
 
 def _split_symbols(p):
     """_elliptic_symbols(p), then split_symbol(d, p) for d = 2, 3 and split_symbol(p, 5),
-    read by compact.level, as Kronecker symbols of 8, 12 and p: (4p/5) = (p/5)."""
+    read by compact._invariants, as Kronecker symbols of 8, 12 and p: (4p/5) = (p/5)."""
     return _elliptic_symbols(p) + (kronecker(8, p), kronecker(12, p), kronecker(p, 5))
 
 
@@ -53,10 +53,10 @@ def class_number(d):
 # typed, so that 5.0 misses the entry of 5 and is refused
 @lru_cache(maxsize=None, typed=True)
 def bernoulli_b2_chi(p):
-    """B_{2,chi} = b2_character_sum(D0) / D0 for chi the quadratic
-    character of Q(sqrt(p)), p a prime other than 2, 3, of conductor D0 =
-    p or 4p as p = 1 or 3 (mod 4); the linear term of the defining sum
-    vanishes for even chi."""
+    """B_{2,chi} = b2_character_sum(D0) / D0 for chi the quadratic character of
+    Q(sqrt(p)), p a prime other than 2, 3, of conductor D0 = p or 4p as p = 1 or 3
+    (mod 4); the linear term of the defining sum vanishes for even chi.  5 B_{2,chi}
+    = 2 S is an even integer (S of b2_character_sum), which fixes compact.DEN."""
     check_level(p)
     if p in (2, 3):
         raise UnsupportedPrime(f"B_2,chi is not consumed for p = {p}")

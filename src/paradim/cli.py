@@ -59,6 +59,7 @@ def cmd_dim(args):
 
 
 def cmd_table(args):
+    WeightParams(args.k, 0)  # refuses a bad weight even when no row follows
     long = args.k in LONG_WEIGHTS
     header = ["p", "H", "R", "S_plus", "S_minus"]
     if long:

@@ -2,15 +2,13 @@
 total dimension, Atkin-Lehner trace, signed dimensions, and the class
 and type numbers H, T.
 
-dim M and tr R are fixed linear combinations of the characters
-chi_i(f1, f2), i in CHI_INDEX, with coefficients that depend on the level
-p alone; `level(p)` holds both as integer vectors over one denominator.
-dim_M_total and trace_R each divide a dot product with the cached
-character vector exactly, and dim_M_signed splits the two into
-(plus, minus).
+DEN * dim M and DEN * tr R are integer combinations of the characters
+chi_i(f1, f2), i in CHI_INDEX: `level(p)` applies the constant matrices
+M_ROWS and TRACE_ROWS to the level invariants I(p).  dim_M_total and
+trace_R divide a dot product with the cached character vector by DEN
+exactly, and dim_M_signed splits the two into (plus, minus).
 """
 from functools import lru_cache
-from math import lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -23,76 +21,79 @@ from .exactmath import exact_quotient, plus_minus
 # the coefficients; chi_5 and chi_8 enter neither.
 CHI_INDEX = (1, 2, 3, 4, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16, 17)
 
-# The trace formula, one row per branch: tr R is the sum of
-# chi_i * x * (a + b * (2/p)) / den over the row's terms (i, x, a, b, den),
-# where x names an ingredient of the level: "1"; "b2" = B_{2,chi} of
-# Q(sqrt(p)); "h_p", "h_2p", "h_3p" = h(p), h(2p), h(3p); "d5" = [p = 5].
-TRACE_ROWS = {
-    2: ((2, "1", 1, 0, 48), (6, "1", 1, 0, 16), (9, "1", 1, 0, 6),
-        (11, "1", 5, 0, 16), (14, "1", 1, 0, 48), (15, "1", 1, 0, 6),
-        (16, "1", 1, 0, 4)),
-    3: ((2, "1", 1, 0, 24), (6, "1", 1, 0, 24), (9, "1", 1, 0, 3),
-        (11, "1", 1, 0, 4), (17, "1", 1, 0, 3)),
-    "1 mod 4": ((2, "b2", 9, -2, 96), (6, "h_p", 1, 0, 16), (11, "h_2p", 1, 0, 8),
-                (9, "h_3p", 3, 1, 12), (13, "d5", 1, 0, 5)),
-    "3 mod 4": ((2, "b2", 1, 0, 96), (6, "h_p", 1, -1, 16), (11, "h_2p", 1, 0, 8),
-                (9, "h_3p", 1, 0, 12)),
+DEN = 2880  # fixed, because 5 B_{2,chi} is an integer
+
+# I(p), as _invariants returns it: s_d = (d/p), s_p5 = (p/5), d_q = [p = q], b5 =
+# 5 B_{2,chi} of Q(sqrt(p)), h_n = h(n), s2_x = (2/p) x; b5, h_n are 0 at p = 2, 3.
+INVARIANTS = ("1", "p", "p2", "s_m1", "s_m3", "s_2", "s_3", "s_p5", "p_s_m1", "p_s_m3",
+              "d2", "d3", "d5", "b5", "h_p", "h_2p", "h_3p", "s2_b5", "s2_h_p", "s2_h_3p")
+
+# DEN * dim M and DEN * tr R as chi_i -> ((c, x), ...), the sum of
+# chi_i * c * I[x]; [p = 2] and [p = 3] absorb those branches of dim M.
+M_ROWS = {
+    1: ((1, "p2"), (-1, "1")), 2: ((15, "d2"),), 3: ((180, "d2"),), 4: ((320, "d3"),),
+    6: ((120, "p"), (-120, "s_m1"), (30, "p_s_m1"), (-30, "1")),
+    7: ((120, "p"), (-120, "s_m3"), (40, "p_s_m3"), (-40, "1")),
+    9: ((480, "d2"),), 10: ((576, "1"), (-576, "s_p5")), 11: ((360, "1"), (-360, "s_2")),
+    12: ((120, "1"), (-120, "s_3"), (120, "s_m1"), (-120, "s_m3")),
 }
+TRACE_ROWS = {
+    2: {2: ((60, "1"),), 6: ((180, "1"),), 9: ((480, "1"),), 11: ((900, "1"),),
+        14: ((60, "1"),), 15: ((480, "1"),), 16: ((720, "1"),)},
+    3: {2: ((120, "1"),), 6: ((120, "1"),), 9: ((960, "1"),), 11: ((720, "1"),),
+        17: ((960, "1"),)},
+    "1 mod 4": {2: ((54, "b5"), (-12, "s2_b5")), 6: ((180, "h_p"),), 11: ((360, "h_2p"),),
+                9: ((720, "h_3p"), (240, "s2_h_3p")), 13: ((576, "d5"),)},
+    "3 mod 4": {2: ((6, "b5"),), 6: ((180, "h_p"), (-180, "s2_h_p")), 9: ((240, "h_3p"),),
+                11: ((360, "h_2p"),)},
+}
+
+# each table as flat (chi position, coefficient, invariant position) triples
+_TRIPLES = {branch: tuple((CHI_INDEX.index(i), c, INVARIANTS.index(x))
+                          for i, terms in rows.items() for c, x in terms)
+            for branch, rows in (("M", M_ROWS), *TRACE_ROWS.items())}
 
 
 class Level(NamedTuple):
-    """One prime level: dim M = (m . chi) / den and tr R = (tr . chi) / den,
-    chi the characters of CHI_INDEX; m and tr cover its first 10 and at most
-    15.  (Not a dataclass: importing it loads inspect, 40 % of the import.)"""
+    """dim M = (m . chi) / DEN, tr R = (tr . chi) / DEN at one level, each vector cut
+    after its last nonzero entry.  (Not a dataclass: that loads inspect, 40 % of import.)"""
 
-    den: int
     m: tuple
     tr: tuple
+
+
+def _invariants(p):
+    """I(p) as a tuple of ints; NotPrimeLevel unless p is a prime int,
+    NonIntegral if 5 B_{2,chi} is not an integer."""
+    check_level(p)
+    s_m1, s_m3, s_2, s_3, s_p5 = _split_symbols(p)
+    b5 = h_p = h_2p = h_3p = 0
+    if p > 3:
+        b2 = bernoulli_b2_chi(p)
+        b5 = exact_quotient(5 * b2.numerator, b2.denominator, "5 B_2,chi({})", p)
+        h_p, h_2p, h_3p = class_number(p), class_number(2 * p), class_number(3 * p)
+    return (1, p, p * p, s_m1, s_m3, s_2, s_3, s_p5, p * s_m1, p * s_m3, int(p == 2),
+            int(p == 3), int(p == 5), b5, h_p, h_2p, h_3p, s_2 * b5, s_2 * h_p, s_2 * h_3p)
+
+
+def _apply(triples, inv):
+    """sum(c * inv[x]) at each chi position i of the triples (i, c, x),
+    cut after the last nonzero entry, where a dot product may stop."""
+    out = [0] * len(CHI_INDEX)
+    for i, c, x in triples:
+        out[i] += c * inv[x]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def level(p):
     """The coefficient record of the prime level p; NotPrimeLevel for any
     other p."""
-    check_level(p)
-    d2, d3 = int(p == 2), int(p == 3)
-    s_m1, s_m3, s_2, s_3, s_p5 = _split_symbols(p)
-    # 2880 times the coefficients (p^2 - 1)/2880, [p=2]/192, [p=2]/16,
-    # [p=3]/9, (p - s_m1)/24 + (p s_m1 - 1)/96, (p - s_m3)/24 + (p s_m3 - 1)/72,
-    # [p=2]/6, (1 - s_p5)/5, (1 - s_2)/8, (1 - s_3 + s_m1 - s_m3)/24
-    m = (
-        p * p - 1,
-        15 * d2,
-        180 * d2,
-        320 * d3,
-        120 * (p - s_m1) + 30 * (p * s_m1 - 1),
-        120 * (p - s_m3) + 40 * (p * s_m3 - 1),
-        480 * d2,
-        576 * (1 - s_p5),
-        360 * (1 - s_2),
-        120 * (1 - s_3 + s_m1 - s_m3),
-    )
-    # each ingredient as (numerator, denominator)
-    x = {"1": (1, 1)}
-    if p in (2, 3):
-        row = TRACE_ROWS[p]
-    else:
-        row = TRACE_ROWS["1 mod 4" if p % 4 == 1 else "3 mod 4"]
-        b2 = bernoulli_b2_chi(p)
-        x.update(b2=(b2.numerator, b2.denominator), h_p=(class_number(p), 1),
-                 h_2p=(class_number(2 * p), 1), h_3p=(class_number(3 * p), 1),
-                 d5=(1 if p == 5 else 0, 1))
-    # den is the lcm of 2880 and every term's denominator.  Each chi_i occurs
-    # once in a row; tr ends at its last nonzero entry, where the dot product
-    # with the character vector may stop.
-    den = lcm(2880, *[d * x[name][1] for _, name, _, _, d in row])
-    tr = [0] * len(CHI_INDEX)
-    for i, name, a, b, d in row:
-        tr[CHI_INDEX.index(i)] = x[name][0] * (a + b * s_2) * den // (d * x[name][1])
-    while tr and not tr[-1]:
-        tr.pop()
-    m = tuple([c * (den // 2880) for c in m])
-    return Level(den, m, tuple(tr))
+    inv = _invariants(p)
+    branch = p if p < 5 else "1 mod 4" if p % 4 == 1 else "3 mod 4"
+    return Level(_apply(_TRIPLES["M"], inv), _apply(_TRIPLES[branch], inv))
 
 
 # typed, so that (2.0, 2.0) misses the entry of (2, 2) and is refused
@@ -106,16 +107,14 @@ def dim_M_total(p, f1, f2):
     """Total dimension of the space of algebraic modular forms with Young
     parameters (f1, f2) at prime level p (both genera conventions fixed
     to the non-principal one)."""
-    lev = level(p)
-    num = sum(map(mul, lev.m, _chi_vector(f1, f2)))
-    return exact_quotient(num, lev.den, "dim M({},{},{})", p, f1, f2)
+    num = sum(map(mul, level(p).m, _chi_vector(f1, f2)))
+    return exact_quotient(num, DEN, "dim M({},{},{})", p, f1, f2)
 
 
 def trace_R(p, f1, f2):
     """Trace of the Atkin-Lehner operator on the same space."""
-    lev = level(p)
-    num = sum(map(mul, lev.tr, _chi_vector(f1, f2)))
-    return exact_quotient(num, lev.den, "trace R({},{},{})", p, f1, f2)
+    num = sum(map(mul, level(p).tr, _chi_vector(f1, f2)))
+    return exact_quotient(num, DEN, "trace R({},{},{})", p, f1, f2)
 
 
 def dim_M_signed(p, f1, f2):

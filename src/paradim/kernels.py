@@ -253,9 +253,9 @@ def b2_character_sum(D0):
     """sum_{a=1}^{D0} (D0/a) * a^2 for D0 a positive fundamental
     discriminant, the conductor of chi = (D0/.); it equals D0 * B_{2,chi}.
 
-    Cohen (Math. Ann. 217, 1975): B_{2,chi} = 24 zeta_K(-1) and
-    zeta_K(-1) = (1/60) S with S = sum sigma_1((D0 - s^2)/4) over all
-    integers s = D0 (mod 2) with s^2 < D0, so the sum is (2/5) D0 S.
+    Cohen (Math. Ann. 217, 1975): B_{2,chi} = 24 zeta_K(-1) = 2 S / 5, S the sum of
+    sigma_1((D0 - s^2)/4) over the integers s = D0 (mod 2) with s^2 < D0, so the sum
+    is (2/5) D0 S; 5 B_{2,chi} = 2 S is an even integer, which fixes compact.DEN.
     """
     if not isinstance(D0, int) or not (D0 > 1 and _field_disc(squarefree_part(D0)) == D0):
         raise BadDiscriminant(f"{D0!r} is not a positive fundamental discriminant")

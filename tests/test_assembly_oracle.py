@@ -14,7 +14,7 @@ import pytest
 
 from paradim.arith import a_p, bernoulli_b2_chi, class_number, primes_up_to, split_symbol
 from paradim.characters import _br, chi_young
-from paradim.compact import dim_M_signed, dim_M_total, trace_R
+from paradim.compact import CHI_INDEX, DEN, dim_M_signed, dim_M_total, level, trace_R
 from paradim.elliptic import dim_cusp_level1, dim_new_gamma0, dim_new_gamma0_signed
 from paradim.errors import MissingJacobiData
 from paradim.paramodular import (
@@ -136,6 +136,18 @@ def test_compact_matches_oracle_on_young_grid():
             for f2 in range(f1 % 2, f1 + 1, 2):
                 assert dim_M_total(p, f1, f2) == dim_M_oracle(p, f1, f2), (p, f1, f2)
                 assert trace_R(p, f1, f2) == trace_R_oracle(p, f1, f2), (p, f1, f2)
+
+
+def test_level_matrix_matches_oracle_coefficients(monkeypatch):
+    # chi_young as the unit vector of chi_i turns each oracle into its
+    # coefficient of chi_i, which DEN times must be the entry of the record
+    for pos, i in enumerate(CHI_INDEX):
+        monkeypatch.setitem(globals(), "chi_young", lambda n, f1, f2, i=i: int(n == i))
+        for p in primes_up_to(999):
+            lev = level(p)
+            for vec, oracle in ((lev.m, dim_M_oracle), (lev.tr, trace_R_oracle)):
+                entry = vec[pos] if pos < len(vec) else 0
+                assert DEN * oracle(p, 0, 0) == entry, (p, i, oracle.__name__)
 
 
 def test_class_and_trace_match_oracle_at_trivial_weight():

@@ -75,6 +75,17 @@ def test_weight_error_names_the_weight_typed(capsys, argv):
     assert rc == 3 and "(k,j)=(2,0)" in err
 
 
+@pytest.mark.parametrize("argv, weight", [
+    (["table", "--k", "2", "--pmax", "5"], "(k,j)=(2,0)"),
+    (["table", "--k", "-7", "--pmax", "3", "--format", "json"], "(k,j)=(-7,0)"),
+])
+def test_table_checks_the_weight_without_rows(capsys, argv, weight):
+    # below p = 7 the table has no row, and the weight is still refused
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert (rc, out) == (3, "") and weight in err
+
+
 def test_dim_space_A_refuses_j(capsys):
     args = argparse.Namespace(p=7, k=4, j=2, space="A", format="text")
     with pytest.raises(UnsupportedJ):

@@ -75,7 +75,7 @@ def test_composite_level_is_refused():
 
 def test_level_record_is_integer_data():
     lev = level(5)
-    assert all(type(c) is int for c in (lev.den, *lev.m, *lev.tr))
+    assert all(type(c) is int for c in (*lev.m, *lev.tr))
     # one index for both formulas: every character but chi_5 and chi_8
     assert compact.CHI_INDEX == tuple(i for i in range(1, 18) if i not in (5, 8))
     # m covers dim M; tr ends at its last nonzero entry, chi_13 at p = 5
@@ -83,16 +83,18 @@ def test_level_record_is_integer_data():
     assert level(5) is lev
 
 
-def test_coefficients_keep_their_values_over_a_larger_denominator(monkeypatch):
-    # every trace denominator met so far divides 2880, so den is 2880; one
-    # over 7 makes den 7 * 2880, and no other coefficient may change
-    monkeypatch.setitem(compact.TRACE_ROWS, 2, compact.TRACE_ROWS[2] + ((17, "1", 1, 0, 7),))
-    lev, bent = level(2), level.__wrapped__(2)
-    assert bent.den == 7 * lev.den
-    i17 = compact.CHI_INDEX.index(17)
-    assert Fraction(bent.tr[i17], bent.den) == Fraction(1, 7)
-    for old, new in ((lev.m, bent.m), (lev.tr[:i17], bent.tr[:i17])):
-        assert [Fraction(c, bent.den) for c in new] == [Fraction(c, lev.den) for c in old]
+def test_invariants_are_checked_ints(monkeypatch):
+    # I(p) is integer data at every branch, p = 5 included
+    for p in (2, 3, 5, 7, 13, 101, 103):
+        assert all(type(x) is int for x in compact._invariants(p)), p
+    for p in (15, 7.0):
+        with pytest.raises(NotPrimeLevel):
+            compact._invariants(p)
+    # 5 B_{2,chi} goes through an exact division: a B_{2,chi} of 1/7 is
+    # refused, never truncated
+    monkeypatch.setattr(compact, "bernoulli_b2_chi", lambda p: Fraction(1, 7))
+    with pytest.raises(NonIntegral, match=r"5 B_2,chi\(13\) = 5/7"):
+        level.__wrapped__(13)
 
 
 @pytest.mark.parametrize("fn", [dim_M_total, trace_R], ids=lambda fn: fn.__name__)
@@ -108,7 +110,7 @@ def test_one_lookup_per_call(fn):
 
 def test_inexact_assembly_raises(monkeypatch):
     lev = level(7)
-    bent = Level(lev.den, (lev.m[0] + 1,) + lev.m[1:], (lev.tr[0] + 1,) + lev.tr[1:])
+    bent = Level((lev.m[0] + 1,) + lev.m[1:], (lev.tr[0] + 1,) + lev.tr[1:])
     monkeypatch.setattr(compact, "level", lambda p: bent)
     with pytest.raises(NonIntegral, match=r"dim M\(7,0,0\) = 2881/2880"):
         dim_M_total(7, 0, 0)
