@@ -5,9 +5,11 @@ parameters (f1, f2), evaluated at any group element whose principal
 polynomial is phi_i(+-x).  Two independent evaluation routes are
 provided:
 
-* chi_closed -- one table, CHI_TABLE: chi_i is a sum of polynomial factors
+* chi_values -- one table, CHI_TABLE: chi_i is a sum of polynomial factors
   F(u, v) times periodic brackets [row]_k over a denominator, in the weight
-  coordinates (k, j) = (f2 + 3, f1 - f2);
+  coordinates (k, j) = (f2 + 3, f1 - f2).  It reads a tuple of indices at
+  one Young weight, which it checks once (compact's character vector reads
+  CHI_INDEX); chi_closed and chi_young are its one-index case;
 * chi_series -- the Weyl character formula
   p_{f1}(p_{f2} + p_{f2-2}) - p_{f2-1}(p_{f1+1} + p_{f1-1})
   where 1/phi_i(x) = sum p_f x^f, computed by the exact integer
@@ -219,22 +221,32 @@ CHI_TABLE = {
 }
 
 
+def chi_values(indices, f1, f2):
+    """chi_i(f1, f2) for each i of `indices`, in order, read from CHI_TABLE:
+    the Young weight is checked and turned into (k, j) once for the tuple."""
+    _check_young(f1, f2)
+    k, j = f2 + 3, f1 - f2
+    u, v = f2 + 1, f1 + 2
+    out = []
+    for i in indices:
+        _check_index(i)
+        den, terms = CHI_TABLE[i]
+        num = sum([f(u, v) * _br(rows[j // 2 % len(rows)], k) for f, rows in terms])
+        out.append(exact_quotient(num, den, "chi_{}(k={}, j={})", i, k, j))
+    return tuple(out)
+
+
 def chi_closed(i, w):
     """chi_i at weight w = WeightParams(k, j) (or a (k, j) pair), read from CHI_TABLE."""
     _check_index(i)
     if not isinstance(w, WeightParams):
         w = WeightParams(*w)
-    k, j = w.k, w.j
-    u, v = k - 2, j + k - 1
-    den, terms = CHI_TABLE[i]
-    num = sum([f(u, v) * _br(rows[j // 2 % len(rows)], k) for f, rows in terms])
-    return exact_quotient(num, den, "chi_{}(k={}, j={})", i, k, j)
+    return chi_values((i,), w.f1, w.f2)[0]
 
 
 def chi_young(i, f1, f2):
     """chi_i in Young coordinates (used by the trace formulas)."""
-    _check_young(f1, f2)
-    return chi_closed(i, WeightParams(f2 + 3, f1 - f2))
+    return chi_values((i,), f1, f2)[0]
 
 
 def chi_bracket_young(i, f1, f2):

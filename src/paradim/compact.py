@@ -12,10 +12,11 @@ from functools import lru_cache
 from operator import mul
 from typing import NamedTuple
 
-from .arith import _split_symbols, bernoulli_b2_chi, check_level, class_number
-from .characters import chi_young
+from .arith import _split_symbols, check_level, class_number
+from .characters import chi_values
 from .errors import TypeNumberBound
 from .exactmath import exact_quotient, plus_minus
+from .kernels import _field_disc, b2_character_sum
 
 # The characters entering dim M (the first ten) or tr R, in the order of
 # the coefficients; chi_5 and chi_8 enter neither.
@@ -69,8 +70,8 @@ def _invariants(p):
     s_m1, s_m3, s_2, s_3, s_p5 = _split_symbols(p)
     b5 = h_p = h_2p = h_3p = 0
     if p > 3:
-        b2 = bernoulli_b2_chi(p)
-        b5 = exact_quotient(5 * b2.numerator, b2.denominator, "5 B_2,chi({})", p)
+        D0 = _field_disc(p)  # B_{2,chi} = b2_character_sum(D0) / D0
+        b5 = exact_quotient(5 * b2_character_sum(D0), D0, "5 B_2,chi({})", p)
         h_p, h_2p, h_3p = class_number(p), class_number(2 * p), class_number(3 * p)
     return (1, p, p * p, s_m1, s_m3, s_2, s_3, s_p5, p * s_m1, p * s_m3, int(p == 2),
             int(p == 3), int(p == 5), b5, h_p, h_2p, h_3p, s_2 * b5, s_2 * h_p, s_2 * h_3p)
@@ -99,8 +100,8 @@ def level(p):
 # typed, so that (2.0, 2.0) misses the entry of (2, 2) and is refused
 @lru_cache(maxsize=None, typed=True)
 def _chi_vector(f1, f2):
-    """The characters of CHI_INDEX at (f1, f2), which chi_young checks."""
-    return tuple(chi_young(i, f1, f2) for i in CHI_INDEX)
+    """The characters of CHI_INDEX at (f1, f2), which chi_values checks."""
+    return chi_values(CHI_INDEX, f1, f2)
 
 
 def dim_M_total(p, f1, f2):

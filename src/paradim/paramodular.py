@@ -122,21 +122,38 @@ def _check_space(space, j):
         raise UnsupportedJ(f"space {space} is only graded at j = 0, got j = {j}")
 
 
+# The one held run: the key (base, p, j, type(p), type(j)) of the most recent
+# base space and its (plus, minus) pairs from index 0.  The types are part of
+# the key, so that 7.0 misses the run of 7 and is refused as a level.
+_held = [None, []]
+
+
 def _space_sequence(p, space, nmax, j=0):
     """Dimension sequence (index 0..nmax) of a graded space.
 
     S+/S-/A+/A-/A are graded by the weight k; M+/M-/M by the Young
     parameter f of the weight (f + j, f).  A spaces exist for j = 0 only.
     Each base space has one (plus, minus) pair function; the suffix picks
-    the sum, the plus or the minus entry.
+    the sum, the plus or the minus entry.  The pairs are read from one
+    held run of the base space at (p, j): it is extended in place for a
+    longer sequence, sliced for a shorter one and replaced when p, the
+    base or j changes.  So A, A+ and A- (or M+, M-, M; S+, S-) at one
+    level, and the fallback denominators of hilbert_series, compute each
+    pair once.  A pair that raises is not held, so it raises again.
     """
     _check_space(space, j)
     base, sign = space[0], space[1:]
+    key = (base, p, j, type(p), type(j))
+    if _held[0] != key:
+        _held[:] = [key, []]
+    pairs = _held[1]
     pair = {"M": lambda f: dim_M_signed(p, f + j, f),
             "A": lambda k: dim_A_signed(p, k),
             "S": lambda k: dim_S_signed(p, k, j)}[base]
+    for n in range(len(pairs), nmax + 1):
+        pairs.append(pair(n))
     pick = {"": sum, "+": itemgetter(0), "-": itemgetter(1)}[sign]
-    return [pick(pair(n)) for n in range(nmax + 1)]
+    return [pick(pairs[n]) for n in range(nmax + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -188,7 +205,9 @@ class HilbertSeries(NamedTuple):
 def hilbert_series(p, space, j=0):
     """Fit the dimension sequence of a graded space to a rational
     function with a factored denominator; for series with an embedded
-    presentation its denominator is used and its numerator reproduced."""
+    presentation its denominator is used and its numerator reproduced.
+    Otherwise FALLBACK_DENOMINATORS are tried in order, each on a prefix
+    of the held run of _space_sequence, so no weight is computed twice."""
     rec = _printed_registry().get((p, space, j))
     candidates = [rec["den"]] if rec is not None else FALLBACK_DENOMINATORS
     last_error = None

@@ -16,7 +16,8 @@ from paradim.arith import a_p, bernoulli_b2_chi, class_number, primes_up_to, spl
 from paradim.characters import _br, chi_young
 from paradim.compact import CHI_INDEX, DEN, dim_M_signed, dim_M_total, level, trace_R
 from paradim.elliptic import dim_cusp_level1, dim_new_gamma0, dim_new_gamma0_signed
-from paradim.errors import MissingJacobiData
+from paradim import paramodular
+from paradim.errors import BadYoung, MissingJacobiData, NotPrimeLevel
 from paradim.paramodular import (
     LIFTS_ONLY_BELOW,
     SPACES,
@@ -25,6 +26,7 @@ from paradim.paramodular import (
     _weight_terms,
     dim_A_signed,
     dim_paramodular_signed,
+    hilbert_series,
 )
 from paradim.siegel1 import dim_cusp_sp4
 
@@ -230,3 +232,42 @@ def test_space_sequence_matches_oracle(p):
         for j in ((0, 2) if space[0] in "MS" else (0,)):
             assert _space_sequence(p, space, 30, j) == space_sequence_oracle(p, space, 30, j), (
                 p, space, j)
+
+
+def test_held_run_matches_oracle_in_any_call_order(monkeypatch):
+    # one run is held at a time: each call must read the pairs of its own
+    # (p, base, j), whether it grows the run, shrinks it, follows a call at
+    # another prime or at another j
+    monkeypatch.setattr(paramodular, "_held", [None, []])
+    calls = [(11, "M", 5, 0), (11, "M+", 20, 0), (11, "M-", 8, 0), (11, "M", 30, 0),
+             (11, "M", 0, 0), (11, "M", -1, 0), (53, "M", 12, 0), (11, "M+", 12, 0),
+             (53, "M-", 25, 0), (11, "M", 10, 2), (11, "M", 10, 0), (11, "M-", 15, 2),
+             (11, "S+", 15, 2), (11, "S+", 15, 0), (11, "S-", 20, 0), (53, "S-", 20, 0),
+             (11, "S-", 25, 2), (11, "A", 9, 0), (11, "A+", 30, 0), (53, "A-", 30, 0),
+             (11, "A-", 4, 0), (53, "S+", 18, 2), (53, "S+", 30, 2)]
+    for p, space, nmax, j in calls:
+        assert _space_sequence(p, space, nmax, j) == space_sequence_oracle(p, space, nmax, j), (
+            p, space, nmax, j)
+
+
+def test_held_run_keeps_the_domain_checks(monkeypatch):
+    # the key of the held run carries the types: 7.0 misses the runs of 7
+    monkeypatch.setattr(paramodular, "_held", [None, []])
+    hilbert_series(7, "A")
+    with pytest.raises(NotPrimeLevel):
+        hilbert_series(7.0, "A")
+    _space_sequence(7, "M", 3)
+    with pytest.raises(NotPrimeLevel):
+        _space_sequence(7.0, "M", 3)
+    with pytest.raises(BadYoung):
+        _space_sequence(7, "M", 3, 2.0)
+
+
+def test_held_run_does_not_hold_a_refused_weight(monkeypatch):
+    # weight 2 is refused at p = 389 on every call, and the weights held
+    # before it still serve a shorter run
+    monkeypatch.setattr(paramodular, "_held", [None, []])
+    for _ in range(2):
+        with pytest.raises(MissingJacobiData):
+            _space_sequence(389, "S+", 5)
+    assert _space_sequence(389, "S+", 1) == [0, 0]

@@ -3,6 +3,7 @@ from math import lcm
 import pytest
 from hypothesis import given, strategies as st
 
+from paradim import characters, compact
 from paradim.characters import (
     CHI_TABLE,
     PHI_COEFFS,
@@ -10,6 +11,7 @@ from paradim.characters import (
     chi_bracket_young,
     chi_closed,
     chi_series,
+    chi_values,
     chi_young,
 )
 from paradim.errors import BadIndex, BadYoung, NonIntegral
@@ -116,6 +118,32 @@ def test_table_division_is_checked(monkeypatch):
     monkeypatch.setitem(CHI_TABLE, 1, (7, CHI_TABLE[1][1]))
     with pytest.raises(NonIntegral, match=r"chi_1\(k=3, j=2\)"):
         chi_closed(1, (3, 2))
+
+
+def test_vector_equals_chi_young():
+    for f2 in range(60):
+        for f1 in range(f2, f2 + 40, 2):
+            vec = compact._chi_vector(f1, f2)
+            assert vec == tuple(chi_young(i, f1, f2) for i in compact.CHI_INDEX), (f1, f2)
+    assert chi_values(range(1, 18), 6, 2) == tuple(chi_young(i, 6, 2) for i in range(1, 18))
+
+
+def test_vector_checks_the_weight_once(monkeypatch):
+    seen = []
+    check = characters._check_young
+    monkeypatch.setattr(characters, "_check_young",
+                        lambda f1, f2: (seen.append((f1, f2)), check(f1, f2)))
+    compact._chi_vector.__wrapped__(4, 2)
+    assert seen == [(4, 2)]
+    with pytest.raises(BadYoung):
+        compact._chi_vector.__wrapped__(1, 0)
+    assert seen == [(4, 2), (1, 0)]
+
+
+def test_vector_division_is_checked(monkeypatch):
+    monkeypatch.setitem(CHI_TABLE, 1, (7, CHI_TABLE[1][1]))
+    with pytest.raises(NonIntegral, match=r"chi_1\(k=3, j=2\)"):
+        compact._chi_vector.__wrapped__(2, 0)
 
 
 def test_bracket_forms_agree():

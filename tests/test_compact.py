@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -90,10 +88,10 @@ def test_invariants_are_checked_ints(monkeypatch):
     for p in (15, 7.0):
         with pytest.raises(NotPrimeLevel):
             compact._invariants(p)
-    # 5 B_{2,chi} goes through an exact division: a B_{2,chi} of 1/7 is
-    # refused, never truncated
-    monkeypatch.setattr(compact, "bernoulli_b2_chi", lambda p: Fraction(1, 7))
-    with pytest.raises(NonIntegral, match=r"5 B_2,chi\(13\) = 5/7"):
+    # 5 B_{2,chi} = 5 b2_character_sum(D0) / D0 goes through an exact
+    # division: a sum of 1 at D0 = 13 is refused, never truncated
+    monkeypatch.setattr(compact, "b2_character_sum", lambda D0: 1)
+    with pytest.raises(NonIntegral, match=r"5 B_2,chi\(13\) = 5/13"):
         level.__wrapped__(13)
 
 

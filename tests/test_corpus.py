@@ -3,7 +3,7 @@ from hashlib import sha256
 
 import pytest
 
-from paradim import corpus
+from paradim import compact, corpus, paramodular
 from paradim.arith import primes_up_to
 from paradim.corpus import iter_checks, run_checks, series_checks, table_checks
 from paradim.paramodular import hilbert_series
@@ -91,3 +91,34 @@ def test_only_computes_nothing_it_does_not_select(monkeypatch, only, calls):
         monkeypatch.setattr(corpus, name, counted)
     assert all(c.ok for c in iter_checks(only))
     assert dict(seen) == calls
+
+
+def _count_dim_M_total(monkeypatch):
+    """A counter of the calls of compact.dim_M_total, with no run held."""
+    seen = Counter()
+    total = compact.dim_M_total
+
+    def counted(*args):
+        seen["calls"] += 1
+        return total(*args)
+
+    monkeypatch.setattr(compact, "dim_M_total", counted)
+    monkeypatch.setattr(paramodular, "_held", [None, []])
+    return seen
+
+
+def test_verify_computes_each_graded_dimension_once(monkeypatch):
+    # a count, not a time: 16 890 signed M dimensions for 6 604 distinct
+    # weights when each space and each fallback denominator recomputed its
+    # sequence; 11 767 with one held run
+    seen = _count_dim_M_total(monkeypatch)
+    assert run_checks() == (902, [])
+    assert seen["calls"] <= 12000
+
+
+def test_fallback_denominators_share_one_run(monkeypatch):
+    # five candidate denominators of sequence length 105, 93, 95, 97 and 101
+    # made 481 calls; the held run computes weights 3..105 once each
+    seen = _count_dim_M_total(monkeypatch)
+    hilbert_series(2, "A+")
+    assert seen["calls"] <= 110
