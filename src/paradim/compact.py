@@ -7,6 +7,15 @@ chi_i(f1, f2), i in CHI_INDEX: `level(p)` applies the constant matrices
 M_ROWS and TRACE_ROWS to the level invariants I(p).  dim_M_total and
 trace_R divide a dot product with the cached character vector by DEN
 exactly, and dim_M_signed splits the two into (plus, minus).
+
+Functional equation.  At j = 0 each scalar character series
+F_i(t) = sum_{f >= 0} chi_i(f, f) t^f, i in CHI_INDEX, is rational over
+(1 - t^120)^4 with F_i(1/t) = t^3 F_i(t) (tests/test_characters.py).
+dim M, tr R and so dim M+, dim M- at weight (f, f) are combinations of
+the chi_i(f, f) whose coefficients depend on p only, so at every prime
+the series sum_f dim M_f t^f, and those of M+ and M-, satisfy the same
+equation: their numerators are palindromic up to a power of t, with
+l = 3.
 """
 from functools import lru_cache
 from operator import mul

@@ -110,12 +110,28 @@ def fit_numerator(seq, denom_exponents, max_deg):
     return _trim(c[: max_deg + 1])
 
 
+def _leading_zeros(numerator):
+    """The number s of leading zero coefficients of a nonzero numerator."""
+    s = 0
+    while not numerator[s]:
+        s += 1
+    return s
+
+
 def is_palindromic(gf):
-    """True iff t^d * Q(1/t) = Q(t) for the numerator Q of gf."""
-    return bool(gf.numerator) and gf.numerator == gf.numerator[::-1]
+    """True iff the numerator of gf is t^s P(t) with P a nonzero
+    palindrome: t^(deg P) P(1/t) = P(t)."""
+    q = gf.numerator
+    if not q:
+        return False
+    p = q[_leading_zeros(q):]
+    return p == p[::-1]
 
 
 def palindromic_ell(gf):
-    """The exponent l with F(1/t) = (-1)^m t^l F(t) for palindromic gf
-    (the zero numerator counts as degree -1)."""
-    return sum(gf.denom_exponents) - len(gf.numerator) + 1
+    """The exponent l with F(1/t) = (-1)^m t^l F(t) for palindromic gf,
+    whose numerator is t^s P(t): l = sum(a_i) - s - deg Q, Q = t^s P
+    (the zero numerator counts as s = 0 and degree -1)."""
+    q = gf.numerator
+    s = _leading_zeros(q) if q else 0
+    return sum(gf.denom_exponents) - s - (len(q) - 1)

@@ -18,215 +18,186 @@ candidate fails the first test of in_coset3, and every other candidate
 meets the same second test as in in_coset3, in the order of the full
 loop.
 
-All arithmetic is on integers.  Both maximal orders lie in
-(1/2) Z<1, e1, e2, e3>, so a quaternion is stored by its doubled
-coordinates, and membership in either order is a parity condition on
-them.
+All arithmetic is on plain integer tuples.  Both maximal orders lie in
+(1/2) Z<1, e1, e2, e3>, so a quaternion (w + x e1 + y e2 + z e3)/2 is
+the 4-tuple (w, x, y, z) of its doubled coordinates, and membership in
+either order is a parity condition on them.  A 2x2 matrix (a b; c d) is
+the 4-tuple (a, b, c, d) of its entries.  The sum, difference, negation
+and conjugate are module functions; the product and the norm depend on
+the algebra (e1^2 = -a, e2^2 = -b, e3 = e1 e2) and come from its record
+in ALGEBRA, built once per prime.
 """
 from functools import lru_cache
 from itertools import product
 from math import isqrt
 
-from .characters import chi_young
+from .characters import chi_values
 from .errors import (FamilySizeMismatch, NonIntegral, NotPrimeLevel,
                      NotSimilitude, UnsupportedPrime)
 from .exactmath import exact_quotient
 
 
-class Quat:
-    """Quaternion (w + x e1 + y e2 + z e3) / 2 with e1^2 = -a,
-    e2^2 = -b, e3 = e1 e2.  The stored w, x, y, z are the integer
-    doubled coordinates."""
+def add(q, r):
+    return (q[0] + r[0], q[1] + r[1], q[2] + r[2], q[3] + r[3])
 
-    __slots__ = ("w", "x", "y", "z", "a", "b")
 
-    def __init__(self, w, x, y, z, a, b):
-        self.w, self.x, self.y, self.z = w, x, y, z
-        self.a, self.b = a, b
+def sub(q, r):
+    return (q[0] - r[0], q[1] - r[1], q[2] - r[2], q[3] - r[3])
 
-    def _like(self, w, x, y, z):
-        return Quat(w, x, y, z, self.a, self.b)
 
-    def __add__(self, other):
-        return self._like(self.w + other.w, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
+def neg(q):
+    return (-q[0], -q[1], -q[2], -q[3])
 
-    def __sub__(self, other):
-        return self._like(self.w - other.w, self.x - other.x,
-                          self.y - other.y, self.z - other.z)
 
-    def __neg__(self):
-        return self._like(-self.w, -self.x, -self.y, -self.z)
+def conj(q):
+    return (q[0], -q[1], -q[2], -q[3])
 
-    def __mul__(self, other):
-        # the product of two halved quaternions is the usual formula over
-        # 4, so its doubled coordinates are that formula halved
-        a, b = self.a, self.b
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
-        w = w1 * w2 - a * x1 * x2 - b * y1 * y2 - a * b * z1 * z2
-        x = w1 * x2 + x1 * w2 + b * (y1 * z2 - z1 * y2)
-        y = w1 * y2 + y1 * w2 + a * (z1 * x2 - x1 * z2)
-        z = w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2
-        if (w | x | y | z) & 1:
-            raise NonIntegral(f"quaternion product leaves (1/2) Z<1, e1, e2, e3>: "
-                              f"({w}, {x}, {y}, {z})/4")
-        return Quat(w >> 1, x >> 1, y >> 1, z >> 1, a, b)
 
-    def conjugate(self):
-        return self._like(self.w, -self.x, -self.y, -self.z)
+def _divisible(q, m):
+    """True iff every doubled coordinate of q is divisible by m."""
+    return not (q[0] % m or q[1] % m or q[2] % m or q[3] % m)
 
-    def norm(self):
-        a, b = self.a, self.b
-        return exact_quotient(self.w ** 2 + a * self.x ** 2 + b * self.y ** 2
-                              + a * b * self.z ** 2, 4, "norm of {}", self)
 
-    def trace(self):
-        return self.w
+def _divided(q, m):
+    """The quaternion q/m; NonIntegral unless _divisible(q, m)."""
+    if not _divisible(q, m):
+        raise NonIntegral(f"{q} is not divisible by {m}")
+    return (q[0] // m, q[1] // m, q[2] // m, q[3] // m)
 
-    def divisible_by(self, m):
-        """True iff every doubled coordinate is divisible by m."""
-        return not (self.w % m or self.x % m or self.y % m or self.z % m)
 
-    def divided_by(self, m):
-        """The quaternion self/m; NonIntegral unless divisible_by(m)."""
-        if not self.divisible_by(m):
-            raise NonIntegral(f"{self} is not divisible by {m}")
-        return self._like(self.w // m, self.x // m, self.y // m, self.z // m)
+class Algebra:
+    """The quaternion algebra with e1^2 = -a, e2^2 = -b, e3 = e1 e2: its
+    product `mul` and reduced norm `norm` on doubled coordinates."""
 
-    def __eq__(self, other):
-        return (self.w, self.x, self.y, self.z, self.a, self.b) == \
-               (other.w, other.x, other.y, other.z, other.a, other.b)
+    __slots__ = ("a", "b", "mul", "norm")
 
-    def __hash__(self):
-        return hash((self.w, self.x, self.y, self.z, self.a, self.b))
+    def __init__(self, a, b):
+        ab = a * b
 
-    def __repr__(self):
-        return f"Quat({self.w}, {self.x}, {self.y}, {self.z}; a={self.a}, b={self.b})"
+        def mul(q, r):
+            # the product of two halved quaternions is the usual formula
+            # over 4, so its doubled coordinates are that formula halved
+            w1, x1, y1, z1 = q
+            w2, x2, y2, z2 = r
+            w = w1 * w2 - a * x1 * x2 - b * y1 * y2 - ab * z1 * z2
+            x = w1 * x2 + x1 * w2 + b * (y1 * z2 - z1 * y2)
+            y = w1 * y2 + y1 * w2 + a * (z1 * x2 - x1 * z2)
+            z = w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2
+            if (w | x | y | z) & 1:
+                raise NonIntegral(f"quaternion product leaves (1/2) Z<1, e1, e2, e3>: "
+                                  f"({w}, {x}, {y}, {z})/4")
+            return (w >> 1, x >> 1, y >> 1, z >> 1)
+
+        def norm(q):
+            w, x, y, z = q
+            n4 = w * w + a * x * x + b * y * y + ab * z * z
+            if n4 & 3:
+                raise NonIntegral(f"norm of {q} = {n4}/4 is not an integer")
+            return n4 >> 2
+
+        self.a, self.b, self.mul, self.norm = a, b, mul, norm
+
+
+# p -> the algebra ramified at {p, infinity}: the Hamilton quaternions at
+# p = 2, and alpha = e1, beta = e2 with alpha^2 = -3, beta^2 = -1 at p = 3
+ALGEBRA = {2: Algebra(1, 1), 3: Algebra(3, 1)}
 
 
 def in_hurwitz(q):
     """Membership in the Hurwitz order Z<1, i, j, (1 + i + j + k)/2>:
     all four doubled coordinates have the same parity."""
-    return q.w % 2 == q.x % 2 == q.y % 2 == q.z % 2
+    w, x, y, z = q
+    return w % 2 == x % 2 == y % 2 == z % 2
 
 
 def in_order3(q):
     """Membership in the maximal order Z<1, (1 + alpha)/2, beta,
     (1 + alpha) beta/2> of the algebra with alpha^2 = -3, beta^2 = -1:
     w = x and y = z (mod 2) in doubled coordinates."""
-    return (q.w - q.x) % 2 == 0 and (q.y - q.z) % 2 == 0
+    w, x, y, z = q
+    return (w - x) % 2 == 0 and (y - z) % 2 == 0
 
 
-def elements_of_norm(n, a, b, member):
-    """All elements of norm n of the order whose membership test is
-    `member`.  Every doubled coordinate is at most 2 sqrt(n) in size,
+def elements_of_norm(n, alg, member):
+    """All elements of norm n of the order of `alg` whose membership test
+    is `member`.  Every doubled coordinate is at most 2 sqrt(n) in size,
     because a, b >= 1."""
     r = isqrt(4 * n)
-    out = []
-    for c in product(range(-r, r + 1), repeat=4):
-        q = Quat(*c, a, b)
-        if member(q) and q.norm() == n:
-            out.append(q)
-    return out
+    norm = alg.norm
+    return [q for q in product(range(-r, r + 1), repeat=4) if member(q) and norm(q) == n]
 
 
-class QuatMat2:
-    """2x2 quaternionic matrix (a b; c d)."""
+def principal_poly(alg, g):
+    """Monic degree-4 integer polynomial of a similitude matrix g =
+    (a, b, c, d) over `alg`, as an ascending coefficient tuple.
 
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        self.a, self.b, self.c, self.d = a, b, c, d
-
-    def __mul__(self, other):
-        return QuatMat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def similitude(self):
-        """The scalar n with g g* = n, where g* is the quaternionic
-        conjugate transpose; raises NotSimilitude if there is none."""
-        off = self.a * self.c.conjugate() + self.b * self.d.conjugate()
-        if off.w or off.x or off.y or off.z:
-            raise NotSimilitude("rows are not orthogonal")
-        n1 = self.a.norm() + self.b.norm()
-        n2 = self.c.norm() + self.d.norm()
-        if n1 != n2:
-            raise NotSimilitude("rows have different norms")
-        return n1
-
-    def trace(self):
-        return self.a.trace() + self.d.trace()
-
-    def square_trace(self):
-        """tr(g^2), from the two diagonal entries of g^2 only."""
-        return ((self.a * self.a + self.b * self.c).trace()
-                + (self.c * self.b + self.d * self.d).trace())
-
-
-def principal_poly(g):
-    """Monic degree-4 integer polynomial of a similitude matrix, as an
-    ascending coefficient tuple.
-
-    Computed as x^4 - T x^3 + (T^2 - T2)/2 x^2 - T n x + n^2 with
-    T = tr(g), T2 = tr(g^2), n the similitude, and cross-checked against
-    the entrywise form with middle coefficient
-    tr(a) tr(d) - N(b + c-bar) + 2n.
+    The similitude n is the scalar with g g* = n, g* the quaternionic
+    conjugate transpose: the rows must be orthogonal and of equal norm,
+    or NotSimilitude.  The polynomial is
+    x^4 - T x^3 + (T^2 - T2)/2 x^2 - T n x + n^2 with T = tr(g) and
+    T2 = tr(g^2), read from the diagonal of g^2, and is cross-checked
+    against the entrywise form with middle coefficient
+    tr(a) tr(d) - N(b + c-bar) + 2n.  The reduced trace of a quaternion
+    is its first doubled coordinate.
     """
-    n = g.similitude()
-    t = g.trace()
-    t2 = g.square_trace()
+    mul, norm = alg.mul, alg.norm
+    a, b, c, d = g
+    if any(add(mul(a, conj(c)), mul(b, conj(d)))):
+        raise NotSimilitude("rows are not orthogonal")
+    n = norm(a) + norm(b)
+    if n != norm(c) + norm(d):
+        raise NotSimilitude("rows have different norms")
+    t = a[0] + d[0]
+    # tr(c b) = tr(b c), and c b is integral iff b c is: their unhalved
+    # coordinates differ by even cross terms
+    t2 = mul(a, a)[0] + 2 * mul(b, c)[0] + mul(d, d)[0]
     c2 = exact_quotient(t * t - t2, 2, "principal coefficient ({}^2 - {})/2", t, t2)
-    c2_alt = (g.a.trace() * g.d.trace()
-              - (g.b + g.c.conjugate()).norm() + 2 * n)
+    c2_alt = a[0] * d[0] - norm(add(b, conj(c))) + 2 * n
     if c2 != c2_alt:
         raise NotSimilitude(f"inconsistent middle coefficient: {c2} vs {c2_alt}")
     return (n * n, -t * n, c2, -t, 1)
 
 
 def _p2_families():
-    a, b = 1, 1
-    qi = Quat(0, 2, 0, 0, a, b)
-    qk = Quat(0, 0, 0, 2, a, b)
-    zero = Quat(0, 0, 0, 0, a, b)
-    units = elements_of_norm(1, a, b, in_hurwitz)
+    alg = ALGEBRA[2]
+    mul = alg.mul
+    units = elements_of_norm(1, alg, in_hurwitz)
     if len(units) != 24:
         raise FamilySizeMismatch(f"expected 24 units at p=2, got {len(units)}")
-    r = qi - qk
-    a0s = [q for q in units if q.w % 2 == 0]  # +-1, +-i, +-j, +-k
-    xs = [-qi, qk] + [Quat(s1, -1, s2, 1, a, b)  # (s1 - i + s2 j + k)/2
-                      for s1 in (1, -1) for s2 in (1, -1)]
+    qi, qk, zero = (0, 2, 0, 0), (0, 0, 0, 2), (0, 0, 0, 0)
+    r = sub(qi, qk)
+    a0s = [q for q in units if q[0] % 2 == 0]  # +-1, +-i, +-j, +-k
+    xs = [neg(qi), qk] + [(s1, -1, s2, 1)  # (s1 - i + s2 j + k)/2
+                          for s1 in (1, -1) for s2 in (1, -1)]
     # elements below are already multiplied through by the uniformizer r
+    rxs = [(x, add(r, x)) for x in xs]
     fams = [[], [], [], [], []]
     for u in units:
+        ru = mul(r, u)
+        xus = [(x, rx, mul(rx, u), mul(x, u)) for x, rx in rxs]
         for a0 in a0s:
-            ua0 = u * a0
-            fams[0].append(QuatMat2(u, -ua0, u, ua0))
-            fams[1].append(QuatMat2(u, ua0, -u, ua0))
-            fams[2].append(QuatMat2(r * u, zero, zero, r * ua0))
-            fams[3].append(QuatMat2(zero, r * ua0, r * u, zero))
-            for x in xs:
-                rx = r + x
-                fams[4].append(QuatMat2(rx * u, x * ua0, x * u, rx * ua0))
+            ua0 = mul(u, a0)
+            rua0 = mul(r, ua0)
+            fams[0].append((u, neg(ua0), u, ua0))
+            fams[1].append((u, ua0, neg(u), ua0))
+            fams[2].append((ru, zero, zero, rua0))
+            fams[3].append((zero, rua0, ru, zero))
+            for x, rx, rxu, xu in xus:
+                fams[4].append((rxu, mul(x, ua0), xu, mul(rx, ua0)))
     _check_sizes(2, fams, (192, 192, 192, 192, 1152))
     return fams
 
 
-# The algebra ramified at {3, infinity}: e1 = alpha with alpha^2 = -3,
-# e2 = beta with beta^2 = -1 (doubled coordinates).
-_ALPHA = Quat(0, 2, 0, 0, 3, 1)
-_S = Quat(2, 0, 2, 0, 3, 1)    # s = 1 + beta
-_T = Quat(0, 2, 0, -2, 3, 1)   # t = (1 + beta) alpha
-_K = Quat(0, 0, 0, 2, 3, 1)    # alpha beta = 3 (beta alpha)^{-1}
+# The lattice constants of in_coset3 (doubled coordinates at p = 3).
+_ALPHA = (0, 2, 0, 0)
+_S = (2, 0, 2, 0)    # s = 1 + beta
+_T = (0, 2, 0, -2)   # t = (1 + beta) alpha
+_K = (0, 0, 0, 2)    # alpha beta = 3 (beta alpha)^{-1}
 
 
 def in_coset3(delta):
-    """Whether delta, an integral matrix with delta delta* = 3, lies in the
-    coset pi*Gamma_1 at p = 3.
+    """Whether delta = (a, b, c, d), an integral matrix with delta delta* = 3,
+    lies in the coset pi*Gamma_1 at p = 3.
 
     The stabilized lattice has basis matrix g = (1, s; 0, alpha) (its Gram
     matrix has off-diagonal t) and the reference coset element is
@@ -245,7 +216,7 @@ def in_coset3(delta):
     for every integral delta:
     - X21 is integral: N(alpha) = 3, so alpha generates the maximal ideal
       P of the order at 3 on either side, and alpha c alpha lies in
-      P^2 = 3 O there.
+      P^2 = 3 O there.  Its division by 3 is still checked.
     - g u* g^{-1} = X^{-1} is integral once X is: u has similitude 1, so
       its principal (reduced characteristic) polynomial is
       x^4 - T x^3 + m x^2 - T x + 1 (see principal_poly), and X, a
@@ -253,64 +224,68 @@ def in_coset3(delta):
       X^{-1} = T - m X + T X^2 - X^3, where T = tr X and
       m = (T^2 - tr X^2)/2 are integral at 3 with X, 2 being a unit there.
     """
-    column = _p3_column(delta.a, delta.c)
-    return column is not None and _p3_second_column(column, delta.b, delta.d)
+    a, b, c, d = delta
+    column = _p3_column(a, c)
+    return column is not None and _p3_second_column(column, b, d)
 
 
 def _p3_column(a, c):
     """(X11 t, X21 t) of in_coset3 for the first column (a, c), or None
     when X11 is not integral at 3.  The second-column test reads a and c
     only through this pair."""
-    x11 = (a + _S * c) * _K
-    if not x11.divisible_by(3):
+    mul = ALGEBRA[3].mul
+    x11 = mul(add(a, mul(_S, c)), _K)
+    if not _divisible(x11, 3):
         return None
-    return x11.divided_by(3) * _T, (_ALPHA * c * _K).divided_by(3) * _T
+    return mul(_divided(x11, 3), _T), mul(_divided(mul(mul(_ALPHA, c), _K), 3), _T)
 
 
 def _p3_second_column(column, b, d):
     """Whether X12 and X22 of in_coset3 are integral at 3, given
     column = _p3_column(a, c) for the matrix (a b; c d)."""
+    mul = ALGEBRA[3].mul
     x11t, x21t = column
-    return ((x11t - (b + _S * d)).divisible_by(3)
-            and (x21t - _ALPHA * d).divisible_by(3))
+    return (_divisible(sub(x11t, add(b, mul(_S, d))), 3)
+            and _divisible(sub(x21t, mul(_ALPHA, d)), 3))
 
 
 def _p3_families():
-    a, b = 3, 1
-    zero = Quat(0, 0, 0, 0, a, b)
-    units = elements_of_norm(1, a, b, in_order3)
+    alg = ALGEBRA[3]
+    mul = alg.mul
+    zero = (0, 0, 0, 0)
+    units = elements_of_norm(1, alg, in_order3)
     if len(units) != 12:
         raise FamilySizeMismatch(f"expected 12 units at p=3, got {len(units)}")
-    norm2 = elements_of_norm(2, a, b, in_order3)
-    norm3 = elements_of_norm(3, a, b, in_order3)
+    norm2 = elements_of_norm(2, alg, in_order3)
+    norm3 = elements_of_norm(3, alg, in_order3)
 
     # the four shapes exhaust the integral matrices with delta delta* = 3:
     # row norms split as (3,0)/(0,3), (0,3)/(3,0), (1,2)/(2,1), (2,1)/(1,2)
     fams = [[], [], [], []]
     for A in norm3:
         for D in norm3:
-            m = QuatMat2(A, zero, zero, D)
+            m = (A, zero, zero, D)
             if in_coset3(m):
                 fams[0].append(m)
-            m = QuatMat2(zero, A, D, zero)
+            m = (zero, A, D, zero)
             if in_coset3(m):
                 fams[1].append(m)
     # column first: the shapes (e1 y; c2 e2) and (c2 e2; e1 y) fix their
     # first column before e2 is chosen, so a failing column skips all 12 e2
     for c2 in norm2:
-        c2bar = c2.conjugate()
+        c2bar = conj(c2)
         for e1 in units:
             col2 = _p3_column(e1, c2)
             col3 = _p3_column(c2, e1)
             if col2 is None and col3 is None:
                 continue
-            e1c2bar = e1 * c2bar
+            e1c2bar = mul(e1, c2bar)
             for e2 in units:
-                y = -(e1c2bar * e2)  # forced by row orthogonality
+                y = neg(mul(e1c2bar, e2))  # forced by row orthogonality
                 if col2 is not None and _p3_second_column(col2, y, e2):
-                    fams[2].append(QuatMat2(e1, y, c2, e2))
+                    fams[2].append((e1, y, c2, e2))
                 if col3 is not None and _p3_second_column(col3, e2, y):
-                    fams[3].append(QuatMat2(c2, e2, e1, y))
+                    fams[3].append((c2, e2, e1, y))
     _check_sizes(3, fams, (36, 36, 324, 324))
     return fams
 
@@ -336,24 +311,32 @@ def enumerate_pi_gamma(p):
     return _coset(p)[0]
 
 
+COSET_SIZE = {2: 1920, 3: 720}
+
+
 @lru_cache(maxsize=None)
 def _coset(p):
-    """(families, tallies): the coset's families, and per family its
-    principal-polynomial tally as sorted (polynomial, count) pairs, built
-    in one pass.  Every element must have similitude p: the constant
-    coefficient of its principal polynomial, n^2 for similitude n >= 0,
-    must be p^2."""
+    """(families, tallies, total): the coset's families, per family its
+    principal-polynomial tally, and the tally of the whole coset, each
+    tally as sorted (polynomial, count) pairs, built in one pass.  Every
+    element must have similitude p: the constant coefficient of its
+    principal polynomial, n^2 for similitude n >= 0, must be p^2."""
+    alg = ALGEBRA[p]
     fams = _p2_families() if p == 2 else _p3_families()
-    tallies = []
+    tallies, total = [], {}
     for fam in fams:
         tally = {}
         for g in fam:
-            key = principal_poly(g)
+            key = principal_poly(alg, g)
             if key[0] != p * p:
                 raise NotSimilitude(f"p={p}: enumerated element has similitude != {p}")
             tally[key] = tally.get(key, 0) + 1
         tallies.append(tuple(sorted(tally.items())))
-    return tuple(tuple(f) for f in fams), tuple(tallies)
+        for key, cnt in tally.items():
+            total[key] = total.get(key, 0) + cnt
+    if sum(total.values()) != COSET_SIZE[p]:
+        raise FamilySizeMismatch(f"p={p}: coset size {sum(total.values())} != {COSET_SIZE[p]}")
+    return tuple(tuple(f) for f in fams), tuple(tallies), tuple(sorted(total.items()))
 
 
 def family_tallies(p):
@@ -364,11 +347,8 @@ def family_tallies(p):
 
 def principal_tallies(p):
     """Aggregate tally of principal polynomials over the whole coset."""
-    total = {}
-    for t in family_tallies(p):
-        for key, cnt in t.items():
-            total[key] = total.get(key, 0) + cnt
-    return total
+    _check_p23(p)
+    return dict(_coset(p)[2])
 
 
 # principal polynomial (ascending coefficients) -> conjugacy-class index
@@ -395,17 +375,13 @@ CLASS_OF_POLY = {
     },
 }
 
-COSET_SIZE = {2: 1920, 3: 720}
-
 
 def verify_trace_p23(p, f1, f2):
     """Trace of the involution at diagonal-adjacent Young weight (f1, f2),
     rebuilt from the enumerated coset; an integer."""
-    tallies = principal_tallies(p)
-    size = COSET_SIZE[p]
-    if sum(tallies.values()) != size:
-        raise FamilySizeMismatch(f"p={p}: coset size {sum(tallies.values())} != {size}")
-    total = sum(cnt * chi_young(CLASS_OF_POLY[p][key], f1, f2)
-                for key, cnt in tallies.items())
-    return exact_quotient(total, size, "trace at p={}, ({},{})", p, f1, f2)
-
+    _check_p23(p)
+    total = _coset(p)[2]
+    classes = CLASS_OF_POLY[p]
+    chis = chi_values([classes[key] for key, _ in total], f1, f2)
+    return exact_quotient(sum(cnt * chi for (_, cnt), chi in zip(total, chis)),
+                          COSET_SIZE[p], "trace at p={}, ({},{})", p, f1, f2)

@@ -15,6 +15,8 @@ from paradim.characters import (
     chi_young,
 )
 from paradim.errors import BadIndex, BadYoung, NonIntegral
+from paradim.exactmath import fit_numerator, is_palindromic, palindromic_ell
+from paradim.paramodular import hilbert_series
 
 
 def test_weight_params():
@@ -118,6 +120,24 @@ def test_table_division_is_checked(monkeypatch):
     monkeypatch.setitem(CHI_TABLE, 1, (7, CHI_TABLE[1][1]))
     with pytest.raises(NonIntegral, match=r"chi_1\(k=3, j=2\)"):
         chi_closed(1, (3, 2))
+
+
+def test_scalar_characters_satisfy_the_functional_equation():
+    # At j = 0, F_i(t) = sum_f chi_i(f, f) t^f over (1 - t^120)^4 has a
+    # numerator Q of degree <= 477 = 480 - 3 with t^477 Q(1/t) = Q(t), i.e.
+    # F_i(1/t) = t^3 F_i(t) (see the compact module docstring).
+    vecs = [chi_values(compact.CHI_INDEX, f, f) for f in range(1002)]
+    for n, i in enumerate(compact.CHI_INDEX):
+        num = fit_numerator([v[n] for v in vecs], [120] * 4, 477)
+        padded = num + (0,) * (478 - len(num))
+        assert padded == padded[::-1], i
+
+
+def test_minus_series_inherits_the_functional_equation():
+    # its numerator 3t + ... + 3t^28 is t times a palindrome
+    gf = hilbert_series(23, "M-").gf
+    assert gf.numerator[0] == 0
+    assert is_palindromic(gf) and palindromic_ell(gf) == 3
 
 
 def test_vector_equals_chi_young():

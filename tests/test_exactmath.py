@@ -132,7 +132,13 @@ class TestRationalGF:
         assert is_palindromic(RationalGF([1, 2, 1], [2, 2]))
         assert not is_palindromic(RationalGF([1, 2], [2, 2]))
         assert not is_palindromic(RationalGF([], [2]))
+        # t^s P(t) with P a palindrome: the leading zeros are not compared
+        assert is_palindromic(RationalGF([0, 0, 1, 2, 1], [2, 2]))
+        assert not is_palindromic(RationalGF([0, 1, 2], [2, 2]))
 
     def test_palindromic_ell(self):
         gf = RationalGF([1, 0, 1], [4, 6])
         assert palindromic_ell(gf) == 10 - 2
+        # t (1 + t)^2 / (1 - t^2)^2 is invariant under t -> 1/t: l = 4 - 1 - 3
+        assert palindromic_ell(RationalGF([0, 1, 2, 1], [2, 2])) == 0
+        assert palindromic_ell(RationalGF([0, 0, 1, 0, 1], [4, 6])) == 10 - 2 - 4

@@ -16,6 +16,9 @@ An `lru_cache` on a function of two or more parameters must be
 `typed=True`: an untyped key (7, 4.0) equals (7, 4), so a warm entry
 would answer a float that the function itself refuses.
 
+No `assert` statement appears in src/paradim: `python -O` strips them,
+so a mathematical invariant is checked by raising a typed ParadimError.
+
 Every command runs in a fresh process, so import time is paid on every
 call: `import paradim, paradim.cli` must not load dataclasses or inspect
 (with ast, dis and tokenize, inspect was about 40 % of the import).
@@ -179,6 +182,25 @@ def test_multi_arg_caches_are_typed():
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in sorted((ROOT / "src" / "paradim").rglob("*.py"))
              for line, name in untyped_multi_arg_caches(path.read_text())]
+    assert found == []
+
+
+def assert_lines(source):
+    """The line of each `assert` statement of `source`."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_assert_detector():
+    source = ("def f(x):\n    assert x > 0, 'x'\n    if x:\n        assert x\n"
+              "    return 'assert x'\n")
+    assert assert_lines(source) == [2, 4]
+
+
+def test_no_asserts_in_the_package():
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path in sorted((ROOT / "src" / "paradim").rglob("*.py"))
+             for line in assert_lines(path.read_text())]
     assert found == []
 
 

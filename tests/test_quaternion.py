@@ -6,166 +6,201 @@ from hypothesis import given, strategies as st
 
 from paradim import quaternion
 from paradim.compact import trace_R
-from paradim.errors import NonIntegral, NotPrimeLevel, NotSimilitude, ParadimError
+from paradim.errors import (FamilySizeMismatch, NonIntegral, NotPrimeLevel,
+                            NotSimilitude, ParadimError)
 from paradim.quaternion import (
+    ALGEBRA,
     CLASS_OF_POLY,
     COSET_SIZE,
-    Quat,
-    QuatMat2,
+    Algebra,
     _ALPHA,
     _K,
     _S,
     _T,
+    add,
+    conj,
     elements_of_norm,
     enumerate_pi_gamma,
     family_tallies,
     in_coset3,
     in_hurwitz,
     in_order3,
+    neg,
     principal_poly,
     principal_tallies,
+    sub,
     verify_trace_p23,
 )
 
+H, Q3 = ALGEBRA[2], ALGEBRA[3]
 units = st.integers(-3, 3)
 
 
 def q2(w, x, y, z):
     """The Hamilton quaternion w + x i + y j + z k (integer coordinates)."""
-    return Quat(2 * w, 2 * x, 2 * y, 2 * z, 1, 1)
+    return (2 * w, 2 * x, 2 * y, 2 * z)
 
 
 # Hurwitz quaternions: doubled coordinates all of one parity
-hurwitz = st.builds(
-    lambda parity, cs: Quat(*(2 * c + parity for c in cs), 1, 1),
-    st.integers(0, 1), st.tuples(units, units, units, units))
+hurwitz = st.builds(lambda parity, cs: tuple(2 * c + parity for c in cs),
+                    st.integers(0, 1), st.tuples(units, units, units, units))
+
+
+def mat_mul(alg, g, h):
+    """The product of two 2x2 matrices over `alg`, as (a, b, c, d) tuples."""
+    mul = alg.mul
+    a, b, c, d = g
+    e, f, u, v = h
+    return (add(mul(a, e), mul(b, u)), add(mul(a, f), mul(b, v)),
+            add(mul(c, e), mul(d, u)), add(mul(c, f), mul(d, v)))
 
 
 class TestQuat:
     def test_hamilton_relations(self):
         i, j = q2(0, 1, 0, 0), q2(0, 0, 1, 0)
-        k = i * j
+        k = H.mul(i, j)
         assert k == q2(0, 0, 0, 1)
-        assert i * i == q2(-1, 0, 0, 0)
-        assert j * i == -k
-        assert (i * j) * i == i * (j * i)
+        assert H.mul(i, i) == q2(-1, 0, 0, 0)
+        assert H.mul(j, i) == neg(k)
+        assert H.mul(H.mul(i, j), i) == H.mul(i, H.mul(j, i))
 
     def test_norm_and_trace(self):
         q = q2(1, 2, 3, 4)
-        assert q.norm() == 1 + 4 + 9 + 16
-        assert q.trace() == 2
-        assert q * q.conjugate() == q2(q.norm(), 0, 0, 0)
-        h = Quat(1, 1, 1, 1, 1, 1)  # (1 + i + j + k)/2
-        assert h.norm() == 1 and h.trace() == 1
-        assert h * h * h == q2(-1, 0, 0, 0)
+        assert H.norm(q) == 1 + 4 + 9 + 16
+        assert q[0] == 2  # the reduced trace is the first doubled coordinate
+        assert H.mul(q, conj(q)) == q2(H.norm(q), 0, 0, 0)
+        h = (1, 1, 1, 1)  # (1 + i + j + k)/2
+        assert H.norm(h) == 1 and h[0] == 1
+        assert H.mul(H.mul(h, h), h) == q2(-1, 0, 0, 0)
 
     def test_generic_parameters(self):
+        assert (H.a, H.b) == (1, 1) and (Q3.a, Q3.b) == (3, 1)
         # e1^2 = -3, e2^2 = -1 (the ramified-at-3 algebra)
-        a = Quat(0, 2, 0, 0, 3, 1)
-        assert a * a == Quat(-6, 0, 0, 0, 3, 1)
-        b = Quat(0, 0, 2, 0, 3, 1)
-        assert (a * b).norm() == a.norm() * b.norm()
-        omega = Quat(1, 1, 0, 0, 3, 1)  # (1 + e1)/2, a root of x^2 - x + 1
-        assert omega * omega == omega - Quat(2, 0, 0, 0, 3, 1)
+        a = (0, 2, 0, 0)
+        assert Q3.mul(a, a) == (-6, 0, 0, 0)
+        b = (0, 0, 2, 0)
+        assert Q3.norm(Q3.mul(a, b)) == Q3.norm(a) * Q3.norm(b)
+        omega = (1, 1, 0, 0)  # (1 + e1)/2, a root of x^2 - x + 1
+        assert Q3.mul(omega, omega) == sub(omega, (2, 0, 0, 0))
 
     def test_product_outside_half_lattice_raises(self):
         # (1/2) (e/2) = e/4 for e = 1, e1, e2, e3: one doubled coordinate,
         # and a different one each time, is odd
         for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
             with pytest.raises(NonIntegral):
-                Quat(1, 0, 0, 0, 1, 1) * Quat(*e, 1, 1)
+                H.mul((1, 0, 0, 0), e)
+        with pytest.raises(NonIntegral):
+            H.norm((1, 0, 0, 0))  # N(1/2) = 1/4
 
     @given(hurwitz, hurwitz)
     def test_norm_multiplicative(self, x, y):
-        assert (x * y).norm() == x.norm() * y.norm()
-        assert in_hurwitz(x * y)
+        assert H.norm(H.mul(x, y)) == H.norm(x) * H.norm(y)
+        assert in_hurwitz(H.mul(x, y))
 
     @given(hurwitz, hurwitz, hurwitz)
     def test_associative(self, x, y, z):
-        assert (x * y) * z == x * (y * z)
+        assert H.mul(H.mul(x, y), z) == H.mul(x, H.mul(y, z))
 
 
 class TestOrder:
     def test_hurwitz_units(self):
-        assert len(elements_of_norm(1, 1, 1, in_hurwitz)) == 24
-        assert in_hurwitz(Quat(1, -1, 1, -1, 1, 1))
-        assert not in_hurwitz(Quat(1, 0, 0, 0, 1, 1))
+        assert len(elements_of_norm(1, H, in_hurwitz)) == 24
+        assert in_hurwitz((1, -1, 1, -1))
+        assert not in_hurwitz((1, 0, 0, 0))
 
     def test_elements_of_norm(self):
         # Hurwitz quaternions of norm 2: 24 of them
-        assert len(elements_of_norm(2, 1, 1, in_hurwitz)) == 24
+        assert len(elements_of_norm(2, H, in_hurwitz)) == 24
         # the maximal order at 3 has 12 units
-        units3 = elements_of_norm(1, 3, 1, in_order3)
+        units3 = elements_of_norm(1, Q3, in_order3)
         assert len(units3) == 12
-        assert all(q.norm() == 1 and in_order3(q) for q in units3)
-        assert in_order3(Quat(1, 1, 2, 0, 3, 1))
-        assert not in_order3(Quat(1, 0, 1, 1, 3, 1))
+        assert all(Q3.norm(q) == 1 and in_order3(q) for q in units3)
+        assert in_order3((1, 1, 2, 0))
+        assert not in_order3((1, 0, 1, 1))
 
 
 def test_similitude():
-    one = q2(1, 0, 0, 0)
-    zero = q2(0, 0, 0, 0)
-    assert QuatMat2(one, zero, zero, one).similitude() == 1
-    with pytest.raises(NotSimilitude):
-        QuatMat2(one, one, zero, one).similitude()  # rows not orthogonal
-    with pytest.raises(NotSimilitude):
-        QuatMat2(one, zero, zero, q2(1, 1, 0, 0)).similitude()  # norms differ
+    one, zero = q2(1, 0, 0, 0), q2(0, 0, 0, 0)
+    # the identity has similitude 1: (x - 1)^4
+    assert principal_poly(H, (one, zero, zero, one)) == (1, -4, 6, -4, 1)
+    # rows of equal norm that are not orthogonal
+    with pytest.raises(NotSimilitude, match="orthogonal"):
+        principal_poly(H, (one, zero, one, zero))
+    with pytest.raises(NotSimilitude, match="different norms"):
+        principal_poly(H, (one, zero, zero, q2(1, 1, 0, 0)))
+
+
+def test_middle_coefficient_is_cross_checked():
+    # a norm twice the true one passes the row tests (both sides double)
+    # but not tr(a) tr(d) - N(b + c-bar) + 2n = (T^2 - T2)/2
+    bad = Algebra(1, 1)
+    bad.norm = lambda q: 2 * H.norm(q)
+    one, zero = q2(1, 0, 0, 0), q2(0, 0, 0, 0)
+    with pytest.raises(NotSimilitude, match="middle coefficient"):
+        principal_poly(bad, (one, zero, zero, one))
 
 
 def test_principal_poly_of_scalar():
-    two = q2(2, 0, 0, 0)
-    zero = q2(0, 0, 0, 0)
-    g = QuatMat2(two, zero, zero, two)
+    two, zero = q2(2, 0, 0, 0), q2(0, 0, 0, 0)
     # 2 * identity: (x - 2)^4 with similitude 4
-    assert principal_poly(g) == (16, -32, 24, -8, 1)
+    assert principal_poly(H, (two, zero, zero, two)) == (16, -32, 24, -8, 1)
 
 
-@given(hurwitz, hurwitz, hurwitz, hurwitz)
-def test_square_trace_matches_full_square(a, b, c, d):
-    g = QuatMat2(a, b, c, d)
-    assert g.square_trace() == (g * g).trace()
+@lru_cache(maxsize=None)
+def p2_coset():
+    return [g for fam in enumerate_pi_gamma(2) for g in fam]
 
 
-def q3(w, x, y, z):
-    """(w + x alpha + y beta + z alpha beta)/2, alpha^2 = -3, beta^2 = -1."""
-    return Quat(w, x, y, z, 3, 1)
+@given(st.integers(0, 1919), st.integers(0, 1919))
+def test_square_trace_matches_full_square(i, j):
+    # g = g_i g_j, a product of two elements of the p = 2 coset, has
+    # similitude 4; its x^3 and x^2 coefficients are -T and (T^2 - tr(g g))/2,
+    # with g g the full matrix product
+    g = mat_mul(H, p2_coset()[i], p2_coset()[j])
+    gg = mat_mul(H, g, g)
+    t, t2 = g[0][0] + g[3][0], gg[0][0] + gg[3][0]
+    assert principal_poly(H, g) == (16, -4 * t, (t * t - t2) // 2, -t, 1)
+    assert (t * t - t2) % 2 == 0
 
 
-ONE3, ZERO3, ALPHA, BETA = q3(2, 0, 0, 0), q3(0, 0, 0, 0), q3(0, 2, 0, 0), q3(0, 0, 2, 0)
+# (w + x alpha + y beta + z alpha beta)/2, alpha^2 = -3, beta^2 = -1
+ONE3, ZERO3, ALPHA, BETA = (2, 0, 0, 0), (0, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0)
 
 
 def star(m):
     """Conjugate transpose."""
-    return QuatMat2(m.a.conjugate(), m.c.conjugate(), m.b.conjugate(), m.d.conjugate())
+    a, b, c, d = m
+    return (conj(a), conj(c), conj(b), conj(d))
 
 
 def test_p3_lattice_constants():
     assert _ALPHA == ALPHA
-    assert _S == ONE3 + BETA
-    assert _T == _S * ALPHA
-    assert _K == ALPHA * BETA
-    assert _K * (BETA * ALPHA) == q3(6, 0, 0, 0)  # alpha beta = 3 (beta alpha)^{-1}
+    assert _S == add(ONE3, BETA)
+    assert _T == Q3.mul(_S, ALPHA)
+    assert _K == Q3.mul(ALPHA, BETA)
+    # alpha beta = 3 (beta alpha)^{-1}
+    assert Q3.mul(_K, Q3.mul(BETA, ALPHA)) == (6, 0, 0, 0)
 
 
 @lru_cache(maxsize=None)
 def p3_candidates():
     """Every matrix the p = 3 search considers, unpruned, in its order:
     (family, matrix) pairs, 10 656 of them."""
-    units = elements_of_norm(1, 3, 1, in_order3)
-    norm2 = elements_of_norm(2, 3, 1, in_order3)
-    norm3 = elements_of_norm(3, 3, 1, in_order3)
+    units = elements_of_norm(1, Q3, in_order3)
+    norm2 = elements_of_norm(2, Q3, in_order3)
+    norm3 = elements_of_norm(3, Q3, in_order3)
     out = []
     for A in norm3:
         for D in norm3:
-            out.append((0, QuatMat2(A, ZERO3, ZERO3, D)))
-            out.append((1, QuatMat2(ZERO3, A, D, ZERO3)))
+            out.append((0, (A, ZERO3, ZERO3, D)))
+            out.append((1, (ZERO3, A, D, ZERO3)))
     for c2 in norm2:
-        c2bar = c2.conjugate()
+        c2bar = conj(c2)
         for e1 in units:
             for e2 in units:
-                y = -(e1 * c2bar * e2)
-                out.append((2, QuatMat2(e1, y, c2, e2)))
-                out.append((3, QuatMat2(c2, e2, e1, y)))
+                y = neg(Q3.mul(Q3.mul(e1, c2bar), e2))
+                out.append((2, (e1, y, c2, e2)))
+                out.append((3, (c2, e2, e1, y)))
     return out
 
 
@@ -175,15 +210,23 @@ def lattice_integrality(delta):
     (None when X is not), straight from the matrices: g = (1, 1+beta;
     0, alpha), gamma0 = diag(beta alpha, alpha).  Every matrix is kept
     integral by scaling 9 X = (g delta)(3 gamma0^{-1})(3 g^{-1})."""
-    g = QuatMat2(ONE3, ONE3 + BETA, ZERO3, ALPHA)
-    g_inv3 = QuatMat2(q3(6, 0, 0, 0), (ONE3 + BETA) * ALPHA, ZERO3, -ALPHA)
-    k = QuatMat2(ALPHA * BETA, ZERO3, ZERO3, -ALPHA)
-    x9 = g * delta * (k * g_inv3)
-    entries = tuple(q.divisible_by(9) for q in (x9.a, x9.b, x9.c, x9.d))
+    def prod(*ms):
+        out = ms[0]
+        for m in ms[1:]:
+            out = mat_mul(Q3, out, m)
+        return out
+
+    def integral(q):
+        return all(c % 9 == 0 for c in q)
+
+    s = add(ONE3, BETA)
+    g = (ONE3, s, ZERO3, ALPHA)
+    g_inv3 = ((6, 0, 0, 0), Q3.mul(s, ALPHA), ZERO3, neg(ALPHA))
+    k = (Q3.mul(ALPHA, BETA), ZERO3, ZERO3, neg(ALPHA))
+    entries = tuple(map(integral, prod(g, delta, prod(k, g_inv3))))
     if not all(entries):
         return entries, None
-    y9 = g * star(k) * star(delta) * g_inv3
-    return entries, all(q.divisible_by(9) for q in (y9.a, y9.b, y9.c, y9.d))
+    return entries, all(map(integral, prod(g, star(k), star(delta), g_inv3)))
 
 
 @lru_cache(maxsize=None)
@@ -202,9 +245,7 @@ def test_p3_search_matches_unpruned_oracle():
         assert in_coset3(m) == in_coset
         if in_coset:
             fams[fam].append(m)
-    key = lambda m: tuple((q.w, q.x, q.y, q.z) for q in (m.a, m.b, m.c, m.d))
-    for got, want in zip(enumerate_pi_gamma(3), fams):
-        assert [key(m) for m in got] == [key(m) for m in want]
+    assert [list(f) for f in enumerate_pi_gamma(3)] == fams
 
 
 def test_p3_each_coset_check_is_needed():
@@ -231,9 +272,50 @@ def test_coset_refuses_an_element_of_other_similitude(monkeypatch):
     # the identity has similitude 1; the uncached pass must refuse it
     one, zero = q2(1, 0, 0, 0), q2(0, 0, 0, 0)
     monkeypatch.setattr(quaternion, "_p2_families",
-                        lambda: [[QuatMat2(one, zero, zero, one)]])
+                        lambda: [[(one, zero, zero, one)]])
     with pytest.raises(NotSimilitude):
         quaternion._coset.__wrapped__(2)
+
+
+def test_family_sizes_are_checked(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(quaternion, "in_hurwitz", lambda q: False)  # no units
+        with pytest.raises(FamilySizeMismatch, match="24 units"):
+            quaternion._coset.__wrapped__(2)
+    with monkeypatch.context() as m:
+        m.setattr(quaternion, "in_coset3", lambda m: False)  # empty (3,0) shapes
+        with pytest.raises(FamilySizeMismatch, match="family sizes"):
+            quaternion._coset.__wrapped__(3)
+    monkeypatch.setitem(quaternion.COSET_SIZE, 2, 1919)
+    with pytest.raises(FamilySizeMismatch, match="coset size"):
+        quaternion._coset.__wrapped__(2)
+
+
+def test_x21_division_is_checked(monkeypatch):
+    # X21 = alpha c alpha beta / 3 is integral for every c; with alpha
+    # replaced by 1, c = 1 makes it beta/3, which the division refuses
+    monkeypatch.setattr(quaternion, "_ALPHA", ONE3)
+    a = neg(Q3.mul(_S, ONE3))  # X11 = 0
+    with pytest.raises(NonIntegral):
+        quaternion._p3_column(a, ONE3)
+
+
+def test_one_principal_poly_call_per_coset_element(monkeypatch):
+    # the benchmark's quaternion.principal_poly.calls counts these calls
+    verify_trace_p23(2, 4, 2), verify_trace_p23(3, 4, 2)
+    calls = []
+    original = quaternion.principal_poly
+
+    def counted(alg, g):
+        calls.append(g)
+        return original(alg, g)
+
+    monkeypatch.setattr(quaternion, "principal_poly", counted)
+    quaternion._coset.__wrapped__(2), quaternion._coset.__wrapped__(3)
+    assert len(calls) == 1920 + 720
+    calls.clear()
+    verify_trace_p23(2, 6, 2), verify_trace_p23(3, 6, 2)
+    assert calls == []
 
 
 def test_every_poly_is_classified():
