@@ -18,6 +18,7 @@ provided:
 They must agree everywhere; the test suite sweeps this.
 """
 from collections import namedtuple
+from functools import lru_cache
 
 from .errors import BadIndex, BadYoung, IrrationalResidue
 from .exactmath import exact_quotient
@@ -87,17 +88,16 @@ def _check_young(f1, f2):
 # Series route (Weyl character formula)
 # ---------------------------------------------------------------------------
 
-_pf_cache = {}
+@lru_cache(maxsize=None, typed=True)
+def _pf_run(i, negate):
+    """The held coefficients of 1/phi_i(+-x) from p_0 = 1, which _pf extends."""
+    return [(1, 0)]
 
 
 def _pf(i, upto, negate=False):
     """Coefficients p_0..p_upto of 1/phi_i(x) (or of 1/phi_i(-x)) as
     (rational, sqrt) integer pairs."""
-    key = (i, negate)
-    cache = _pf_cache.get(key)
-    if cache is None:
-        cache = [(1, 0)]
-        _pf_cache[key] = cache
+    cache = _pf_run(i, negate)
     coeffs, m = PHI_COEFFS[i]
     if negate:
         coeffs = [(a, b) if n % 2 == 0 else (-a, -b) for n, (a, b) in enumerate(coeffs)]

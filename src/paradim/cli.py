@@ -1,12 +1,14 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error (argparse
-default), 3 domain error (invalid weight, unsupported prime, ...).
+default), 3 domain error (invalid weight, unsupported prime, ...), 141
+(128 + SIGPIPE) when the reader closes the output early, with no stderr.
 """
 import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .arith import primes_up_to
@@ -185,9 +187,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         rc = args.func(args)
+        sys.stdout.flush()
     except ParadimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # what is still buffered goes nowhere, also at the exit's flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return rc or 0
 
 

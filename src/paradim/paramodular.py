@@ -122,10 +122,12 @@ def _check_space(space, j):
         raise UnsupportedJ(f"space {space} is only graded at j = 0, got j = {j}")
 
 
-# The one held run: the key (base, p, j, type(p), type(j)) of the most recent
-# base space and its (plus, minus) pairs from index 0.  The types are part of
-# the key, so that 7.0 misses the run of 7 and is refused as a level.
-_held = [None, []]
+# The one held run: the (plus, minus) pairs from index 0 of the latest (base,
+# p, j), which _space_sequence extends in place.  typed=True keeps 7.0 off the
+# run of 7, so it is refused as a level; one entry bounds the memory to one run.
+@lru_cache(maxsize=1, typed=True)
+def _held_run(base, p, j):
+    return []
 
 
 def _space_sequence(p, space, nmax, j=0):
@@ -134,19 +136,16 @@ def _space_sequence(p, space, nmax, j=0):
     S+/S-/A+/A-/A are graded by the weight k; M+/M-/M by the Young
     parameter f of the weight (f + j, f).  A spaces exist for j = 0 only.
     Each base space has one (plus, minus) pair function; the suffix picks
-    the sum, the plus or the minus entry.  The pairs are read from one
-    held run of the base space at (p, j): it is extended in place for a
-    longer sequence, sliced for a shorter one and replaced when p, the
-    base or j changes.  So A, A+ and A- (or M+, M-, M; S+, S-) at one
-    level, and the fallback denominators of hilbert_series, compute each
-    pair once.  A pair that raises is not held, so it raises again.
+    the sum, the plus or the minus entry.  The pairs are read from
+    `_held_run(base, p, j)`: it is extended in place for a longer
+    sequence, sliced for a shorter one and replaced when p, the base or j
+    changes.  So A, A+ and A- (or M+, M-, M; S+, S-) at one level, and the
+    fallback denominators of hilbert_series, compute each pair once.  A
+    pair that raises is not held, so it raises again.
     """
     _check_space(space, j)
     base, sign = space[0], space[1:]
-    key = (base, p, j, type(p), type(j))
-    if _held[0] != key:
-        _held[:] = [key, []]
-    pairs = _held[1]
+    pairs = _held_run(base, p, j)
     pair = {"M": lambda f: dim_M_signed(p, f + j, f),
             "A": lambda k: dim_A_signed(p, k),
             "S": lambda k: dim_S_signed(p, k, j)}[base]
@@ -190,7 +189,7 @@ FALLBACK_DENOMINATORS = [
     [120, 120, 120, 120],
 ]
 
-FIT_SLACK = 41  # hilbert_series and the corpus fit over den up to t^(2 sum(den) + FIT_SLACK)
+FIT_SLACK = 41  # hilbert_series, the one fitter, reads up to t^(2 sum(den) + FIT_SLACK)
 
 
 class HilbertSeries(NamedTuple):

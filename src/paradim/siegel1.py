@@ -3,6 +3,8 @@ weight det^k Sym(j), for j in {0, 2, 4}, via their generating functions.
 
 Any other j raises UnsupportedJ.
 """
+from functools import lru_cache
+
 from .errors import BadYoung, UnsupportedJ
 from .exactmath import RationalGF, from_terms, series_coeffs
 
@@ -16,15 +18,10 @@ LEVEL1_SERIES = {j: RationalGF(from_terms(terms), [4, 6, 10, 12]) for j, terms i
         (19, 1), (20, 1), (21, 1), (23, 1), (30, -1)],
 }.items()}
 
-_coeff_cache = {}
-
-
-def _coeffs_up_to(j, k):
-    cached = _coeff_cache.get(j)
-    if cached is None or len(cached) <= k:
-        cached = series_coeffs(LEVEL1_SERIES[j], max(k + 1, 128))
-        _coeff_cache[j] = cached
-    return cached
+# sizes double from 128 terms, so a walk up to weight k expands O(log k) times
+@lru_cache(maxsize=None, typed=True)
+def _level1_coeffs(j, size):
+    return series_coeffs(LEVEL1_SERIES[j], size)
 
 
 def dim_cusp_sp4(k, j=0):
@@ -36,4 +33,4 @@ def dim_cusp_sp4(k, j=0):
         raise UnsupportedJ(f"j = {j}: no level-1 series")
     if k < 0:
         return 0
-    return _coeffs_up_to(j, k)[k]
+    return _level1_coeffs(j, max(128, 1 << k.bit_length()))[k]

@@ -234,11 +234,11 @@ def test_space_sequence_matches_oracle(p):
                 p, space, j)
 
 
-def test_held_run_matches_oracle_in_any_call_order(monkeypatch):
+def test_held_run_matches_oracle_in_any_call_order():
     # one run is held at a time: each call must read the pairs of its own
     # (p, base, j), whether it grows the run, shrinks it, follows a call at
     # another prime or at another j
-    monkeypatch.setattr(paramodular, "_held", [None, []])
+    paramodular._held_run.cache_clear()
     calls = [(11, "M", 5, 0), (11, "M+", 20, 0), (11, "M-", 8, 0), (11, "M", 30, 0),
              (11, "M", 0, 0), (11, "M", -1, 0), (53, "M", 12, 0), (11, "M+", 12, 0),
              (53, "M-", 25, 0), (11, "M", 10, 2), (11, "M", 10, 0), (11, "M-", 15, 2),
@@ -250,9 +250,9 @@ def test_held_run_matches_oracle_in_any_call_order(monkeypatch):
             p, space, nmax, j)
 
 
-def test_held_run_keeps_the_domain_checks(monkeypatch):
-    # the key of the held run carries the types: 7.0 misses the runs of 7
-    monkeypatch.setattr(paramodular, "_held", [None, []])
+def test_held_run_keeps_the_domain_checks():
+    # the held run is typed: 7.0 misses the runs of 7
+    paramodular._held_run.cache_clear()
     hilbert_series(7, "A")
     with pytest.raises(NotPrimeLevel):
         hilbert_series(7.0, "A")
@@ -263,10 +263,10 @@ def test_held_run_keeps_the_domain_checks(monkeypatch):
         _space_sequence(7, "M", 3, 2.0)
 
 
-def test_held_run_does_not_hold_a_refused_weight(monkeypatch):
+def test_held_run_does_not_hold_a_refused_weight():
     # weight 2 is refused at p = 389 on every call, and the weights held
     # before it still serve a shorter run
-    monkeypatch.setattr(paramodular, "_held", [None, []])
+    paramodular._held_run.cache_clear()
     for _ in range(2):
         with pytest.raises(MissingJacobiData):
             _space_sequence(389, "S+", 5)

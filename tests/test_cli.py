@@ -154,12 +154,32 @@ def test_verify_csv(capsys, one_failure):
         ["summary", "3 checks", "1 failed"]]
 
 
-def run_fresh(*argv, **env_vars):
-    """`python -m paradim argv` in a fresh process, with env_vars set."""
+def fresh_env(**env_vars):
+    """The environment of a fresh process that imports paradim from SRC."""
     env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_fresh(*argv, **env_vars):
+    """`python -m paradim argv` in a fresh process, with env_vars set."""
     return subprocess.run([sys.executable, "-m", "paradim", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=fresh_env(**env_vars),
+                          timeout=60)
+
+
+def test_a_closed_pipe_ends_quietly():
+    # the reader takes one line and closes the pipe, as `| head -1` does; the
+    # 2.3 MB of output outgrow any pipe buffer, so the writer meets the close
+    proc = subprocess.Popen([sys.executable, "-m", "paradim", "hilbert", "--p", "23",
+                             "--space", "M-", "--fit", "--nmax", "100000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_env())
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert first.startswith(b"(3t^1 + 9t^3") and err == b""
 
 
 def test_python_dash_m():

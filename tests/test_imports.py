@@ -16,6 +16,13 @@ An `lru_cache` on a function of two or more parameters must be
 `typed=True`: an untyped key (7, 4.0) equals (7, 4), so a warm entry
 would answer a float that the function itself refuses.
 
+No module of src/paradim but kernels.py keeps state at module level: no
+module-level assignment holds an empty (or nested-empty) `{}`, `[]` or
+`set()`, or calls `dict`, `list`, `set`, `defaultdict` or `array`.  A
+memo is an `lru_cache`, which `cache_info()` reports and `cache_clear()`
+empties; kernels.py keeps its four growable tables `_spf`, `_primes`,
+`_rows` and `_sigma`.
+
 No `assert` statement appears in src/paradim: `python -O` strips them,
 so a mathematical invariant is checked by raising a typed ParadimError.
 
@@ -183,6 +190,48 @@ def test_multi_arg_caches_are_typed():
              for path in sorted((ROOT / "src" / "paradim").rglob("*.py"))
              for line, name in untyped_multi_arg_caches(path.read_text())]
     assert found == []
+
+
+# the calls that build a mutable container
+CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "array"}
+
+
+def module_state(source):
+    """(line, name) of each name of `source` that a module-level assignment
+    binds to a value holding an empty `{}`, `[]` or `set()`, or a call of
+    one of CONTAINER_CALLS."""
+    found = []
+    for stmt in ast.parse(source).body:
+        if not isinstance(stmt, (ast.Assign, ast.AnnAssign)) or stmt.value is None:
+            continue
+        for node in ast.walk(stmt.value):
+            empty = ((isinstance(node, ast.Dict) and not node.keys)
+                     or (isinstance(node, ast.List) and not node.elts))
+            call = isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)) in CONTAINER_CALLS
+            if empty or call:
+                found.extend((stmt.lineno, name) for name in sorted(_bound(stmt)))
+                break
+    return found
+
+
+def test_module_state_detector():
+    source = ("_held = [None, []]\nSPACES = ('M', 'A')\n_c = {}\nX = dict()\n"
+              "T: list = array.array('i', [0])\nS = set()\nN = {'a': ([],)}\n"
+              "DEN = [[4, 6], [1]]\nK = {1: 2}\nF = frozenset()\n\n\n"
+              "def f():\n    cache = []\n    return cache\n")
+    assert module_state(source) == [(1, "_held"), (3, "_c"), (4, "X"), (5, "T"),
+                                    (6, "S"), (7, "N")]
+
+
+def test_no_module_state_outside_the_kernels():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in sorted((ROOT / "src" / "paradim").rglob("*.py"))
+             if path.name != "kernels.py"
+             for line, name in module_state(path.read_text())]
+    assert found == []
+    kernels = (ROOT / "src" / "paradim" / "kernels.py").read_text()
+    assert {name for _, name in module_state(kernels)} == {"_spf", "_primes", "_rows", "_sigma"}
 
 
 def assert_lines(source):

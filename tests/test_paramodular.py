@@ -3,7 +3,9 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paradim import paramodular
 from paradim.arith import primes_up_to
+from paradim.cli import main
 from paradim.compact import dim_M_signed
 from paradim.data import load_json
 from paradim.elliptic import (
@@ -15,8 +17,10 @@ from paradim.elliptic import (
 from paradim.errors import (
     BadSpace,
     BadYoung,
+    BiasViolation,
     MissingData,
     MissingJacobiData,
+    NegativeDim,
     NotPrimeLevel,
     ParadimError,
     UnsupportedJ,
@@ -238,6 +242,26 @@ def test_bias_region_weight_bound_must_be_integer(kmax):
     # 5.5 and "10" raised a bare TypeError from range, and 10.0 as well
     with pytest.raises(ParadimError):
         check_bias_region(10, kmax)
+
+
+@pytest.mark.parametrize("lifted", [(10**6, 0), (0, 10**6)])
+def test_a_negative_dimension_is_refused(monkeypatch, lifted):
+    # more lifts than the whole space holds would leave S^+ or S^- negative;
+    # at k = 12 each lift counts dim S_22(SL_2(Z)) = 1 times
+    monkeypatch.setattr(paramodular, "_lifted_newspace", lambda p, j: lifted)
+    with pytest.raises(NegativeDim, match=r"p=7, \(k,j\)=\(12,0\)"):
+        dim_paramodular_signed(7, 12)
+
+
+def test_a_negative_bias_is_refused(monkeypatch, capsys):
+    # one pair with minus > plus in even weight inside the rectangle
+    monkeypatch.setattr(paramodular, "dim_paramodular_signed",
+                        lambda p, k, j=0: (0, 1) if (p, k) == (3, 4) else (0, 0))
+    with pytest.raises(BiasViolation) as exc:
+        check_bias_region(5, 6)
+    assert (exc.value.p, exc.value.k, exc.value.value) == (3, 4, -1)
+    assert main(["bias", "--pmax", "5", "--kmax", "6"]) == 3
+    assert capsys.readouterr() == ("", "error: bias(3, 4) = -1 < 0\n")
 
 
 def test_printed_series_expansion():

@@ -1,5 +1,6 @@
 import pytest
 
+from paradim import siegel1
 from paradim.errors import UnsupportedJ
 from paradim.exactmath import series_coeffs
 from paradim.siegel1 import LEVEL1_SERIES, dim_cusp_sp4
@@ -47,3 +48,21 @@ def test_negative_weight_is_zero():
         assert all(dim_cusp_sp4(k, j) == 0 for k in range(-130, 0)), j
     assert dim_cusp_sp4(-1) == 0
     assert dim_cusp_sp4(-5, 2) == 0
+
+
+def test_an_ascending_walk_expands_each_series_a_few_times(monkeypatch):
+    # the expansions double in length from 128 terms, so k = 0..1000 reads
+    # four of them per j; one expansion per new k >= 128 made 874
+    calls = []
+    expand = siegel1.series_coeffs
+
+    def counted(gf, n):
+        calls.append(n)
+        return expand(gf, n)
+
+    monkeypatch.setattr(siegel1, "series_coeffs", counted)
+    siegel1._level1_coeffs.cache_clear()
+    for j, gf in LEVEL1_SERIES.items():
+        calls.clear()
+        assert [dim_cusp_sp4(k, j) for k in range(1001)] == expand(gf, 1001), j
+        assert len(calls) <= 4, (j, len(calls))
