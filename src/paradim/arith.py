@@ -27,15 +27,24 @@ def split_symbol(d, p):
     return kronecker(fundamental_discriminant(d), p)
 
 
-def _elliptic_symbols(p):
-    """split_symbol(d, p) for d = -1, -3, read by elliptic._gamma0: (-4/p) and (-3/p)."""
-    return kronecker(-4, p), kronecker(-3, p)
-
-
 def _split_symbols(p):
-    """_elliptic_symbols(p), then split_symbol(d, p) for d = 2, 3 and split_symbol(p, 5),
-    read by compact._invariants, as Kronecker symbols of 8, 12 and p: (4p/5) = (p/5)."""
-    return _elliptic_symbols(p) + (kronecker(8, p), kronecker(12, p), kronecker(p, 5))
+    """(-4/p), (-3/p), (8/p), (12/p) and (p/5) at the prime p: split_symbol(d, p)
+    for d = -1, -3, 2, 3, which elliptic._gamma0 (the first two) and
+    compact._invariants read, and split_symbol(p, 5), as (4p/5) = (p/5).
+
+    They are read from the row of p mod 120.  Each is a Kronecker symbol of a
+    fundamental discriminant D = -4, -3, 8, 12 in the bottom, a character mod
+    |D|, or the Legendre symbol mod 5 in the top, so each is periodic in p with
+    a period dividing 120.  The primes that share a factor with 120 are 2, 3
+    and 5, and each is alone in its residue class, where the row holds its own
+    symbols; so the row of p mod 120 is exact at every prime."""
+    return _symbol_row(p % 120)
+
+
+@lru_cache(maxsize=None)
+def _symbol_row(r):
+    """The five symbols of _split_symbols at r, computed directly."""
+    return kronecker(-4, r), kronecker(-3, r), kronecker(8, r), kronecker(12, r), kronecker(r, 5)
 
 
 @lru_cache(maxsize=None)

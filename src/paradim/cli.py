@@ -114,8 +114,10 @@ def cmd_hilbert(args):
             term(d, c) for d, c in enumerate(hs.gf.numerator) if c
         ).replace("+ -", "- ") or "0"
         den = " ".join(f"(1-t^{a})" for a in hs.gf.denom_exponents)
-        pal = "palindromic" if is_palindromic(hs.gf) else "not palindromic"
-        print(f"({num}) / {den}   [{pal}, ell={palindromic_ell(hs.gf)}]")
+        # ell is the exponent of a functional equation, which only a palindrome has
+        pal = (f"palindromic, ell={palindromic_ell(hs.gf)}" if is_palindromic(hs.gf)
+               else "not palindromic")
+        print(f"({num}) / {den}   [{pal}]")
     coeffs = series_coeffs(hs.gf, args.nmax + 1)
     _emit([[n, c] for n, c in enumerate(coeffs)], ["n", "dim"], args.format)
 

@@ -2,7 +2,7 @@
 level Gamma_0(p) split by Atkin-Lehner sign."""
 from functools import lru_cache
 
-from .arith import _elliptic_symbols, a_p, check_level, class_number
+from .arith import _split_symbols, a_p, check_level, class_number
 from .characters import _br
 from .errors import BadYoung, OddWeight
 from .exactmath import exact_quotient, plus_minus
@@ -42,7 +42,7 @@ def _gamma0(p):
     if row is None:
         c = a_p(p) * class_number(p) // 2
         row = (c, -c)
-    s_m1, s_m3 = _elliptic_symbols(p)
+    s_m1, s_m3 = _split_symbols(p)[:2]
     return p - 1, 3 * (1 - s_m1), 4 * (1 - s_m3), row
 
 

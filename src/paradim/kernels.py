@@ -2,12 +2,17 @@
 imaginary quadratic discriminant, and the quadratic character sum behind
 the generalized Bernoulli number B_{2,chi}.
 
-h(D) counts reduced forms.  The forms with 4a^2 < |D| are counted all at
-once through a multiplicative function of a, from (D/q) at the primes
-q <= sqrt(|D|)/2; the few forms with larger a are counted one by one; a
-non-fundamental D goes through its fundamental discriminant.  (D/q) is
-read from the residue row of q, (r/q) for every r mod q at an odd q and
-(r/2) for every r mod 8, built once from the squares mod q.
+h(D) counts reduced forms (a, b, c) by a.  Two rows of each a hold what
+it needs: the root-count row, #{b mod 2a : b^2 = r (mod 4a)} for every
+r mod 4a, and the row of squares, b^2 mod 4a for 0 <= b <= a.  The a with
+4a^2 < |D| add the entries of their root-count rows at D mod 4a in one
+C-level pass; each larger a counts the roots b >= sqrt(4a^2 - |D|) in its
+row of squares.  The rows are built once and kept, so they pay off when
+one process asks many discriminants.  They stop at a = _ROW_TOP, that is
+|D| < 3 (_ROW_TOP + 1)^2, about 3.1 million; a larger D is counted in
+O(sqrt|D|) memory through the multiplicative root count, sieved over the
+primes to sqrt(|D|)/2, and its few forms with 4a^2 >= |D| one b at a
+time.  A non-fundamental D goes through its fundamental discriminant.
 
 The B_{2,chi} sum adds values of sigma_1, read from a table built by the
 recursion sigma(n) = (q+1) sigma(n/q) - q sigma(n/q^2) [q^2 | n] at the
@@ -15,16 +20,21 @@ smallest prime factor q of n.
 
 All of these come from one set of tables grown on demand: _spf, the
 least prime factor of each n below a power of two, with _primes, the
-primes below its end, which ``arith.primes_up_to`` slices; _rows, the
-residue rows of the first primes of _primes; and _sigma, sigma_1 of
-each n below a power of two no larger than the length of _spf.
+primes below its end, which ``arith.primes_up_to`` slices; _root_counts
+and _squares, the two rows of each a up to sqrt(|D|/3) for the largest
+|D| asked, at most _ROW_TOP; and _sigma, sigma_1 of each n below a power
+of two no larger than the length of _spf.  The rows of a take
+4a + 2(a + 1) bytes, so the rows reaching |D| take about |D| bytes, 3 MB
+at _ROW_TOP, the order of the sigma_1 table of b2_character_sum(D0) for
+D0 near |D|.
 
 The naive versions in ``paradim._kernels_py`` are kept as test oracles.
 """
 from array import array
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import isqrt
+from operator import getitem, mod
 
 from .errors import BadDiscriminant, ParadimError
 from .exactmath import exact_quotient
@@ -128,29 +138,54 @@ def _reduced_forms(D):
     primitive).
 
     While 4a^2 < |D| every b in (-a, a] with b^2 = D (mod 4a) has c > a,
-    so these a contribute rho(a) = #{b mod 2a : b^2 = D (mod 4a)}, which
-    is multiplicative: rho(q^e) = 1 + (D/q) for q not dividing D (q = 2
-    included), and 1 for e = 1, 0 for e >= 2 when q | D.  The primes q up
-    to sqrt(amax) act on a list of rho; a larger prime divides each
-    a <= amax at most once, as a = q m with m < q, so it adds
-    (D/q) * sum_{m <= amax/q} rho(m).  The few a with
-    |D| <= 4a^2 <= 4|D|/3 are counted directly, b from sqrt(4a^2 - |D|),
-    except where the small primes of a already make rho(a) = 0.  Each
-    (D/q) is read from the residue row of q at D modulo the row's length,
-    q or, at q = 2, 8.
+    so each such a adds #{b mod 2a : b^2 = D (mod 4a)}, the entry of its
+    root-count row at D mod 4a; one C-level pass adds them all.  For the a
+    with |D| <= 4a^2 <= 4|D|/3, c >= a asks b >= b0 = ceil(sqrt(4a^2 - |D|)),
+    and the roots b in [b0, a] are counted in the row of squares of a.  Each
+    gives the forms (a, b, c) and (a, -b, c), one form only when b = a, or
+    when c = a, that is b0^2 = 4a^2 - |D| (then b0 is a root, as
+    4a^2 - |D| = D (mod 4a)); b = 0 occurs only with c = a.  Past
+    a = _ROW_TOP the rows are not built: _sieved_forms counts instead.
     """
     n = -D
     amax = isqrt((n - 1) // 4)  # the a with 4 a^2 < |D|
     top = isqrt(n // 3)
+    if top > _ROW_TOP:
+        return _sieved_forms(D, amax, top)
+    counts, squares = _root_rows_to(top)
+    h = sum(map(getitem, counts[1:amax + 1], map(mod, repeat(D), range(4, 4 * amax + 1, 4))))
+    for a in range(amax + 1, top + 1):
+        four_a = 4 * a
+        r = D % four_a
+        if not counts[a][r]:
+            continue
+        row = squares[a]
+        t = a * four_a - n
+        b0 = isqrt(t - 1) + 1 if t else 0  # the least b with c >= a
+        h += 2 * row[b0:].count(r) - (row[a] == r) - (b0 < a and b0 * b0 == t)
+    return h
+
+
+def _sieved_forms(D, amax, top):
+    """_reduced_forms(D) in O(sqrt|D|) memory, for a D too large for the rows.
+
+    The root count rho(a) = #{b mod 2a : b^2 = D (mod 4a)} is
+    multiplicative: rho(q^e) = 1 + (D/q) for q not dividing D (q = 2
+    included), and 1 for e = 1, 0 for e >= 2 when q | D.  The primes q up
+    to sqrt(amax) act on a list of rho; a larger prime divides each
+    a <= amax at most once, as a = q m with m < q, so it adds
+    (D/q) * sum_{m <= amax/q} rho(m).  The a past amax try each b of the
+    parity of D from b0 = ceil(sqrt(4a^2 - |D|)), except where the small
+    primes of a already make rho(a) = 0.
+    """
     root = isqrt(amax)
     primes = _primes_to(amax)
     small = bisect_right(primes, root)
     big = bisect_right(primes, amax)
-    rows = _rows_to(big)
     rho = [1] * (top + 1)
     rho[0] = 0
-    for q, row in zip(primes[:small], rows):
-        chi = row[D % len(row)]
+    for q in primes[:small]:
+        chi = kronecker(D, q)
         if chi == 1:
             rho[q::q] = [2 * r for r in rho[q::q]]
         elif chi == -1:
@@ -159,32 +194,32 @@ def _reduced_forms(D):
             rho[q * q::q * q] = [0] * len(range(q * q, top + 1, q * q))
     h = sum(rho[:amax + 1])
     below = list(accumulate(rho[:root + 1]))
-    for q, row in zip(primes[small:big], rows[small:big]):
-        h += row[D % len(row)] * below[amax // q]
+    for q in primes[small:big]:
+        h += kronecker(D, q) * below[amax // q]
     for a in range(amax + 1, top + 1):
         if not rho[a]:
             continue
         four_a = 4 * a
-        t = a * four_a - n
+        t = a * four_a + D
         b = isqrt(t - 1) + 1 if t else 0  # the least b with c >= a
-        b += (b - D) % 2
-        for b in range(b, a + 1, 2):
+        for b in range(b + (b - D) % 2, a + 1, 2):
             num = b * b - D
             if num % four_a == 0:
-                # (a, -b, c) is reduced too unless b = a or c = a; b = 0
-                # here only with c = a
                 h += 1 if b == a or num == a * four_a else 2
     return h
 
 
 # _spf[n] is the smallest prime factor of n (for n >= 2), and _primes
 # lists every prime below len(_spf); _grow extends both together.
-# _rows[i] is the residue row of _primes[i], for the first len(_rows)
-# primes, and _sigma[n] is sigma_1(n) for n < len(_sigma) <= len(_spf),
-# both lengths powers of two.
+# _root_counts[a] and _squares[a] are the root-count row and the row of
+# squares of a, for 0 < a < len(_squares) <= _ROW_TOP + 1 (index 0 holds
+# empty rows), and _sigma[n] is sigma_1(n) for n < len(_sigma) <= len(_spf),
+# a power of two.
+_ROW_TOP = 1024
 _spf = array("i", [0, 1])
 _primes = []
-_rows = []
+_root_counts = [array("B")]
+_squares = [array("H")]
 _sigma = array("q", [0, 1])
 
 
@@ -212,21 +247,31 @@ def _primes_to(m):
     return _primes
 
 
-def _rows_to(k):
-    """The list of residue rows, made to reach the first k primes of
-    _primes (which the caller has made that long).  The row of an odd q
-    holds (r/q) for r in range(q): 1 at the nonzero squares, 0 at 0 and
-    -1 elsewhere; that of q = 2 holds (r/2) for r in range(8)."""
-    for q in _primes[len(_rows):k]:
-        if q == 2:
-            row = array("b", [0, 1, 0, -1, 0, -1, 0, 1])
-        else:
-            row = array("b", [-1]) * q
-            row[0] = 0
-            for x in range(1, q // 2 + 1):
-                row[x * x % q] = 1
-        _rows.append(row)
-    return _rows
+def _root_rows(a):
+    """The root-count row of 0 < a <= _ROW_TOP, #{b mod 2a : b^2 = r (mod 4a)}
+    for r in range(4a), as bytes, and its row of squares, b^2 mod 4a for b
+    in range(a + 1), as an array of 16-bit entries.  b and 2a - b have one
+    square mod 4a, so b = 0 and b = a count once in the first row and every
+    other b of the second row twice.  No entry wraps: a count first reaches
+    256 at a = 24576 = 2^13 * 3, and 4a - 1 < 2^16 while a <= 16384; past
+    those, bytes and array raise rather than wrap."""
+    four_a = 4 * a
+    squares = [b * b % four_a for b in range(a + 1)]
+    counts = [0] * four_a
+    for s in squares:
+        counts[s] += 2
+    counts[0] -= 1
+    counts[squares[a]] -= 1
+    return bytes(counts), array("H", squares)
+
+
+def _root_rows_to(a):
+    """The lists of root-count rows and of rows of squares, made to reach a."""
+    for m in range(len(_squares), a + 1):
+        counts, squares = _root_rows(m)
+        _root_counts.append(counts)
+        _squares.append(squares)
+    return _root_counts, _squares
 
 
 def _sigma1_to(n):

@@ -22,6 +22,7 @@ from paradim.errors import (
     ParadimError,
     UnsupportedPrime,
 )
+from paradim.kernels import kronecker
 
 
 def test_squarefree_part():
@@ -59,7 +60,13 @@ def test_split_symbol():
 
 
 def test_split_symbols_match_split_symbol():
-    # every prime below 10 000, 2, 3 and 5 included
+    # every prime below 10^5, 2, 3 and 5 included: the row of p mod 120 is
+    # each symbol computed directly, and split_symbol below 10 000
+    primes = primes_up_to(99999)
+    assert primes[:3] == [2, 3, 5]
+    for p in primes:
+        assert _split_symbols(p) == (kronecker(-4, p), kronecker(-3, p), kronecker(8, p),
+                                     kronecker(12, p), kronecker(p, 5)), p
     for p in primes_up_to(9999):
         assert _split_symbols(p) == (
             split_symbol(-1, p), split_symbol(-3, p), split_symbol(2, p),
@@ -85,7 +92,6 @@ def test_bernoulli_b2_chi():
     for p in (5, 7, 13, 23, 29):
         D0 = fundamental_discriminant(p)
         f = p if p % 4 == 1 else 4 * p
-        from paradim.kernels import kronecker
         expected = sum(kronecker(D0, a) * Fraction(a * a, f) for a in range(1, f + 1))
         assert bernoulli_b2_chi(p) == expected
     with pytest.raises(UnsupportedPrime):

@@ -206,8 +206,21 @@ def test_hilbert_zero_numerator_prints_0(capsys):
     rc, out = run(capsys, "hilbert", "--p", "7", "--space", "S+", "--j", "3",
                   "--nmax", "2", "--fit")
     assert rc == 0
-    assert out.splitlines()[0] == ("(0) / (1-t^4) (1-t^6) (1-t^10) (1-t^12)   "
-                                   "[not palindromic, ell=33]")
+    assert out.splitlines()[0] == "(0) / (1-t^4) (1-t^6) (1-t^10) (1-t^12)   [not palindromic]"
+
+
+def test_hilbert_prints_ell_only_for_a_palindrome(capsys):
+    # S+ at p = 7 is not palindromic, so it has no functional equation to
+    # print the exponent of; A+ at p = 2 has one, with ell = -3
+    rc, out = run(capsys, "hilbert", "--p", "7", "--space", "S+", "--nmax", "0", "--fit")
+    assert rc == 0
+    assert out.splitlines()[0] == (
+        "(t^4 + 2t^6 + 2t^8 + 2t^10 + 2t^12 + t^13 + t^14 + t^15 + t^17 + 2t^19 + 2t^21"
+        " + 2t^23 + t^29) / (1-t^4) (1-t^4) (1-t^6) (1-t^12)   [not palindromic]")
+    rc, out = run(capsys, "hilbert", "--p", "2", "--space", "A+", "--nmax", "0", "--fit")
+    assert rc == 0
+    assert out.splitlines()[0] == ("(1 + t^10 + t^23 + t^33) / (1-t^4) (1-t^6) (1-t^8) (1-t^12)"
+                                   "   [palindromic, ell=-3]")
 
 
 def test_hilbert_refuses_a_zero_denominator_exponent(tmp_path):

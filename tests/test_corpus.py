@@ -21,14 +21,22 @@ def test_series_checks_pass():
     assert all(c.ok for c in checks)
 
 
-def test_hilbert_series_fits_what_the_fit_checks_fit():
-    # the fit check reports what hilbert_series, the one fitter, returns
-    checks = list(series_checks(only=":fit"))
-    assert len(checks) == 54
-    for check in checks:
-        _, p, space, j, _ = check.name.split(":")
-        gf = hilbert_series(int(p[2:]), space, int(j[2:])).gf
-        assert gf.numerator == check.got, check.name
+def test_fit_check_fails_on_a_perturbed_dimension():
+    # one wrong dimension in the held run that hilbert_series fits (a low
+    # weight, so that a numerator still fits) must fail the :fit check
+    name = "series:p=2:M:j=0:fit"
+    paramodular._held_run.cache_clear()
+    try:
+        (good,) = series_checks(only=name)
+        assert good.ok
+        pairs = paramodular._held_run("M", 2, 0)
+        plus, minus = pairs[3]
+        pairs[3] = (plus + 1, minus)
+        (bad,) = series_checks(only=name)
+        assert not bad.ok
+        assert bad.expected == good.expected and bad.got != good.got
+    finally:
+        paramodular._held_run.cache_clear()
 
 
 def test_only_filter():

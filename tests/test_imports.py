@@ -20,8 +20,8 @@ No module of src/paradim but kernels.py keeps state at module level: no
 module-level assignment holds an empty (or nested-empty) `{}`, `[]` or
 `set()`, or calls `dict`, `list`, `set`, `defaultdict` or `array`.  A
 memo is an `lru_cache`, which `cache_info()` reports and `cache_clear()`
-empties; kernels.py keeps its four growable tables `_spf`, `_primes`,
-`_rows` and `_sigma`.
+empties; kernels.py keeps its five growable tables `_spf`, `_primes`,
+`_root_counts`, `_squares` and `_sigma`.
 
 No `assert` statement appears in src/paradim: `python -O` strips them,
 so a mathematical invariant is checked by raising a typed ParadimError.
@@ -231,7 +231,8 @@ def test_no_module_state_outside_the_kernels():
              for line, name in module_state(path.read_text())]
     assert found == []
     kernels = (ROOT / "src" / "paradim" / "kernels.py").read_text()
-    assert {name for _, name in module_state(kernels)} == {"_spf", "_primes", "_rows", "_sigma"}
+    assert {name for _, name in module_state(kernels)} == {"_spf", "_primes", "_root_counts",
+                                                             "_squares", "_sigma"}
 
 
 def assert_lines(source):

@@ -1,4 +1,5 @@
 from array import array
+from collections import Counter
 from math import isqrt
 
 import pytest
@@ -105,11 +106,12 @@ def _naive_primes(n):
 
 @pytest.fixture
 def fresh_table(monkeypatch):
-    """The prime, residue-row and sigma_1 tables as at import, restored
+    """The prime, root-row and sigma_1 tables as at import, restored
     after the test."""
     monkeypatch.setattr(kernels, "_spf", array("i", [0, 1]))
     monkeypatch.setattr(kernels, "_primes", [])
-    monkeypatch.setattr(kernels, "_rows", [])
+    monkeypatch.setattr(kernels, "_root_counts", [array("B")])
+    monkeypatch.setattr(kernels, "_squares", [array("H")])
     monkeypatch.setattr(kernels, "_sigma", array("q", [0, 1]))
 
 
@@ -138,29 +140,98 @@ def test_prime_table_size_is_independent_of_call_order(fresh_table, first):
     assert kernels._primes == _naive_primes(4095)
 
 
-def test_residue_rows_match_kronecker(fresh_table):
-    primes = primes_up_to(999)
-    rows = kernels._rows_to(len(primes))
-    assert len(rows) == len(primes)
-    for q, row in zip(primes, rows):
-        if q == 2:
-            # indexed by r mod 8; even r included
-            assert len(row) == 8
-            for r in range(-16, 17):
-                assert row[r % 8] == kernels.kronecker(r, 2), r
-        else:
-            assert len(row) == q
-            for r in range(q):
-                assert row[r] == kernels.kronecker(r, q), (r, q)
+def _brute_root_rows(a):
+    four_a = 4 * a
+    roots = Counter(b * b % four_a for b in range(2 * a))
+    return [roots[r] for r in range(four_a)], [b * b % four_a for b in range(a + 1)]
 
 
-def test_residue_rows_grow_in_order(fresh_table):
-    # a longer request extends the rows already built and keeps them
-    primes = kernels._primes_to(100)
-    first = kernels._rows_to(5)[:]
-    rows = kernels._rows_to(20)
-    assert rows[:5] == first
-    assert [len(row) for row in rows] == [8, *primes[1:20]]
+def test_root_rows_match_brute_force(fresh_table):
+    counts, squares = kernels._root_rows_to(300)
+    assert len(counts) == len(squares) == 301
+    for a in range(1, 301):
+        assert (list(counts[a]), list(squares[a])) == _brute_root_rows(a), a
+
+
+def test_root_rows_grow_in_order(fresh_table):
+    # a longer request extends the rows already built and keeps them; the
+    # tables reach exactly the a asked for, whatever the order of the calls
+    first = [row[:] for row in kernels._root_rows_to(20)[0]]
+    counts, squares = kernels._root_rows_to(50)
+    assert counts[:21] == first
+    assert kernels._root_rows_to(10) == (counts, squares)
+    assert [len(row) for row in counts] == [4 * a for a in range(51)]
+    assert [len(row) for row in squares] == [0, *range(2, 52)]
+
+
+def test_root_rows_hold_every_entry_up_to_the_cap(fresh_table):
+    # the rows stop at _ROW_TOP; there a square stays below 2^16 and a root
+    # count below 256 (it is 52 at most, reached at a = 1014)
+    top = kernels._ROW_TOP
+    assert 4 * top - 1 < 2**16
+    counts, squares = kernels._root_rows_to(top)
+    assert len(counts) == len(squares) == top + 1
+    assert max(max(row) for row in counts[1:]) == max(counts[1014]) == 52
+    for a in (1014, top):
+        assert (list(counts[a]), list(squares[a])) == _brute_root_rows(a), a
+
+
+def test_sieved_forms_match_the_rows_below_40000():
+    for D in range(-39999, 0):
+        if D % 4 in (0, 1) and kernels._field_disc(kernels.squarefree_part(D)) == D:
+            n = -D
+            amax, top = isqrt((n - 1) // 4), isqrt(n // 3)
+            assert kernels._sieved_forms(D, amax, top) == kernels._reduced_forms(D), D
+
+
+@pytest.mark.parametrize("D, rows_built", [(-3151871, True), (-3151879, False)])
+def test_class_numbers_past_the_row_cap_build_no_rows(fresh_table, D, rows_built):
+    # the fundamental D on each side of |D| = 3 (_ROW_TOP + 1)^2
+    assert (isqrt(-D // 3) <= kernels._ROW_TOP) == rows_built
+    assert kernels.class_number_from_disc(D) == _kernels_py.class_number_from_disc(D)
+    assert len(kernels._squares) == (kernels._ROW_TOP + 1 if rows_built else 1)
+
+
+def _form_counts(n):
+    """h(D) for every discriminant -n < D < 0, indexed by -D, from one pass
+    over the reduced forms: for each (a, b), the c >= a (c > a when b < 0)
+    step -D by 4a.  That counts the imprimitive forms too, f (a, b, c) for
+    each primitive form of D / f^2, which are then taken off in order."""
+    total = [0] * n
+    for a in range(1, isqrt(n // 3) + 1):
+        for b in range(1 - a, a + 1):
+            first = 4 * a * (a if b >= 0 else a + 1) - b * b
+            total[first::4 * a] = [x + 1 for x in total[first::4 * a]]
+    h = total[:]
+    for m in range(1, n):
+        if h[m]:
+            for f in range(2, isqrt((n - 1) // m) + 1):
+                h[m * f * f] -= h[m]
+    return h
+
+
+def test_class_number_from_disc_matches_form_count_below_40000():
+    h = _form_counts(40000)
+    for D in range(-39999, 0):
+        if D % 4 in (0, 1):
+            assert kernels.class_number_from_disc(D) == h[-D], D
+    # the one-pass count is the oracle's count, from one in fifty on
+    for D in [*range(-39999, -6000, 50), -39999, -39996]:
+        if D % 4 in (0, 1):
+            assert _kernels_py.class_number_from_disc(D) == h[-D], D
+
+
+@pytest.mark.parametrize("D, form, h", [
+    (-3, (1, 1, 1), 1),       # b = a and c = a
+    (-4, (1, 0, 1), 1),       # b = 0, so c = a
+    (-95, (5, 5, 6), 8),      # b = a past 4a^2 < |D|
+    (-143, (6, 1, 6), 10),    # c = a past 4a^2 < |D|
+    (-16, (2, 0, 2), 1),      # b = 0 and c = a in an order, f = 2
+])
+def test_class_number_from_disc_counts_the_boundary_forms_once(D, form, h):
+    a, b, c = form
+    assert b * b - 4 * a * c == D
+    assert kernels.class_number_from_disc(D) == _kernels_py.class_number_from_disc(D) == h
 
 
 def test_sigma1_table_matches_divisor_sum(fresh_table):
