@@ -11,15 +11,10 @@ from .characters import WeightParams
 from .compact import dim_M_signed
 from .data import load_csv, load_json
 from .elliptic import dim_new_gamma0_signed
+from .errors import NonPolynomial
 from .exactmath import is_palindromic, series_coeffs
-from .paramodular import (
-    _space_sequence,
-    check_bias_region,
-    dim_paramodular_signed,
-    dim_weight3,
-    hilbert_series,
-    printed_series,
-)
+from .paramodular import (_space_sequence, check_bias_region, dim_paramodular_signed,
+                          dim_weight3, hilbert_series, printed_series)
 
 Check = namedtuple("Check", "name ok expected got")
 
@@ -77,7 +72,10 @@ def series_checks(only=None):
             got = series_coeffs(gf, SERIES_NMAX + 1)
             yield Check(f"{tag}:expand", got == head, head, got)
         if fit:
-            got = hilbert_series(p, space, j).gf.numerator
+            try:
+                got = hilbert_series(p, space, j).gf.numerator
+            except NonPolynomial as exc:  # the printed denominator does not fit
+                got = str(exc)
             yield Check(f"{tag}:fit", got == gf.numerator, gf.numerator, got)
 
 
@@ -125,8 +123,11 @@ def palindromic_checks(only=None):
     stored = load_json("palindromic.json")
     for p in primes_up_to(97):
         for space, pal in found.items():
-            if is_palindromic(hilbert_series(p, space).gf):
-                pal.append(p)
+            try:
+                if is_palindromic(hilbert_series(p, space).gf):
+                    pal.append(p)
+            except NonPolynomial as exc:
+                pal.append(f"p={p}: {exc}")
     for space, pal in found.items():
         want = stored[PALINDROMIC[space]]
         yield Check(f"palindromic:{space}", pal == want, want, pal)

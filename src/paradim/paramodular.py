@@ -173,18 +173,17 @@ def printed_series(p, space, j=0):
         raise MissingData(f"no embedded series for p={p}, space={space}, j={j}")
     return RationalGF(from_terms(rec["num"]), rec["den"])
 
-# For primes without a printed presentation, try these in order; an even
-# factor count keeps the palindromicity test well defined (the functional
-# equation F(1/t) = (-1)^m t^l F(t) has the same sign for every 4-factor
-# presentation).  The last entry always succeeds: every graded dimension
-# here is a quasi-polynomial of degree <= 3 whose period divides 120, and
-# tests/test_characters.py::test_table_period_and_degree checks this for
-# the character values it is built from.
+# For primes without a printed presentation, try these in order; four factors
+# each keep the sign of F(1/t) = (-1)^m t^l F(t) well defined.  A CHI_TABLE row
+# of length L under a factor of degree d in f sums along (f + j, f) over
+# (1 - t^L)^(d + 1).  That divides the last entry, and the first for every
+# character of CHI_INDEX but chi_16, which enters only TRACE_ROWS[2] with poles
+# at the primitive 8th roots of unity.  The level-1 and weight <= 2 terms are
+# over the first entry too, and no numerator reaches the fit's degree bound, so
+# the first entry fits exactly but for the signed series at p = 2, and the last
+# one always does (tests/test_paramodular.py checks each step).
 FALLBACK_DENOMINATORS = [
     [4, 6, 10, 12],
-    [4, 4, 6, 12],
-    [4, 5, 6, 12],
-    [4, 6, 6, 12],
     [4, 6, 8, 12],
     [120, 120, 120, 120],
 ]
@@ -202,11 +201,11 @@ class HilbertSeries(NamedTuple):
 
 
 def hilbert_series(p, space, j=0):
-    """Fit the dimension sequence of a graded space to a rational
-    function with a factored denominator; for series with an embedded
-    presentation its denominator is used and its numerator reproduced.
-    Otherwise FALLBACK_DENOMINATORS are tried in order, each on a prefix
-    of the held run of _space_sequence, so no weight is computed twice."""
+    """Fit the dimension sequence of a graded space to a rational function
+    over a factored denominator: an embedded presentation's, whose numerator
+    must be reproduced, or else the first of FALLBACK_DENOMINATORS that fits a
+    prefix of the held run of _space_sequence (so no weight is computed twice).
+    That is the first entry unless p = 2 and the space is signed."""
     rec = _printed_registry().get((p, space, j))
     candidates = [rec["den"]] if rec is not None else FALLBACK_DENOMINATORS
     last_error = None

@@ -100,8 +100,9 @@ def test_table_period_and_degree():
     # lengths, in j twice its row count.  With its own k-period d as step
     # the fourth difference in k of chi_i vanishes for every even j below
     # twice the common period 120: chi_i is a quasi-polynomial of degree
-    # <= 3 in k.  As d divides 120, so does the difference with step 120,
-    # the bound the Hilbert-series fallback relies on.
+    # <= 3 in k.  As d divides 120, so does the difference with step 120.
+    # That FALLBACK_DENOMINATORS suffice is proved term by term in
+    # tests/test_paramodular.py::test_fallback_denominators_are_true_denominators.
     k_period = {i: lcm(*(len(row) for _, rows in terms for row in rows))
                 for i, (_, terms) in CHI_TABLE.items()}
     j_period = {i: lcm(*(2 * len(rows) for _, rows in terms))

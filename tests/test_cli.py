@@ -238,6 +238,33 @@ def test_hilbert_refuses_a_zero_denominator_exponent(tmp_path):
     assert "denominator exponents (0, 6, 8, 10)" in proc.stderr
 
 
+def test_verify_reports_a_printed_denominator_that_does_not_fit(tmp_path):
+    # the fit of a printed record over a wrong denominator raised NonPolynomial,
+    # and verify stopped with exit 3 and no summary; now the fit check and the
+    # palindromic check that reads the same series fail with the error as `got`
+    patched = tmp_path / "data"
+    shutil.copytree(data_dir(), patched)
+    path = patched / "hilbert_series.json"
+    records = json.loads(path.read_text())
+    (rec,) = [r for r in records if (r["p"], r["space"], r.get("j", 0)) == (7, "A", 0)]
+    rec["den"] = [4, 4, 4, 4]
+    path.write_text(json.dumps(records))
+    error = "residual coefficient -12 at degree 57 (> 56)"
+    proc = run_fresh("verify", PARADIM_DATA_DIR=str(patched))
+    assert proc.returncode == 1 and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "902 checks, 3 failed"
+    assert [line.split(": expected")[0] for line in lines[:-1]] == [
+        "FAIL series:p=7:A:j=0:expand", "FAIL series:p=7:A:j=0:fit", "FAIL palindromic:A"]
+    assert lines[1].endswith(f"got {error}")
+    assert lines[2].endswith(f"got [2, 3, 5, 'p=7: {error}', 13]")
+    # asked for that series directly, the fit is still an error
+    proc = run_fresh("hilbert", "--p", "7", "--space", "A", "--fit",
+                     PARADIM_DATA_DIR=str(patched))
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == f"error: {error}\n"
+
+
 def test_hilbert_weight2_from_newspace(capsys):
     # weight 2 used to come from a Jacobi table that stopped at p = 97
     rc, out = run(capsys, "hilbert", "--p", "101", "--space", "S+", "--fit",

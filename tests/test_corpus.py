@@ -125,8 +125,9 @@ def test_verify_computes_each_graded_dimension_once(monkeypatch):
 
 
 def test_fallback_denominators_share_one_run(monkeypatch):
-    # five candidate denominators of sequence length 105, 93, 95, 97 and 101
-    # made 481 calls; the held run computes weights 3..105 once each
+    # two candidate denominators are tried, with sequences of length 105 and
+    # 101; without the held run, the five candidates of the longer list made
+    # 481 calls.  The held run computes weights 3..105 once each.
     seen = _count_dim_M_total(monkeypatch)
     hilbert_series(2, "A+")
     assert seen["calls"] <= 110

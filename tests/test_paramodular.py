@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from paradim import paramodular
 from paradim.arith import primes_up_to
+from paradim.characters import CHI_TABLE
 from paradim.cli import main
-from paradim.compact import dim_M_signed
+from paradim.compact import CHI_INDEX, M_ROWS, TRACE_ROWS, dim_M_signed
 from paradim.data import load_json
 from paradim.elliptic import (
     dim_cusp_level1,
@@ -25,8 +26,9 @@ from paradim.errors import (
     ParadimError,
     UnsupportedJ,
 )
-from paradim.exactmath import is_palindromic, series_coeffs
+from paradim.exactmath import RationalGF, is_palindromic, series_coeffs
 from paradim.paramodular import (
+    FALLBACK_DENOMINATORS,
     _lifted_newspace,
     _weight_terms,
     bias,
@@ -39,7 +41,7 @@ from paradim.paramodular import (
     printed_series,
     search_weight3_zero,
 )
-from paradim.siegel1 import dim_cusp_sp4
+from paradim.siegel1 import LEVEL1_SERIES, dim_cusp_sp4
 
 
 def test_odd_j_is_zero():
@@ -316,6 +318,126 @@ def test_hilbert_series_fallback():
     n = 60
     assert series_coeffs(hs.gf, n + 1) == _space_sequence(11, "S+", n)
     assert len(hs.gf.denom_exponents) % 2 == 0
+
+
+def _degree_in_f(factor):
+    """The degree in f of a CHI_TABLE factor F(u, v) along the graded weights
+    (f + j, f), where u = f + 1 and v = f + j + 2: the number of finite
+    differences in f it takes to vanish, less one, the largest over j < 24
+    (its f^e coefficient is a polynomial in j of degree below 5)."""
+    degree = 0
+    for j in range(0, 24, 2):
+        vals, d = [factor(f + 1, f + j + 2) for f in range(8)], -1
+        while any(vals):
+            vals, d = [b - a for a, b in zip(vals, vals[1:])], d + 1
+        degree = max(degree, d)
+    return degree
+
+
+def _product(exponents):
+    """prod (1 - t^a) over the exponents, as an ascending coefficient list."""
+    c = [1]
+    for a in exponents:
+        c = [x - (c[i - a] if i >= a else 0) for i, x in enumerate(c + [0] * a)]
+    return c
+
+
+def _divides(divisor, exponents):
+    """Whether prod (1 - t^L) over `divisor` divides prod (1 - t^a) over
+    `exponents`, by exact division: c / (1 - t^L) is the prefix sum of c with
+    stride L, a polynomial iff its last L coefficients vanish, as they then
+    do from there on."""
+    c = _product(exponents)
+    for length in divisor:
+        for i in range(length, len(c)):
+            c[i] += c[i - length]
+        if len(c) <= length or any(c[-length:]):
+            return False
+        c = c[:-length]
+    return True
+
+
+def test_fallback_denominators_are_true_denominators():
+    # The proof behind FALLBACK_DENOMINATORS, by polynomial division alone.
+    # Every graded series is a combination, with coefficients fixed by p and
+    # j, of the character series sum_f chi_i(f + j, f) t^f, the level-1
+    # Siegel series, sum_k dim M_k or dim S_k(SL_2(Z)) t^k, the lift factor
+    # sum_k dim S_{2k+j-2} t^k times the signed newspace, and a polynomial
+    # of degree <= 2 at weights <= 2; the S and A spaces shift the character
+    # series by t^3.  Each piece is proper over its denominator but the
+    # level-1 series (numerator degree <= 35 over 32), so over `first` no
+    # numerator passes degree 35, and over `last` none passes 483, both below
+    # the fit's degree bound.  A fit over a true denominator with such a
+    # numerator is exact.
+    first, last = FALLBACK_DENOMINATORS[0], FALLBACK_DENOMINATORS[-1]
+    assert FALLBACK_DENOMINATORS == [[4, 6, 10, 12], [4, 6, 8, 12], [120] * 4]
+    bound = paramodular.FIT_SLACK - 1  # hilbert_series fits degrees <= sum(den) + bound
+    assert 35 < sum(first) + bound and 483 < sum(last) + bound
+    # A CHI_TABLE term is a row of length L read at k = f + 3 under a factor of
+    # degree d in f, so its series is over (1 - t^L)^(d + 1).
+    for i in CHI_INDEX:
+        for factor, rows in CHI_TABLE[i][1]:
+            d = _degree_in_f(factor)
+            for row in rows:
+                assert _divides([len(row)] * (d + 1), last), (i, row)
+                assert i == 16 or _divides([len(row)] * (d + 1), first), (i, row)
+    # chi_16's rows have length 8 and are antiperiodic, so its series is over
+    # 1 + t^4, which does not divide `first` (nor does 1 - t^8 divide
+    # (1 - t^4) first); chi_16 enters only the trace at p = 2.  So only the
+    # signed series at p = 2 have poles off the roots of `first`.
+    ((factor, rows),) = CHI_TABLE[16][1]
+    assert _degree_in_f(factor) == 0
+    assert all(len(row) == 8 and row[4:] == tuple(-x for x in row[:4]) for row in rows)
+    assert not _divides([8], first + [4]) and _divides([8], FALLBACK_DENOMINATORS[1])
+    assert 16 not in M_ROWS and [b for b, rows in TRACE_ROWS.items() if 16 in rows] == [2]
+    # the level-1 and weight <= 2 pieces
+    for gf in LEVEL1_SERIES.values():
+        assert list(gf.denom_exponents) == first and len(gf.numerator) - 1 <= 35
+    assert _divides([4, 6], first) and _divides([2, 3], first)
+    n = 120
+    assert series_coeffs(RationalGF((1,), [4, 6]), n) == [dim_modular_level1(k) for k in range(n)]
+    assert series_coeffs(RationalGF((0,) * 12 + (1,), [4, 6]), n) == [
+        dim_cusp_level1(k) for k in range(n)]
+    for j in (0, 2, 4):
+        lift = RationalGF((0,) * ((14 - j) // 2) + (1,), [2, 3])
+        assert series_coeffs(lift, n) == [_weight_terms(k, j)[1] for k in range(n)]
+
+
+def test_full_plus_minus_series_at_2_agree_on_600_terms():
+    # The one fit the per-term argument leaves open: A+ and A- at p = 2 are
+    # signed, yet fit over [4, 6, 8, 12], which lacks the period 5 of chi_10,
+    # because that part cancels against the level-1 series.  Both sides are
+    # N / (1 - t^120)^4: the true series with deg N <= 483 (the test above),
+    # the fit with deg N = deg Q + 480 - sum(den).  Agreement on more terms
+    # than both degrees forces equal numerators.
+    for space in ("A+", "A-"):
+        gf = hilbert_series(2, space).gf
+        assert list(gf.denom_exponents) == FALLBACK_DENOMINATORS[1]
+        assert max(483, len(gf.numerator) - 1 + 480 - sum(gf.denom_exponents)) < 600
+        assert series_coeffs(gf, 600) == paramodular._space_sequence(2, space, 599)
+
+
+@pytest.mark.parametrize("p, space, j, den", [
+    (3, "M", 2, [4, 6, 10, 12]), (2, "A+", 0, [4, 6, 8, 12]), (2, "M+", 6, [120] * 4)])
+def test_first_fallback_denominator_to_fit(p, space, j, den):
+    # one unprinted witness for each candidate
+    assert (p, space, j) not in paramodular._printed_registry()
+    assert list(hilbert_series(p, space, j).gf.denom_exponents) == den
+
+
+def test_full_plus_series_at_2_takes_two_fit_attempts(monkeypatch):
+    # [4, 6, 10, 12] lacks chi_16's poles, and [4, 6, 8, 12] fits (five
+    # attempts while three candidates that never fit first came before it)
+    tried = []
+    fit = paramodular.fit_numerator
+
+    def counted(seq, denoms, max_deg):
+        tried.append(denoms)
+        return fit(seq, denoms, max_deg)
+
+    monkeypatch.setattr(paramodular, "fit_numerator", counted)
+    hilbert_series(2, "A+")
+    assert tried == [[4, 6, 10, 12], [4, 6, 8, 12]]
 
 
 def test_hilbert_series_minus_beyond_jacobi_table():

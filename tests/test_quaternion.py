@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from paradim import quaternion
-from paradim.compact import trace_R
+from paradim.compact import CHI_INDEX, DEN, level, trace_R
 from paradim.errors import (FamilySizeMismatch, NonIntegral, NotPrimeLevel,
                             NotSimilitude, ParadimError)
+from paradim.exactmath import exact_quotient
 from paradim.quaternion import (
     ALGEBRA,
     CLASS_OF_POLY,
@@ -368,6 +369,26 @@ def test_trace_matches_formula_on_coset_grid():
         for f2 in range(80):
             for f1 in range(f2, f2 + 41, 2):
                 assert verify_trace_p23(p, f1, f2) == trace_R(p, f1, f2), (p, f1, f2)
+
+
+def test_coset_tally_is_the_trace_vector():
+    # verify_trace_p23 is sum(count * chi) / COSET_SIZE over the whole-coset
+    # tally, trace_R is (level(p).tr . chi) / DEN over CHI_INDEX.  Grouped by
+    # class and scaled to DEN, the tally equals level(p).tr entry by entry, so
+    # the two traces agree at every weight, not only on the grids above.
+    want = {2: {2: 60, 6: 180, 9: 480, 11: 900, 14: 60, 15: 480, 16: 720},
+            3: {2: 120, 6: 120, 9: 960, 11: 720, 17: 960}}
+    for p in (2, 3):
+        by_class = Counter()
+        for poly, count in principal_tallies(p).items():
+            by_class[CLASS_OF_POLY[p][poly]] += count
+        assert set(by_class) <= set(CHI_INDEX)
+        vector = [exact_quotient(DEN * by_class[i], COSET_SIZE[p], "chi_{}", i)
+                  for i in CHI_INDEX]
+        while not vector[-1]:
+            vector.pop()
+        assert tuple(vector) == level(p).tr
+        assert {i: c for i, c in zip(CHI_INDEX, vector) if c} == want[p]
 
 
 def test_unsupported_prime_is_typed():
