@@ -1,7 +1,6 @@
 """Number-theoretic ingredients: splitting symbols, imaginary quadratic
 class numbers, generalized Bernoulli numbers B_{2,chi}, and a_p."""
 from bisect import bisect_right
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
@@ -70,6 +69,7 @@ def bernoulli_b2_chi(p):
     if p in (2, 3):
         raise UnsupportedPrime(f"B_2,chi is not consumed for p = {p}")
     D0 = _field_disc(p)
+    from fractions import Fraction  # no command calls this; fractions loads decimal
     return Fraction(b2_character_sum(D0), D0)
 
 

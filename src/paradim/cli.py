@@ -5,9 +5,7 @@ default), 3 domain error (invalid weight, unsupported prime, ...), 141
 (128 + SIGPIPE) when the reader closes the output early, with no stderr.
 """
 import argparse
-import csv
 import io
-import json
 import os
 import sys
 
@@ -31,8 +29,10 @@ from .paramodular import (
 def _emit(rows, header, fmt):
     """Rows of ints/strings in one of the three output formats."""
     if fmt == "json":
+        import json  # here, not at the top: text output, the default, needs neither
         print(json.dumps([dict(zip(header, r)) for r in rows]))
     elif fmt == "csv":
+        import csv  # here, not at the top: text output, the default, needs neither
         out = io.StringIO()
         w = csv.writer(out)
         w.writerow(header)
@@ -83,6 +83,7 @@ def cmd_table(args):
 def cmd_verify(args):
     total, failures = run_checks(args.only)
     if args.format == "json":
+        import json  # as in _emit, loaded only for JSON output
         print(json.dumps({
             "checks": total,
             "failed": len(failures),

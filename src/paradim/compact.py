@@ -17,9 +17,9 @@ the series sum_f dim M_f t^f, and those of M+ and M-, satisfy the same
 equation: their numerators are palindromic up to a power of t, with
 l = 3.
 """
+from collections import namedtuple
 from functools import lru_cache
 from operator import mul
-from typing import NamedTuple
 
 from .arith import _split_symbols, check_level, class_number
 from .characters import chi_values
@@ -64,12 +64,12 @@ _TRIPLES = {branch: tuple((CHI_INDEX.index(i), c, INVARIANTS.index(x))
             for branch, rows in (("M", M_ROWS), *TRACE_ROWS.items())}
 
 
-class Level(NamedTuple):
+class Level(namedtuple("Level", "m tr")):
     """dim M = (m . chi) / DEN, tr R = (tr . chi) / DEN at one level, each vector cut
-    after its last nonzero entry.  (Not a dataclass: that loads inspect, 40 % of import.)"""
+    after its last nonzero entry.  (Not a dataclass or a typing.NamedTuple: those
+    load inspect and typing at import.)"""
 
-    m: tuple
-    tr: tuple
+    __slots__ = ()
 
 
 def _invariants(p):

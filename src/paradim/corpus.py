@@ -126,8 +126,8 @@ def palindromic_checks(only=None):
             try:
                 if is_palindromic(hilbert_series(p, space).gf):
                     pal.append(p)
-            except NonPolynomial as exc:
-                pal.append(f"p={p}: {exc}")
+            except NonPolynomial as exc:  # its message names p
+                pal.append(str(exc))
     for space, pal in found.items():
         want = stored[PALINDROMIC[space]]
         yield Check(f"palindromic:{space}", pal == want, want, pal)

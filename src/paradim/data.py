@@ -3,8 +3,6 @@
 The environment variable PARADIM_DATA_DIR overrides the location, which
 lets users audit or patch the shipped tables without reinstalling.
 """
-import csv
-import json
 import os
 from functools import lru_cache
 from pathlib import Path
@@ -29,11 +27,13 @@ def data_path(name):
 @lru_cache(maxsize=None)
 def load_csv(name):
     """Rows of a CSV data file as a list of dicts (all values strings)."""
+    import csv  # on first use: only verify reads a CSV file
     with open(data_path(name), newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
 
 
 @lru_cache(maxsize=None)
 def load_json(name):
+    import json  # on first use: only verify and hilbert read a JSON file
     with open(data_path(name), encoding="utf-8") as fh:
         return json.load(fh)

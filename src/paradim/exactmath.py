@@ -7,7 +7,6 @@ Everything here is immutable and pure.  Rational numbers are plain
 `fractions.Fraction`; there is no custom rational type.
 """
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import BadPresentation, NonIntegral, NonPolynomial, ParityFailure
 
@@ -20,6 +19,8 @@ def exact_quotient(num, den, what, *args):
     """
     q, r = divmod(num, den)
     if r:
+        # only a failed quotient is rational: fractions loads decimal and numbers
+        from fractions import Fraction
         raise NonIntegral(f"{what.format(*args)} = {Fraction(num, den)} is not an integer")
     return q
 

@@ -1,9 +1,9 @@
 """Top-level dimensions of paramodular cusp forms of prime level with
 Atkin-Lehner sign, Hilbert series of the graded rings, the sign-bias
 check, and the weight-3 vanishing search."""
+from collections import namedtuple
 from functools import lru_cache
 from operator import itemgetter
-from typing import NamedTuple
 
 from .arith import check_level, primes_up_to
 from .compact import class_and_type, dim_M_signed
@@ -191,13 +191,11 @@ FALLBACK_DENOMINATORS = [
 FIT_SLACK = 41  # hilbert_series, the one fitter, reads up to t^(2 sum(den) + FIT_SLACK)
 
 
-class HilbertSeries(NamedTuple):
-    """A fitted graded dimension series: the generating function `gf` of
-    `space` at the prime level `p`."""
+class HilbertSeries(namedtuple("HilbertSeries", "p space gf")):
+    """A fitted graded dimension series: the generating function `gf` (a
+    RationalGF) of `space` at the prime level `p`."""
 
-    p: int
-    space: str
-    gf: RationalGF
+    __slots__ = ()
 
 
 def hilbert_series(p, space, j=0):
@@ -205,10 +203,11 @@ def hilbert_series(p, space, j=0):
     over a factored denominator: an embedded presentation's, whose numerator
     must be reproduced, or else the first of FALLBACK_DENOMINATORS that fits a
     prefix of the held run of _space_sequence (so no weight is computed twice).
-    That is the first entry unless p = 2 and the space is signed."""
+    That is the first entry unless p = 2 and the space is signed.  When no
+    candidate fits, NonPolynomial names p, space, j and the last denominator
+    tried before the residual that refused it."""
     rec = _printed_registry().get((p, space, j))
     candidates = [rec["den"]] if rec is not None else FALLBACK_DENOMINATORS
-    last_error = None
     for denoms in candidates:
         margin = sum(denoms)
         n = 2 * margin + FIT_SLACK
@@ -217,8 +216,8 @@ def hilbert_series(p, space, j=0):
             num = fit_numerator(seq, denoms, n - margin - 1)
             return HilbertSeries(p, space, RationalGF(num, denoms))
         except NonPolynomial as exc:
-            last_error = exc
-    raise last_error
+            error = exc
+    raise NonPolynomial(f"p={p}, space={space}, j={j}, den={denoms}: {error}") from error
 
 
 def bias(p, k):

@@ -6,7 +6,8 @@ group over a maximal order of the definite quaternion algebra ramified
 at {p, infinity}.  For p = 2 and p = 3 that coset is small enough
 (1920 resp. 720 elements) to enumerate outright: we build every element
 from its parametrized families, check the similitude condition, tally
-principal polynomials, and recompose the trace from character values.
+principal polynomials, and group the tally by conjugacy class into the
+trace vector over CHI_INDEX, which must equal the formula's level(p).tr.
 
 The p = 3 search is column-first.  Whether a candidate lies in the coset
 is a test on its first column (a, c) alone (see in_coset3), followed by
@@ -30,11 +31,12 @@ in ALGEBRA, built once per prime.
 from functools import lru_cache
 from itertools import product
 from math import isqrt
+from operator import mul
 
-from .characters import chi_values
+from .compact import CHI_INDEX, DEN, _chi_vector
 from .errors import (FamilySizeMismatch, NonIntegral, NotPrimeLevel,
                      NotSimilitude, UnsupportedPrime)
-from .exactmath import exact_quotient
+from .exactmath import _trim, exact_quotient
 
 
 def add(q, r):
@@ -376,12 +378,22 @@ CLASS_OF_POLY = {
 }
 
 
-def verify_trace_p23(p, f1, f2):
-    """Trace of the involution at diagonal-adjacent Young weight (f1, f2),
-    rebuilt from the enumerated coset; an integer."""
+def trace_vector(p):
+    """DEN * tr R as a vector over CHI_INDEX, p in {2, 3}, rebuilt from the
+    enumerated coset: the whole-coset tally grouped by CLASS_OF_POLY[p],
+    times DEN / COSET_SIZE[p], cut after its last nonzero entry like
+    compact.level(p).tr, which it must equal."""
     _check_p23(p)
-    total = _coset(p)[2]
-    classes = CLASS_OF_POLY[p]
-    chis = chi_values([classes[key] for key, _ in total], f1, f2)
-    return exact_quotient(sum(cnt * chi for (_, cnt), chi in zip(total, chis)),
-                          COSET_SIZE[p], "trace at p={}, ({},{})", p, f1, f2)
+    by_class = dict.fromkeys(CHI_INDEX, 0)
+    for poly, count in _coset(p)[2]:
+        by_class[CLASS_OF_POLY[p][poly]] += count
+    return _trim(exact_quotient(DEN * by_class[i], COSET_SIZE[p],
+                                "DEN * chi_{} share of the coset at p={}", i, p)
+                 for i in CHI_INDEX)
+
+
+def verify_trace_p23(p, f1, f2):
+    """Trace of the involution at Young weight (f1, f2), rebuilt from the
+    enumerated coset: trace_vector(p) . chi / DEN, an integer."""
+    num = sum(map(mul, trace_vector(p), _chi_vector(f1, f2)))
+    return exact_quotient(num, DEN, "trace at p={}, ({},{})", p, f1, f2)

@@ -168,6 +168,19 @@ def run_fresh(*argv, **env_vars):
                           timeout=60)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_fresh_json_and_csv_output_match_in_process(capsys, fmt):
+    # json and csv are imported at first use, so a fresh process, which has
+    # loaded neither, must print what an in-process run prints; compared as
+    # bytes, since text mode would read csv's \r\n line ends as \n
+    argv = ["dim", "--p", "7", "--k", "4", "--format", fmt]
+    rc, out = run(capsys, *argv)
+    proc = subprocess.run([sys.executable, "-m", "paradim", *argv], capture_output=True,
+                          env=fresh_env(), timeout=60)
+    assert rc == proc.returncode == 0
+    assert proc.stdout == out.encode() and proc.stderr == b""
+
+
 def test_a_closed_pipe_ends_quietly():
     # the reader takes one line and closes the pipe, as `| head -1` does; the
     # 2.3 MB of output outgrow any pipe buffer, so the writer meets the close
@@ -249,7 +262,8 @@ def test_verify_reports_a_printed_denominator_that_does_not_fit(tmp_path):
     (rec,) = [r for r in records if (r["p"], r["space"], r.get("j", 0)) == (7, "A", 0)]
     rec["den"] = [4, 4, 4, 4]
     path.write_text(json.dumps(records))
-    error = "residual coefficient -12 at degree 57 (> 56)"
+    # the residual of fit_numerator, after the series and the denominator tried
+    error = "p=7, space=A, j=0, den=[4, 4, 4, 4]: residual coefficient -12 at degree 57 (> 56)"
     proc = run_fresh("verify", PARADIM_DATA_DIR=str(patched))
     assert proc.returncode == 1 and proc.stderr == ""
     lines = proc.stdout.splitlines()
@@ -257,7 +271,7 @@ def test_verify_reports_a_printed_denominator_that_does_not_fit(tmp_path):
     assert [line.split(": expected")[0] for line in lines[:-1]] == [
         "FAIL series:p=7:A:j=0:expand", "FAIL series:p=7:A:j=0:fit", "FAIL palindromic:A"]
     assert lines[1].endswith(f"got {error}")
-    assert lines[2].endswith(f"got [2, 3, 5, 'p=7: {error}', 13]")
+    assert lines[2].endswith(f"got [2, 3, 5, '{error}', 13]")
     # asked for that series directly, the fit is still an error
     proc = run_fresh("hilbert", "--p", "7", "--space", "A", "--fit",
                      PARADIM_DATA_DIR=str(patched))

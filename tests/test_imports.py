@@ -28,7 +28,14 @@ so a mathematical invariant is checked by raising a typed ParadimError.
 
 Every command runs in a fresh process, so import time is paid on every
 call: `import paradim, paradim.cli` must not load dataclasses or inspect
-(with ast, dis and tokenize, inspect was about 40 % of the import).
+(with ast, dis and tokenize, inspect was about 40 % of the import).  Nor
+may it load, before or after running `search zero3`, `bias`, `dim` or
+`table`, any of UNNEEDED: fractions (which loads decimal and numbers) is
+imported only where a value is rational, on an error path or in
+`arith.bernoulli_b2_chi`; json and csv only where a command reads the
+data files or prints JSON or CSV; typing not at all.  That check runs
+under `python -S`, since `site` may load typing itself through a `.pth`
+file and would hide an import of it.
 """
 import ast
 import os
@@ -261,3 +268,33 @@ def test_import_loads_no_dataclasses_or_inspect():
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == []
+
+
+# stdlib modules that none of COMMANDS needs in its default text output
+UNNEEDED = ("fractions", "decimal", "numbers", "json", "csv", "typing", "dataclasses",
+            "inspect")
+COMMANDS = (("search", "zero3", "--pmax", "50"), ("bias", "--pmax", "50", "--kmax", "20"),
+            ("dim", "--p", "7", "--k", "4"), ("table", "--k", "4", "--pmax", "50"))
+# after the import and after each command: (label, exit code, which of
+# UNNEEDED are loaded), with the command's output kept off the report
+CHILD = """\
+import io, sys
+import paradim, paradim.cli
+unneeded, commands = {unneeded!r}, {commands!r}
+report = [("import", 0, [m for m in unneeded if m in sys.modules])]
+for argv in commands:
+    sys.stdout = io.StringIO()
+    rc = paradim.cli.main(list(argv))
+    sys.stdout = sys.__stdout__
+    report.append((" ".join(argv), rc, [m for m in unneeded if m in sys.modules]))
+print(report)
+"""
+
+
+def test_commands_load_no_unneeded_module_without_site():
+    code = CHILD.format(unneeded=UNNEEDED, commands=COMMANDS)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, cwd=ROOT,
+                         capture_output=True, text=True, check=True).stdout
+    labels = ["import"] + [" ".join(argv) for argv in COMMANDS]
+    assert ast.literal_eval(out) == [(label, 0, []) for label in labels]

@@ -8,7 +8,6 @@ from paradim import quaternion
 from paradim.compact import CHI_INDEX, DEN, level, trace_R
 from paradim.errors import (FamilySizeMismatch, NonIntegral, NotPrimeLevel,
                             NotSimilitude, ParadimError)
-from paradim.exactmath import exact_quotient
 from paradim.quaternion import (
     ALGEBRA,
     CLASS_OF_POLY,
@@ -30,6 +29,7 @@ from paradim.quaternion import (
     principal_poly,
     principal_tallies,
     sub,
+    trace_vector,
     verify_trace_p23,
 )
 
@@ -372,23 +372,19 @@ def test_trace_matches_formula_on_coset_grid():
 
 
 def test_coset_tally_is_the_trace_vector():
-    # verify_trace_p23 is sum(count * chi) / COSET_SIZE over the whole-coset
-    # tally, trace_R is (level(p).tr . chi) / DEN over CHI_INDEX.  Grouped by
-    # class and scaled to DEN, the tally equals level(p).tr entry by entry, so
-    # the two traces agree at every weight, not only on the grids above.
+    # verify_trace_p23 is (trace_vector(p) . chi) / DEN and trace_R is
+    # (level(p).tr . chi) / DEN over CHI_INDEX.  trace_vector groups the
+    # whole-coset tally by class and scales it to DEN; it equals level(p).tr
+    # entry by entry, so the two traces agree at every weight, not only on
+    # the grids above.
     want = {2: {2: 60, 6: 180, 9: 480, 11: 900, 14: 60, 15: 480, 16: 720},
             3: {2: 120, 6: 120, 9: 960, 11: 720, 17: 960}}
     for p in (2, 3):
-        by_class = Counter()
-        for poly, count in principal_tallies(p).items():
-            by_class[CLASS_OF_POLY[p][poly]] += count
-        assert set(by_class) <= set(CHI_INDEX)
-        vector = [exact_quotient(DEN * by_class[i], COSET_SIZE[p], "chi_{}", i)
-                  for i in CHI_INDEX]
-        while not vector[-1]:
-            vector.pop()
-        assert tuple(vector) == level(p).tr
+        assert set(CLASS_OF_POLY[p].values()) <= set(CHI_INDEX)
+        vector = trace_vector(p)
+        assert vector == level(p).tr
         assert {i: c for i, c in zip(CHI_INDEX, vector) if c} == want[p]
+        assert sum(vector) == DEN  # every coset element is counted once
 
 
 def test_unsupported_prime_is_typed():
@@ -396,6 +392,8 @@ def test_unsupported_prime_is_typed():
         enumerate_pi_gamma(5)
     with pytest.raises(ParadimError):
         verify_trace_p23(5, 0, 0)
+    with pytest.raises(ParadimError):
+        trace_vector(5)
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 5.0, "2"])
@@ -404,6 +402,7 @@ def test_non_int_prime_is_refused_before_the_caches(p):
     # the p = 3 families, served by untyped caches from the entries of 2, 3
     principal_tallies(2), principal_tallies(3)
     for call in (lambda: enumerate_pi_gamma(p), lambda: family_tallies(p),
-                 lambda: principal_tallies(p), lambda: verify_trace_p23(p, 4, 2)):
+                 lambda: principal_tallies(p), lambda: verify_trace_p23(p, 4, 2),
+                 lambda: trace_vector(p)):
         with pytest.raises(NotPrimeLevel):
             call()
