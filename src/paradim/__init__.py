@@ -1,5 +1,23 @@
 """Exact dimensions of paramodular cusp forms of prime level with
-Atkin-Lehner sign, via algebraic modular forms on the compact twist."""
+Atkin-Lehner sign, via algebraic modular forms on the compact twist.
+
+The layers, each explained in its module docstring: kernels (Kronecker
+symbol, h(D), the B_{2,chi} sum), arith (the ingredients of one level),
+characters (chi_1 .. chi_17), compact (dim M and tr R), elliptic
+(elliptic forms of level 1 and Gamma_0(p)), siegel1 (Siegel cusp forms
+of level 1), paramodular (S+-, A+-, the graded series), corpus (the
+embedded data re-derived) and cli; quaternion is the independent
+enumeration at p = 2, 3.
+
+Every memo of the package is an lru_cache, which cache_info() reports;
+only the growable tables of kernels are kept by hand
+(tests/test_imports.py refuses any other module-level container).  A
+module that only some commands need is imported at first use: json and
+csv by verify and hilbert, which read the data files, and by the JSON and
+CSV output formats; pathlib where a data file is read; fractions only in
+the message of a failed exact division and in arith.bernoulli_b2_chi.
+So dim, table, search and bias in text load none of them.
+"""
 from .compact import class_and_type, dim_M_signed, dim_M_total, trace_R
 from .characters import chi_bracket_young, chi_young
 from .elliptic import dim_cusp_level1, dim_new_gamma0_signed

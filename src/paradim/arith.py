@@ -1,5 +1,14 @@
 """Number-theoretic ingredients: splitting symbols, imaginary quadratic
-class numbers, generalized Bernoulli numbers B_{2,chi}, and a_p."""
+class numbers, generalized Bernoulli numbers B_{2,chi}, and a_p.
+
+The five split symbols of a level, (-4/p), (-3/p), (8/p), (12/p) and
+(p/5), are one cached row of p mod 120, _split_symbols(p): the one route
+to the quadratic symbols of a level, which elliptic._gamma0 (the first
+two) and compact._invariants read.  check_level is the one primality
+test of a level; NotPrimeLevel for anything but a prime int.  Every list
+primes_up_to returns is a slice of the smallest-prime-factor table of
+paradim.kernels.
+"""
 from bisect import bisect_right
 from functools import lru_cache
 from math import isqrt

@@ -8,6 +8,26 @@ M_ROWS and TRACE_ROWS to the level invariants I(p).  dim_M_total and
 trace_R divide a dot product with the cached character vector by DEN
 exactly, and dim_M_signed splits the two into (plus, minus).
 
+The level invariants I(p) = _invariants(p) are a tuple of ints, named by
+INVARIANTS: 1, p, p^2, the five split symbols, p (-1/p), p (-3/p),
+[p = 2], [p = 3], [p = 5], 5 B_{2,chi}, h(p), h(2p), h(3p) and the
+products with (2/p) that the trace uses.  M_ROWS is one table, since
+[p = 2] and [p = 3] are invariants; TRACE_ROWS has one table per branch
+of the trace: p = 2, p = 3, p = 1 and p = 3 (mod 4).  Each table is
+compiled once at import into flat (character, coefficient, invariant)
+triples.  DEN = 2880 is a constant because 5 B_{2,chi} = 2S is an even
+integer (S of kernels.b2_character_sum).  No Fraction is on this path:
+after one primality test of p, `level` takes the integer 5 B_{2,chi} =
+5 b2_character_sum(D0) / D0 from the kernels by one exact division.
+
+The record Level(m, tr) holds both coefficient vectors once per prime,
+indexed by CHI_INDEX, the 15 characters that enter either formula
+(chi_5 and chi_8 enter neither).  Each vector ends at its last nonzero
+coefficient, where its dot product stops; m ends within the first ten.
+The character vector _chi_vector(f1, f2) is one call of
+characters.chi_values(CHI_INDEX, f1, f2), which checks the Young weight
+and converts it to (k, j) once for all 15 characters.
+
 Functional equation.  At j = 0 each scalar character series
 F_i(t) = sum_{f >= 0} chi_i(f, f) t^f, i in CHI_INDEX, is rational over
 (1 - t^120)^4 with F_i(1/t) = t^3 F_i(t) (tests/test_characters.py).

@@ -3,6 +3,14 @@
 Each check compares one stored value (a table entry, a series, a list)
 with an independent computation; `run_checks` drives them all and is
 what the `paradim verify` command and the test suite use.
+
+Each embedded series is checked twice: its expansion to SERIES_NMAX
+terms against the computed sequence, and its numerator against the one
+that hilbert_series fits, so `hilbert --fit` prints what the check
+compares.  When the printed denominator does not fit, that fit check and
+the palindromic check reading the same series fail with the
+NonPolynomial message as the value got; it names the prime, the space,
+j and the denominator tried before the residual that refused the fit.
 """
 from collections import namedtuple
 

@@ -5,12 +5,12 @@ lets users audit or patch the shipped tables without reinstalling.
 """
 import os
 from functools import lru_cache
-from pathlib import Path
 
 from .errors import MissingData
 
 
 def data_dir():
+    from pathlib import Path  # on first use: only verify and hilbert read a data file
     override = os.environ.get("PARADIM_DATA_DIR")
     if override:
         return Path(override)

@@ -1,5 +1,16 @@
 """Dimensions of elliptic modular forms: level 1, and newforms of prime
-level Gamma_0(p) split by Atkin-Lehner sign."""
+level Gamma_0(p) split by Atkin-Lehner sign.
+
+Each dimension is an integer numerator over 12, divided by
+exact_quotient (NonIntegral otherwise).  The newspace of Gamma_0(p)
+reads one cached record per level, _gamma0(p): p - 1, 3 (1 - (-1/p)),
+4 (1 - (-3/p)) and the row of the plus-minus difference.  The two
+symbols are arith._split_symbols(p)[:2], the Kronecker symbols of -4 and
+-3 at p.  The difference at weight k is [k = 2] + row[(k/2) mod len(row)],
+with the row (1, -1, 0, 0) at p = 2, (1, -1, 0, -1, 1, 0) at p = 3
+(DIFF_ROWS) and (c, -c), c = a_p h(p) / 2, at any other prime.
+dim_new_gamma0_signed splits total and difference into (plus, minus).
+"""
 from functools import lru_cache
 
 from .arith import _split_symbols, a_p, check_level, class_number

@@ -8,11 +8,19 @@ r mod 4a, and the row of squares, b^2 mod 4a for 0 <= b <= a.  The a with
 4a^2 < |D| add the entries of their root-count rows at D mod 4a in one
 C-level pass; each larger a counts the roots b >= sqrt(4a^2 - |D|) in its
 row of squares.  The rows are built once and kept, so they pay off when
-one process asks many discriminants.  They stop at a = _ROW_TOP, that is
-|D| < 3 (_ROW_TOP + 1)^2, about 3.1 million; a larger D is counted in
-O(sqrt|D|) memory through the multiplicative root count, sieved over the
-primes to sqrt(|D|)/2, and its few forms with 4a^2 >= |D| one b at a
-time.  A non-fundamental D goes through its fundamental discriminant.
+one process asks many discriminants, as search zero3, bias and verify
+do.  They stop at a = _ROW_TOP, that is |D| < 3 (_ROW_TOP + 1)^2, about
+3.1 million; a larger D is counted in O(sqrt|D|) memory through the
+multiplicative root count, sieved over the primes to sqrt(|D|)/2, and its
+few forms with 4a^2 >= |D| one b at a time.  A non-fundamental D = D0 f^2 goes through h(D0) and the conductor
+formula (class_number_from_disc).
+
+The discriminant of Q(sqrt(d0)) for a squarefree d0, d0 or 4 d0 as
+d0 = 1 (mod 4) or not, has one home, _field_disc: h(D) finds D0 with it,
+b2_character_sum accepts D0 > 1 exactly when _field_disc maps the
+squarefree part of D0 back to D0, and arith.class_number,
+arith.bernoulli_b2_chi, arith.fundamental_discriminant and
+compact._invariants read it.
 
 The B_{2,chi} sum adds values of sigma_1, read from a table built by the
 recursion sigma(n) = (q+1) sigma(n/q) - q sigma(n/q^2) [q^2 | n] at the
@@ -28,7 +36,8 @@ of two no larger than the length of _spf.  The rows of a take
 at _ROW_TOP, the order of the sigma_1 table of b2_character_sum(D0) for
 D0 near |D|.
 
-The naive versions in ``paradim._kernels_py`` are kept as test oracles.
+tests/test_kernels.py checks these kernels against the naive versions
+in tests/naive_kernels.py, which count by definition.
 """
 from array import array
 from bisect import bisect_right

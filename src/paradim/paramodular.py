@@ -1,6 +1,35 @@
 """Top-level dimensions of paramodular cusp forms of prime level with
 Atkin-Lehner sign, Hilbert series of the graded rings, the sign-bias
-check, and the weight-3 vanishing search."""
+check, and the weight-3 vanishing search.
+
+Signed dimensions.  dim_paramodular_signed(p, k, j) adds the level-1
+Siegel dimension to the compact side of the opposite sign (M- for the
+plus space, M+ for the minus space) at the Young weight
+(j + k - 3, k - 3), subtracts the Gritsenko lifts, the signed
+weight-(j + 2) newspace of Gamma_0(p) times dim S_{2k+j-2}(SL_2(Z)), and
+takes dim S_{2k-2}(SL_2(Z)) + [k = 3] off the minus space at j = 0.  Only the compact side depends on both the
+level and the weight, and it is evaluated on every call.  The other
+terms come from two cached records: the per-weight _weight_terms(k, j),
+with dim_cusp_sp4(k, j), dim S_{2k+j-2}(SL_2(Z)) and that minus-space
+drop, and the per-level _lifted_newspace(p, j), which is
+dim_new_gamma0_signed(p, j + 2).  Both caches are typed, so a float
+weight or level never reads an int entry.
+
+Graded series.  Every graded sequence is read from one held run of
+(plus, minus) pairs per (base space, p, j), the base space being M, A or
+S: _held_run, a typed lru_cache of size one.  A longer request extends
+the run in place, a shorter one slices it, and another key replaces it.
+So the A, A+ and A- records of one prime (and M+-, S+-), the fallback
+denominators hilbert_series tries and the palindromic checks of A and
+then A+ share one computation.  hilbert_series is the one fitter: for a
+denominator with exponent sum s it reads the sequence up to t^n,
+n = 2 s + FIT_SLACK, and fits a numerator of degree below n - s.
+Without an embedded presentation it tries FALLBACK_DENOMINATORS in turn
+on prefixes of one run; the comment above that list proves that the
+first fits every series but the signed ones at p = 2 and that the last
+fits every series, and tests/test_paramodular.py checks each step by
+polynomial division.
+"""
 from collections import namedtuple
 from functools import lru_cache
 from operator import itemgetter

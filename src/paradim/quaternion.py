@@ -26,7 +26,16 @@ either order is a parity condition on them.  A 2x2 matrix (a b; c d) is
 the 4-tuple (a, b, c, d) of its entries.  The sum, difference, negation
 and conjugate are module functions; the product and the norm depend on
 the algebra (e1^2 = -a, e2^2 = -b, e3 = e1 e2) and come from its record
-in ALGEBRA, built once per prime.
+in ALGEBRA, built once per prime: (a, b) = (1, 1) at p = 2 and (3, 1) at
+p = 3.  A product that leaves the half-lattice, or a norm that is not an
+integer, raises NonIntegral.
+
+_coset(p) builds the families, their principal-polynomial tallies and
+the whole-coset tally once; family_tallies, principal_tallies and
+trace_vector read them.  trace_vector(p) groups the whole-coset tally by
+CLASS_OF_POLY[p] and scales it to DEN * tally / COSET_SIZE[p] over
+CHI_INDEX, and verify_trace_p23(p, f1, f2) is its dot product with the
+character vector, divided by DEN.
 """
 from functools import lru_cache
 from itertools import product

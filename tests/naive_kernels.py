@@ -1,12 +1,13 @@
-"""Naive kernels, kept as test oracles for ``paradim.kernels``.
+"""Naive kernels, the oracles that tests/test_kernels.py checks
+``paradim.kernels`` against.
 
-They count by definition and stay off the hot path: h(D) checks every
-pair (a, b) with |b| <= a <= sqrt(|D|/3), and the B_{2,chi} sum makes one
-Kronecker call per residue.
+They count by definition: h(D) checks every pair (a, b) with
+|b| <= a <= sqrt(|D|/3), and the B_{2,chi} sum makes one Kronecker call
+per residue.
 """
 from math import gcd, isqrt
 
-from .kernels import kronecker
+from paradim.kernels import kronecker
 
 
 def class_number_from_disc(D):

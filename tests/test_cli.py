@@ -108,6 +108,15 @@ def test_table_csv(capsys):
     assert rows[0]["S_plus"] == "1"
 
 
+@pytest.mark.parametrize("k", ["4", "5", "6", "7", "8", "10"])
+def test_table_csv_reproduces_the_embedded_table(capsys, k):
+    # byte for byte, the csv module's \r\n line endings included
+    stored = (data_dir() / f"table_k{k}.csv").read_bytes()
+    pmax = stored.splitlines()[-1].split(b",")[0].decode()
+    rc, out = run(capsys, "table", "--k", k, "--pmax", pmax, "--format", "csv")
+    assert rc == 0 and out.encode() == stored
+
+
 def test_table_rows_filter(capsys):
     rc, out = run(capsys, "table", "--k", "7", "--pmax", "15",
                   "--rows", "M_plus,s2_minus", "--format", "csv")

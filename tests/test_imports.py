@@ -33,9 +33,10 @@ may it load, before or after running `search zero3`, `bias`, `dim` or
 `table`, any of UNNEEDED: fractions (which loads decimal and numbers) is
 imported only where a value is rational, on an error path or in
 `arith.bernoulli_b2_chi`; json and csv only where a command reads the
-data files or prints JSON or CSV; typing not at all.  That check runs
-under `python -S`, since `site` may load typing itself through a `.pth`
-file and would hide an import of it.
+data files or prints JSON or CSV; pathlib only where a command reads a
+data file; typing not at all.  That check runs under `python -S`, since
+`site` may load typing or pathlib itself through a `.pth` file and would
+hide an import of it.
 """
 import ast
 import os
@@ -272,7 +273,7 @@ def test_import_loads_no_dataclasses_or_inspect():
 
 # stdlib modules that none of COMMANDS needs in its default text output
 UNNEEDED = ("fractions", "decimal", "numbers", "json", "csv", "typing", "dataclasses",
-            "inspect")
+            "inspect", "pathlib")
 COMMANDS = (("search", "zero3", "--pmax", "50"), ("bias", "--pmax", "50", "--kmax", "20"),
             ("dim", "--p", "7", "--k", "4"), ("table", "--k", "4", "--pmax", "50"))
 # after the import and after each command: (label, exit code, which of

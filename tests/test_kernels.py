@@ -5,9 +5,11 @@ from math import isqrt
 import pytest
 from hypothesis import given, strategies as st
 
-from paradim import _kernels_py, kernels
+from paradim import kernels
 from paradim.arith import primes_up_to
 from paradim.errors import BadDiscriminant
+
+import naive_kernels
 
 
 @given(st.integers(-60, 60), st.integers(-60, 60), st.integers(-40, 40))
@@ -33,7 +35,7 @@ def test_class_number_from_disc_matches_pure():
     for D in range(-6000, -2):
         if D % 4 in (0, 1):
             assert (kernels.class_number_from_disc(D)
-                    == _kernels_py.class_number_from_disc(D)), D
+                    == naive_kernels.class_number_from_disc(D)), D
 
 
 # every fifth prime up to 3 500, and the last few
@@ -46,7 +48,7 @@ def test_class_number_from_disc_matches_pure_on_level_discriminants():
         for d in {p, 2 * p, 3 * p} - {9}:
             D = -d if d % 4 == 3 else -4 * d
             assert (kernels.class_number_from_disc(D)
-                    == _kernels_py.class_number_from_disc(D)), D
+                    == naive_kernels.class_number_from_disc(D)), D
 
 
 @pytest.mark.parametrize("D0", [-3, -4, -7, -8, -15, -20, -23])
@@ -55,7 +57,7 @@ def test_class_number_from_disc_matches_pure_on_orders(D0):
     for f in range(1, 21):
         D = D0 * f * f
         assert (kernels.class_number_from_disc(D)
-                == _kernels_py.class_number_from_disc(D)), D
+                == naive_kernels.class_number_from_disc(D)), D
 
 
 def test_b2_character_sum_matches_pure():
@@ -63,7 +65,7 @@ def test_b2_character_sum_matches_pure():
         if p < 5:
             continue
         D0 = p if p % 4 == 1 else 4 * p
-        assert kernels.b2_character_sum(D0) == _kernels_py.b2_character_sum(D0, D0), p
+        assert kernels.b2_character_sum(D0) == naive_kernels.b2_character_sum(D0, D0), p
 
 
 # ids D0-f, f = D0 being the conductor the sum runs to
@@ -188,7 +190,7 @@ def test_sieved_forms_match_the_rows_below_40000():
 def test_class_numbers_past_the_row_cap_build_no_rows(fresh_table, D, rows_built):
     # the fundamental D on each side of |D| = 3 (_ROW_TOP + 1)^2
     assert (isqrt(-D // 3) <= kernels._ROW_TOP) == rows_built
-    assert kernels.class_number_from_disc(D) == _kernels_py.class_number_from_disc(D)
+    assert kernels.class_number_from_disc(D) == naive_kernels.class_number_from_disc(D)
     assert len(kernels._squares) == (kernels._ROW_TOP + 1 if rows_built else 1)
 
 
@@ -218,7 +220,7 @@ def test_class_number_from_disc_matches_form_count_below_40000():
     # the one-pass count is the oracle's count, from one in fifty on
     for D in [*range(-39999, -6000, 50), -39999, -39996]:
         if D % 4 in (0, 1):
-            assert _kernels_py.class_number_from_disc(D) == h[-D], D
+            assert naive_kernels.class_number_from_disc(D) == h[-D], D
 
 
 @pytest.mark.parametrize("D, form, h", [
@@ -231,7 +233,7 @@ def test_class_number_from_disc_matches_form_count_below_40000():
 def test_class_number_from_disc_counts_the_boundary_forms_once(D, form, h):
     a, b, c = form
     assert b * b - 4 * a * c == D
-    assert kernels.class_number_from_disc(D) == _kernels_py.class_number_from_disc(D) == h
+    assert kernels.class_number_from_disc(D) == naive_kernels.class_number_from_disc(D) == h
 
 
 def test_sigma1_table_matches_divisor_sum(fresh_table):
