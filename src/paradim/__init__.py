@@ -12,11 +12,9 @@ enumeration at p = 2, 3.
 Every memo of the package is an lru_cache, which cache_info() reports;
 only the growable tables of kernels are kept by hand
 (tests/test_imports.py refuses any other module-level container).  A
-module that only some commands need is imported at first use: json and
-csv by verify and hilbert, which read the data files, and by the JSON and
-CSV output formats; pathlib where a data file is read; fractions only in
-the message of a failed exact division and in arith.bernoulli_b2_chi.
-So dim, table, search and bias in text load none of them.
+module that only some commands need (json, csv, pathlib, fractions) is
+imported at first use, where a comment says who needs it, so dim, table,
+search and bias in text load none of them.
 """
 from .compact import class_and_type, dim_M_signed, dim_M_total, trace_R
 from .characters import chi_bracket_young, chi_young

@@ -1,13 +1,12 @@
-"""Number-theoretic ingredients: splitting symbols, imaginary quadratic
-class numbers, generalized Bernoulli numbers B_{2,chi}, and a_p.
+"""Number-theoretic ingredients of a prime level: split symbols,
+imaginary quadratic class numbers, generalized Bernoulli numbers
+B_{2,chi}, a_p, and the primality test.
 
-The five split symbols of a level, (-4/p), (-3/p), (8/p), (12/p) and
-(p/5), are one cached row of p mod 120, _split_symbols(p): the one route
-to the quadratic symbols of a level, which elliptic._gamma0 (the first
-two) and compact._invariants read.  check_level is the one primality
-test of a level; NotPrimeLevel for anything but a prime int.  Every list
-primes_up_to returns is a slice of the smallest-prime-factor table of
-paradim.kernels.
+The quadratic symbols of a level have one route, _split_symbols(p), a
+cached row of p mod 120, which elliptic._gamma0 (the first two) and
+compact._invariants read.  Primes have one source, the
+smallest-prime-factor table of paradim.kernels, which is_prime and
+primes_up_to read; check_level refuses a level through is_prime.
 """
 from bisect import bisect_right
 from functools import lru_cache
@@ -37,15 +36,14 @@ def split_symbol(d, p):
 
 def _split_symbols(p):
     """(-4/p), (-3/p), (8/p), (12/p) and (p/5) at the prime p: split_symbol(d, p)
-    for d = -1, -3, 2, 3, which elliptic._gamma0 (the first two) and
-    compact._invariants read, and split_symbol(p, 5), as (4p/5) = (p/5).
+    for d = -1, -3, 2, 3, and split_symbol(p, 5), as (4p/5) = (p/5).
 
-    They are read from the row of p mod 120.  Each is a Kronecker symbol of a
-    fundamental discriminant D = -4, -3, 8, 12 in the bottom, a character mod
-    |D|, or the Legendre symbol mod 5 in the top, so each is periodic in p with
-    a period dividing 120.  The primes that share a factor with 120 are 2, 3
-    and 5, and each is alone in its residue class, where the row holds its own
-    symbols; so the row of p mod 120 is exact at every prime."""
+    Each is a Kronecker symbol of a fundamental discriminant D = -4, -3, 8, 12
+    in the bottom, a character mod |D|, or the Legendre symbol mod 5 in the
+    top, so each is periodic in p with a period dividing 120.  The primes that
+    share a factor with 120 are 2, 3 and 5, and each is alone in its residue
+    class, where the row holds its own symbols; so the row of p mod 120 is
+    exact at every prime."""
     return _symbol_row(p % 120)
 
 
@@ -72,8 +70,8 @@ def class_number(d):
 def bernoulli_b2_chi(p):
     """B_{2,chi} = b2_character_sum(D0) / D0 for chi the quadratic character of
     Q(sqrt(p)), p a prime other than 2, 3, of conductor D0 = p or 4p as p = 1 or 3
-    (mod 4); the linear term of the defining sum vanishes for even chi.  5 B_{2,chi}
-    = 2 S is an even integer (S of b2_character_sum), which fixes compact.DEN."""
+    (mod 4); the linear term of the defining sum vanishes for even chi.
+    NotPrimeLevel for a p that is not a prime int, UnsupportedPrime at 2 and 3."""
     check_level(p)
     if p in (2, 3):
         raise UnsupportedPrime(f"B_2,chi is not consumed for p = {p}")
@@ -93,14 +91,17 @@ def a_p(p):
 
 
 def is_prime(n):
+    """Whether the integer n is prime: n > 1 and no prime of the kernels' table
+    up to sqrt(n) divides it.  The table is grown to sqrt(n) by squaring the
+    bound from 64, so a composite with a small factor is refused before the
+    table reaches the root of a large n."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for f in range(3, isqrt(n) + 1, 2):
-        if n % f == 0:
+    root, bound = isqrt(n), 1
+    while bound < root:
+        bound = min(max(bound * bound, 64), root)
+        primes = _primes_to(bound)
+        if not all(n % q for q in primes[:bisect_right(primes, bound)]):
             return False
     return True
 

@@ -7,9 +7,8 @@ provided:
 
 * chi_values -- one table, CHI_TABLE: chi_i is a sum of polynomial factors
   F(u, v) times periodic brackets [row]_k over a denominator, in the weight
-  coordinates (k, j) = (f2 + 3, f1 - f2).  It reads a tuple of indices at
-  one Young weight, which it checks once (compact's character vector reads
-  CHI_INDEX); chi_closed and chi_young are its one-index case;
+  coordinates (k, j) = (f2 + 3, f1 - f2); chi_closed and chi_young are its
+  one-index case;
 * chi_series -- the Weyl character formula
   p_{f1}(p_{f2} + p_{f2-2}) - p_{f2-1}(p_{f1+1} + p_{f1-1})
   where 1/phi_i(x) = sum p_f x^f, computed by the exact integer
@@ -245,7 +244,8 @@ def chi_closed(i, w):
 
 
 def chi_young(i, f1, f2):
-    """chi_i in Young coordinates (used by the trace formulas)."""
+    """chi_i at the Young weight (f1, f2); BadIndex or BadYoung outside the
+    domain."""
     return chi_values((i,), f1, f2)[0]
 
 

@@ -28,11 +28,12 @@ from .paramodular import (
 
 def _emit(rows, header, fmt):
     """Rows of ints/strings in one of the three output formats."""
+    # json and csv are imported in their branches: text, the default, needs neither
     if fmt == "json":
-        import json  # here, not at the top: text output, the default, needs neither
+        import json
         print(json.dumps([dict(zip(header, r)) for r in rows]))
     elif fmt == "csv":
-        import csv  # here, not at the top: text output, the default, needs neither
+        import csv
         out = io.StringIO()
         w = csv.writer(out)
         w.writerow(header)
@@ -141,7 +142,10 @@ def main(argv=None):
     )
     parser.add_argument("--format", choices=["text", "csv", "json"],
                         default="text")
-    # accepted both before and after the subcommand
+    # the parent of every subcommand parser, search included, so that --format
+    # is accepted after each command word too.  Its default SUPPRESS keeps a
+    # value given earlier; the top level declares its own --format, since a
+    # default set there on this shared action would override that value.
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=["text", "csv", "json"],
                      default=argparse.SUPPRESS)
@@ -175,7 +179,7 @@ def main(argv=None):
                    help="also print the rational presentation")
     h.set_defaults(func=cmd_hilbert)
 
-    s = sub.add_parser("search", help="searches over the level")
+    s = sub.add_parser("search", parents=[fmt], help="searches over the level")
     ssub = s.add_subparsers(dest="what", required=True)
     z3 = ssub.add_parser("zero3", parents=[fmt], help="primes with no weight-3 plus forms")
     z3.add_argument("--pmax", type=int, required=True)

@@ -8,25 +8,16 @@ M_ROWS and TRACE_ROWS to the level invariants I(p).  dim_M_total and
 trace_R divide a dot product with the cached character vector by DEN
 exactly, and dim_M_signed splits the two into (plus, minus).
 
-The level invariants I(p) = _invariants(p) are a tuple of ints, named by
-INVARIANTS: 1, p, p^2, the five split symbols, p (-1/p), p (-3/p),
-[p = 2], [p = 3], [p = 5], 5 B_{2,chi}, h(p), h(2p), h(3p) and the
-products with (2/p) that the trace uses.  M_ROWS is one table, since
-[p = 2] and [p = 3] are invariants; TRACE_ROWS has one table per branch
-of the trace: p = 2, p = 3, p = 1 and p = 3 (mod 4).  Each table is
-compiled once at import into flat (character, coefficient, invariant)
-triples.  DEN = 2880 is a constant because 5 B_{2,chi} = 2S is an even
-integer (S of kernels.b2_character_sum).  No Fraction is on this path:
-after one primality test of p, `level` takes the integer 5 B_{2,chi} =
-5 b2_character_sum(D0) / D0 from the kernels by one exact division.
+The level invariants I(p) = _invariants(p) are a tuple of 20 ints, named
+by INVARIANTS.  M_ROWS is one table, since [p = 2] and [p = 3] are
+invariants; TRACE_ROWS has one table per branch of the trace: p = 2,
+p = 3, p = 1 and p = 3 (mod 4).  No Fraction is on this path: after one
+primality test of p, `level` takes the integer 5 B_{2,chi} from
+kernels.b2_character_sum by one exact division.
 
 The record Level(m, tr) holds both coefficient vectors once per prime,
-indexed by CHI_INDEX, the 15 characters that enter either formula
-(chi_5 and chi_8 enter neither).  Each vector ends at its last nonzero
-coefficient, where its dot product stops; m ends within the first ten.
-The character vector _chi_vector(f1, f2) is one call of
-characters.chi_values(CHI_INDEX, f1, f2), which checks the Young weight
-and converts it to (k, j) once for all 15 characters.
+indexed by CHI_INDEX.  The character vector _chi_vector(f1, f2) is one
+call of characters.chi_values(CHI_INDEX, f1, f2).
 
 Functional equation.  At j = 0 each scalar character series
 F_i(t) = sum_{f >= 0} chi_i(f, f) t^f, i in CHI_INDEX, is rational over
@@ -51,7 +42,7 @@ from .kernels import _field_disc, b2_character_sum
 # the coefficients; chi_5 and chi_8 enter neither.
 CHI_INDEX = (1, 2, 3, 4, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16, 17)
 
-DEN = 2880  # fixed, because 5 B_{2,chi} is an integer
+DEN = 2880
 
 # I(p), as _invariants returns it: s_d = (d/p), s_p5 = (p/5), d_q = [p = q], b5 =
 # 5 B_{2,chi} of Q(sqrt(p)), h_n = h(n), s2_x = (2/p) x; b5, h_n are 0 at p = 2, 3.
@@ -59,7 +50,7 @@ INVARIANTS = ("1", "p", "p2", "s_m1", "s_m3", "s_2", "s_3", "s_p5", "p_s_m1", "p
               "d2", "d3", "d5", "b5", "h_p", "h_2p", "h_3p", "s2_b5", "s2_h_p", "s2_h_3p")
 
 # DEN * dim M and DEN * tr R as chi_i -> ((c, x), ...), the sum of
-# chi_i * c * I[x]; [p = 2] and [p = 3] absorb those branches of dim M.
+# chi_i * c * I[x].
 M_ROWS = {
     1: ((1, "p2"), (-1, "1")), 2: ((15, "d2"),), 3: ((180, "d2"),), 4: ((320, "d3"),),
     6: ((120, "p"), (-120, "s_m1"), (30, "p_s_m1"), (-30, "1")),
@@ -85,9 +76,8 @@ _TRIPLES = {branch: tuple((CHI_INDEX.index(i), c, INVARIANTS.index(x))
 
 
 class Level(namedtuple("Level", "m tr")):
-    """dim M = (m . chi) / DEN, tr R = (tr . chi) / DEN at one level, each vector cut
-    after its last nonzero entry.  (Not a dataclass or a typing.NamedTuple: those
-    load inspect and typing at import.)"""
+    """dim M = (m . chi) / DEN and tr R = (tr . chi) / DEN at one level.  (Not a
+    dataclass or a typing.NamedTuple: those load inspect and typing at import.)"""
 
     __slots__ = ()
 
@@ -99,7 +89,7 @@ def _invariants(p):
     s_m1, s_m3, s_2, s_3, s_p5 = _split_symbols(p)
     b5 = h_p = h_2p = h_3p = 0
     if p > 3:
-        D0 = _field_disc(p)  # B_{2,chi} = b2_character_sum(D0) / D0
+        D0 = _field_disc(p)
         b5 = exact_quotient(5 * b2_character_sum(D0), D0, "5 B_2,chi({})", p)
         h_p, h_2p, h_3p = class_number(p), class_number(2 * p), class_number(3 * p)
     return (1, p, p * p, s_m1, s_m3, s_2, s_3, s_p5, p * s_m1, p * s_m3, int(p == 2),

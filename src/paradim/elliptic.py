@@ -4,11 +4,10 @@ level Gamma_0(p) split by Atkin-Lehner sign.
 Each dimension is an integer numerator over 12, divided by
 exact_quotient (NonIntegral otherwise).  The newspace of Gamma_0(p)
 reads one cached record per level, _gamma0(p): p - 1, 3 (1 - (-1/p)),
-4 (1 - (-3/p)) and the row of the plus-minus difference.  The two
-symbols are arith._split_symbols(p)[:2], the Kronecker symbols of -4 and
--3 at p.  The difference at weight k is [k = 2] + row[(k/2) mod len(row)],
-with the row (1, -1, 0, 0) at p = 2, (1, -1, 0, -1, 1, 0) at p = 3
-(DIFF_ROWS) and (c, -c), c = a_p h(p) / 2, at any other prime.
+4 (1 - (-3/p)) and the row of the plus-minus difference.  The difference
+at weight k is [k = 2] + row[(k/2) mod len(row)], with the row
+(1, -1, 0, 0) at p = 2, (1, -1, 0, -1, 1, 0) at p = 3 (DIFF_ROWS) and
+(c, -c), c = a_p h(p) / 2, at any other prime.
 dim_new_gamma0_signed splits total and difference into (plus, minus).
 """
 from functools import lru_cache
@@ -38,16 +37,13 @@ def dim_modular_level1(k):
     return dim_cusp_level1(k) + (k % 2 == 0 and k >= 0 and k != 2)
 
 
-# The plus-minus difference rows at p = 2 and p = 3; at any other prime
-# the row is (c, -c) with c = a_p h(p) / 2.
 DIFF_ROWS = {2: (1, -1, 0, 0), 3: (1, -1, 0, -1, 1, 0)}
 
 
 @lru_cache(maxsize=None)
 def _gamma0(p):
-    """The Gamma_0(p) newspace inputs at the prime p (NotPrimeLevel
-    otherwise): p - 1, 3 (1 - (-1/p)), 4 (1 - (-3/p)), and the row of the
-    plus-minus difference, read at (k/2) mod its length."""
+    """The Gamma_0(p) record of the module docstring at the prime p;
+    NotPrimeLevel otherwise."""
     check_level(p)
     row = DIFF_ROWS.get(p)
     if row is None:
@@ -76,9 +72,8 @@ def dim_new_gamma0(p, k):
 
 
 def dim_new_gamma0_signed(p, k):
-    """(plus, minus) dimensions of the weight-k newspace of Gamma_0(p):
-    (total +- difference) / 2, the difference being [k = 2] plus the
-    level's row at k/2."""
+    """(plus, minus) dimensions of the weight-k newspace of Gamma_0(p), for
+    the p and k that dim_new_gamma0 takes."""
     total = dim_new_gamma0(p, k)
     if k < 2:
         return 0, 0

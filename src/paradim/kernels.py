@@ -2,36 +2,28 @@
 imaginary quadratic discriminant, and the quadratic character sum behind
 the generalized Bernoulli number B_{2,chi}.
 
-h(D) counts reduced forms (a, b, c) by a.  Two rows of each a hold what
-it needs: the root-count row, #{b mod 2a : b^2 = r (mod 4a)} for every
-r mod 4a, and the row of squares, b^2 mod 4a for 0 <= b <= a.  The a with
-4a^2 < |D| add the entries of their root-count rows at D mod 4a in one
-C-level pass; each larger a counts the roots b >= sqrt(4a^2 - |D|) in its
-row of squares.  The rows are built once and kept, so they pay off when
+h(D) of a fundamental D counts reduced forms (a, b, c) by a, from two
+rows of each a: the root-count row, #{b mod 2a : b^2 = r (mod 4a)} for
+every r mod 4a, and the row of squares, b^2 mod 4a for 0 <= b <= a
+(_reduced_forms).  The rows are built once and kept, so they pay off when
 one process asks many discriminants, as search zero3, bias and verify
 do.  They stop at a = _ROW_TOP, that is |D| < 3 (_ROW_TOP + 1)^2, about
-3.1 million; a larger D is counted in O(sqrt|D|) memory through the
-multiplicative root count, sieved over the primes to sqrt(|D|)/2, and its
-few forms with 4a^2 >= |D| one b at a time.  A non-fundamental D = D0 f^2 goes through h(D0) and the conductor
-formula (class_number_from_disc).
+3.1 million; a larger D is counted in O(sqrt|D|) memory by _sieved_forms.
+A non-fundamental D = D0 f^2 goes through h(D0) and the conductor formula
+(class_number_from_disc).
 
-The discriminant of Q(sqrt(d0)) for a squarefree d0, d0 or 4 d0 as
-d0 = 1 (mod 4) or not, has one home, _field_disc: h(D) finds D0 with it,
-b2_character_sum accepts D0 > 1 exactly when _field_disc maps the
-squarefree part of D0 back to D0, and arith.class_number,
+The field discriminant has one home, _field_disc: h(D) finds D0 with it,
+b2_character_sum checks its argument with it, and arith.class_number,
 arith.bernoulli_b2_chi, arith.fundamental_discriminant and
 compact._invariants read it.
 
-The B_{2,chi} sum adds values of sigma_1, read from a table built by the
-recursion sigma(n) = (q+1) sigma(n/q) - q sigma(n/q^2) [q^2 | n] at the
-smallest prime factor q of n.
-
-All of these come from one set of tables grown on demand: _spf, the
-least prime factor of each n below a power of two, with _primes, the
-primes below its end, which ``arith.primes_up_to`` slices; _root_counts
-and _squares, the two rows of each a up to sqrt(|D|/3) for the largest
-|D| asked, at most _ROW_TOP; and _sigma, sigma_1 of each n below a power
-of two no larger than the length of _spf.  The rows of a take
+All of these read one set of tables grown on demand.  _spf holds the
+least prime factor of each n below a power of two, and _primes the primes
+below its end, which every prime bound of the package reads; _grow
+extends both together.  _root_counts[a] and _squares[a] are the two rows
+of each 0 < a < len(_squares) <= _ROW_TOP + 1 (index 0 holds empty rows),
+made to reach sqrt(|D|/3) for the largest |D| asked.  _sigma[n] is
+sigma_1(n), which b2_character_sum sums (_sigma1_to).  The rows of a take
 4a + 2(a + 1) bytes, so the rows reaching |D| take about |D| bytes, 3 MB
 at _ROW_TOP, the order of the sigma_1 table of b2_character_sum(D0) for
 D0 near |D|.
@@ -147,14 +139,13 @@ def _reduced_forms(D):
     primitive).
 
     While 4a^2 < |D| every b in (-a, a] with b^2 = D (mod 4a) has c > a,
-    so each such a adds #{b mod 2a : b^2 = D (mod 4a)}, the entry of its
-    root-count row at D mod 4a; one C-level pass adds them all.  For the a
-    with |D| <= 4a^2 <= 4|D|/3, c >= a asks b >= b0 = ceil(sqrt(4a^2 - |D|)),
-    and the roots b in [b0, a] are counted in the row of squares of a.  Each
-    gives the forms (a, b, c) and (a, -b, c), one form only when b = a, or
-    when c = a, that is b0^2 = 4a^2 - |D| (then b0 is a root, as
-    4a^2 - |D| = D (mod 4a)); b = 0 occurs only with c = a.  Past
-    a = _ROW_TOP the rows are not built: _sieved_forms counts instead.
+    so each such a adds the entry of its root-count row at D mod 4a; one
+    C-level pass adds them all.  For the a with |D| <= 4a^2 <= 4|D|/3,
+    c >= a asks b >= b0 = ceil(sqrt(4a^2 - |D|)), and the roots b in [b0, a]
+    are counted in the row of squares of a.  Each gives the forms (a, b, c)
+    and (a, -b, c), one form only when b = a, or when c = a, that is
+    b0^2 = 4a^2 - |D| (then b0 is a root, as 4a^2 - |D| = D (mod 4a));
+    b = 0 occurs only with c = a.
     """
     n = -D
     amax = isqrt((n - 1) // 4)  # the a with 4 a^2 < |D|
@@ -176,7 +167,7 @@ def _reduced_forms(D):
 
 
 def _sieved_forms(D, amax, top):
-    """_reduced_forms(D) in O(sqrt|D|) memory, for a D too large for the rows.
+    """_reduced_forms(D) without the rows, for its amax and top.
 
     The root count rho(a) = #{b mod 2a : b^2 = D (mod 4a)} is
     multiplicative: rho(q^e) = 1 + (D/q) for q not dividing D (q = 2
@@ -218,12 +209,6 @@ def _sieved_forms(D, amax, top):
     return h
 
 
-# _spf[n] is the smallest prime factor of n (for n >= 2), and _primes
-# lists every prime below len(_spf); _grow extends both together.
-# _root_counts[a] and _squares[a] are the root-count row and the row of
-# squares of a, for 0 < a < len(_squares) <= _ROW_TOP + 1 (index 0 holds
-# empty rows), and _sigma[n] is sigma_1(n) for n < len(_sigma) <= len(_spf),
-# a power of two.
 _ROW_TOP = 1024
 _spf = array("i", [0, 1])
 _primes = []
@@ -257,9 +242,8 @@ def _primes_to(m):
 
 
 def _root_rows(a):
-    """The root-count row of 0 < a <= _ROW_TOP, #{b mod 2a : b^2 = r (mod 4a)}
-    for r in range(4a), as bytes, and its row of squares, b^2 mod 4a for b
-    in range(a + 1), as an array of 16-bit entries.  b and 2a - b have one
+    """The root-count row of 0 < a <= _ROW_TOP as bytes, and its row of
+    squares as an array of 16-bit entries.  b and 2a - b have one
     square mod 4a, so b = 0 and b = a count once in the first row and every
     other b of the second row twice.  No entry wraps: a count first reaches
     256 at a = 24576 = 2^13 * 3, and 4a - 1 < 2^16 while a <= 16384; past
@@ -309,7 +293,8 @@ def b2_character_sum(D0):
 
     Cohen (Math. Ann. 217, 1975): B_{2,chi} = 24 zeta_K(-1) = 2 S / 5, S the sum of
     sigma_1((D0 - s^2)/4) over the integers s = D0 (mod 2) with s^2 < D0, so the sum
-    is (2/5) D0 S; 5 B_{2,chi} = 2 S is an even integer, which fixes compact.DEN.
+    is (2/5) D0 S.  So 5 B_{2,chi} = 2 S is an even integer; that is why
+    compact.DEN = 2880 is one constant for every prime.
     """
     if not isinstance(D0, int) or not (D0 > 1 and _field_disc(squarefree_part(D0)) == D0):
         raise BadDiscriminant(f"{D0!r} is not a positive fundamental discriminant")

@@ -1,33 +1,28 @@
-"""Top-level dimensions of paramodular cusp forms of prime level with
-Atkin-Lehner sign, Hilbert series of the graded rings, the sign-bias
-check, and the weight-3 vanishing search.
+"""The top layer: signed paramodular dimensions S^± and A^± at a prime
+level, Hilbert series of the graded spaces, the sign-bias check, and the
+weight-3 vanishing search.
 
 Signed dimensions.  dim_paramodular_signed(p, k, j) adds the level-1
 Siegel dimension to the compact side of the opposite sign (M- for the
 plus space, M+ for the minus space) at the Young weight
 (j + k - 3, k - 3), subtracts the Gritsenko lifts, the signed
 weight-(j + 2) newspace of Gamma_0(p) times dim S_{2k+j-2}(SL_2(Z)), and
-takes dim S_{2k-2}(SL_2(Z)) + [k = 3] off the minus space at j = 0.  Only the compact side depends on both the
-level and the weight, and it is evaluated on every call.  The other
-terms come from two cached records: the per-weight _weight_terms(k, j),
-with dim_cusp_sp4(k, j), dim S_{2k+j-2}(SL_2(Z)) and that minus-space
-drop, and the per-level _lifted_newspace(p, j), which is
-dim_new_gamma0_signed(p, j + 2).  Both caches are typed, so a float
-weight or level never reads an int entry.
+takes dim S_{2k-2}(SL_2(Z)) + [k = 3] off the minus space at j = 0.  Only
+the compact side depends on both the level and the weight, and it is
+evaluated on every call; the other terms are read from a per-weight
+record, _weight_terms(k, j), and a per-level one, _lifted_newspace(p, j).
 
 Graded series.  Every graded sequence is read from one held run of
 (plus, minus) pairs per (base space, p, j), the base space being M, A or
-S: _held_run, a typed lru_cache of size one.  A longer request extends
-the run in place, a shorter one slices it, and another key replaces it.
-So the A, A+ and A- records of one prime (and M+-, S+-), the fallback
-denominators hilbert_series tries and the palindromic checks of A and
-then A+ share one computation.  hilbert_series is the one fitter: for a
-denominator with exponent sum s it reads the sequence up to t^n,
-n = 2 s + FIT_SLACK, and fits a numerator of degree below n - s.
-Without an embedded presentation it tries FALLBACK_DENOMINATORS in turn
-on prefixes of one run; the comment above that list proves that the
-first fits every series but the signed ones at p = 2 and that the last
-fits every series, and tests/test_paramodular.py checks each step by
+S (_held_run).  A longer request extends the run in place, a shorter one
+slices it, and another key replaces it.  So the A, A+ and A- records of
+one prime (and M+-, S+-), the fallback denominators hilbert_series tries
+and the palindromic checks of A and then A+ share one computation.
+hilbert_series is the one fitter: for a denominator with exponent sum s
+it reads the sequence up to t^n, n = 2 s + FIT_SLACK, and fits a
+numerator of degree below n - s.  Without an embedded presentation it
+tries FALLBACK_DENOMINATORS in turn; the comment above that list proves
+which of them fits, and tests/test_paramodular.py checks each step by
 polynomial division.
 """
 from collections import namedtuple
@@ -56,9 +51,8 @@ from .siegel1 import dim_cusp_sp4
 # Both records are typed: (4.0, 2) would otherwise hit the entry of (4, 2).
 @lru_cache(maxsize=None, typed=True)
 def _weight_terms(k, j):
-    """The weight record of dim_paramodular_signed at (k, j): the level-1
-    Siegel dimension, the level-1 elliptic dimension that multiplies each
-    Gritsenko lift, and what the minus space loses (0 unless j = 0)."""
+    """The Siegel term, the lift multiplier and the minus-space drop of
+    dim_paramodular_signed at (k, j)."""
     drop = 0
     if j == 0:
         drop = dim_cusp_level1(2 * k - 2) + (1 if k == 3 else 0)
@@ -67,19 +61,15 @@ def _weight_terms(k, j):
 
 @lru_cache(maxsize=None, typed=True)
 def _lifted_newspace(p, j):
-    """The level record of dim_paramodular_signed at (p, j): the signed
-    weight-(j + 2) newspace of Gamma_0(p) whose lifts S^± subtracts."""
+    """The signed newspace of dim_paramodular_signed at (p, j)."""
     return dim_new_gamma0_signed(p, j + 2)
 
 
 def dim_paramodular_signed(p, k, j=0):
     """Signed dimensions (plus, minus) of weight det^k Sym(j) paramodular
     cusp forms of prime level p, for integers k >= 3, j >= 0 (BadYoung
-    otherwise).  Odd j gives the zero space.
-
-    Only the compact side M^∓ depends on both p and (k, j); the other
-    terms are read from the per-weight record `_weight_terms(k, j)` and
-    the per-level record `_lifted_newspace(p, j)`."""
+    otherwise).  Odd j gives the zero space.  NotPrimeLevel unless p is a
+    prime int; NegativeDim if either dimension comes out negative."""
     if not (isinstance(k, int) and isinstance(j, int)) or k < 3 or j < 0:
         raise BadYoung(f"weight (k, j) = ({k!r}, {j!r}) needs integers k >= 3 and j >= 0")
     if j % 2:
@@ -151,9 +141,8 @@ def _check_space(space, j):
         raise UnsupportedJ(f"space {space} is only graded at j = 0, got j = {j}")
 
 
-# The one held run: the (plus, minus) pairs from index 0 of the latest (base,
-# p, j), which _space_sequence extends in place.  typed=True keeps 7.0 off the
-# run of 7, so it is refused as a level; one entry bounds the memory to one run.
+# typed=True keeps 7.0 off the run of 7, so it is refused as a level; one
+# entry bounds the memory to one run.
 @lru_cache(maxsize=1, typed=True)
 def _held_run(base, p, j):
     return []
@@ -163,14 +152,10 @@ def _space_sequence(p, space, nmax, j=0):
     """Dimension sequence (index 0..nmax) of a graded space.
 
     S+/S-/A+/A-/A are graded by the weight k; M+/M-/M by the Young
-    parameter f of the weight (f + j, f).  A spaces exist for j = 0 only.
+    parameter f of the weight (f + j, f).
     Each base space has one (plus, minus) pair function; the suffix picks
-    the sum, the plus or the minus entry.  The pairs are read from
-    `_held_run(base, p, j)`: it is extended in place for a longer
-    sequence, sliced for a shorter one and replaced when p, the base or j
-    changes.  So A, A+ and A- (or M+, M-, M; S+, S-) at one level, and the
-    fallback denominators of hilbert_series, compute each pair once.  A
-    pair that raises is not held, so it raises again.
+    the sum, the plus or the minus entry.  A pair that raises is not held,
+    so it raises again.
     """
     _check_space(space, j)
     base, sign = space[0], space[1:]
@@ -217,7 +202,7 @@ FALLBACK_DENOMINATORS = [
     [120, 120, 120, 120],
 ]
 
-FIT_SLACK = 41  # hilbert_series, the one fitter, reads up to t^(2 sum(den) + FIT_SLACK)
+FIT_SLACK = 41
 
 
 class HilbertSeries(namedtuple("HilbertSeries", "p space gf")):
@@ -230,11 +215,9 @@ class HilbertSeries(namedtuple("HilbertSeries", "p space gf")):
 def hilbert_series(p, space, j=0):
     """Fit the dimension sequence of a graded space to a rational function
     over a factored denominator: an embedded presentation's, whose numerator
-    must be reproduced, or else the first of FALLBACK_DENOMINATORS that fits a
-    prefix of the held run of _space_sequence (so no weight is computed twice).
-    That is the first entry unless p = 2 and the space is signed.  When no
-    candidate fits, NonPolynomial names p, space, j and the last denominator
-    tried before the residual that refused it."""
+    must be reproduced, or else the first of FALLBACK_DENOMINATORS that fits.
+    When no candidate fits, NonPolynomial names p, space, j and the last
+    denominator tried before the residual that refused it."""
     rec = _printed_registry().get((p, space, j))
     candidates = [rec["den"]] if rec is not None else FALLBACK_DENOMINATORS
     for denoms in candidates:

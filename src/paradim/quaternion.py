@@ -32,10 +32,7 @@ integer, raises NonIntegral.
 
 _coset(p) builds the families, their principal-polynomial tallies and
 the whole-coset tally once; family_tallies, principal_tallies and
-trace_vector read them.  trace_vector(p) groups the whole-coset tally by
-CLASS_OF_POLY[p] and scales it to DEN * tally / COSET_SIZE[p] over
-CHI_INDEX, and verify_trace_p23(p, f1, f2) is its dot product with the
-character vector, divided by DEN.
+trace_vector read them, and verify_trace_p23 reads trace_vector.
 """
 from functools import lru_cache
 from itertools import product
@@ -391,7 +388,7 @@ def trace_vector(p):
     """DEN * tr R as a vector over CHI_INDEX, p in {2, 3}, rebuilt from the
     enumerated coset: the whole-coset tally grouped by CLASS_OF_POLY[p],
     times DEN / COSET_SIZE[p], cut after its last nonzero entry like
-    compact.level(p).tr, which it must equal."""
+    compact.level(p).tr."""
     _check_p23(p)
     by_class = dict.fromkeys(CHI_INDEX, 0)
     for poly, count in _coset(p)[2]:

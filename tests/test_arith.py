@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from paradim import kernels
 from paradim.arith import (
     _split_symbols,
     a_p,
@@ -118,8 +119,21 @@ def test_a_p():
 def test_primes():
     assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
     assert primes_up_to(1) == []
-    assert [n for n in range(60) if is_prime(n)] == primes_up_to(59)
+    assert [n for n in range(5000) if is_prime(n)] == primes_up_to(4999)
+    # two primes, the square of a prime, and two Carmichael numbers, which
+    # pass a Fermat test
+    assert [is_prime(n) for n in (1_000_003, 2**31 - 1, 1009**2, 561, 41_041)] == [
+        True, True, False, False, False]
     assert len(primes_up_to(607)) == 111
+
+
+def test_is_prime_refuses_a_huge_composite_from_a_small_table():
+    # the table grows toward sqrt(n) only as far as the least prime factor
+    # asks: 10^12 + 1 = 73 * 137 * 99990001 stops at the bound 4096, where a
+    # table to sqrt(10^12) would hold 2^20 entries
+    before = len(kernels._spf)
+    assert not is_prime(10**12 + 1) and not is_prime(2 * 10**12)
+    assert len(kernels._spf) <= max(before, 8192)
 
 
 @pytest.mark.parametrize("x", [7.0, 7.5, "7"])

@@ -319,3 +319,58 @@ def test_deterministic_output(capsys):
     _, out1 = run(capsys, "table", "--k", "10", "--pmax", "47", "--format", "csv")
     _, out2 = run(capsys, "table", "--k", "10", "--pmax", "47", "--format", "csv")
     assert out1 == out2
+
+
+# the cheapest arguments of each leaf command, by its path in the parser tree
+LEAF_ARGS = {
+    ("dim",): ["--p", "7", "--k", "4"],
+    ("table",): ["--k", "4", "--pmax", "11"],
+    ("verify",): ["--only", "table_k4.csv:p=7:H"],
+    ("hilbert",): ["--p", "7", "--space", "M", "--nmax", "3"],
+    ("search", "zero3"): ["--pmax", "10"],
+    ("bias",): ["--pmax", "5", "--kmax", "4"],
+}
+
+
+class _Parsed(Exception):
+    pass
+
+
+def cli_parser(monkeypatch):
+    """The top-level parser that main builds, caught at its parse_args."""
+    parsers = []
+
+    def catch(self, args=None, namespace=None):
+        parsers.append(self)
+        raise _Parsed
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", catch)
+    with pytest.raises(_Parsed):
+        main([])
+    monkeypatch.undo()
+    return parsers[0]
+
+
+def leaf_commands(parser, path=()):
+    """(path, parser) of every command at the end of the subparser tree."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from leaf_commands(child, path + (name,))
+
+
+def test_format_goes_before_between_and_after_the_commands(capsys, monkeypatch):
+    # every parser on the way to a leaf takes --format, so a subcommand added
+    # without the shared parent fails here, and so does one without LEAF_ARGS
+    leaves = dict(leaf_commands(cli_parser(monkeypatch)))
+    assert sorted(leaves) == sorted(LEAF_ARGS)
+    for path, args in LEAF_ARGS.items():
+        spots = list(range(len(path) + 1)) + [len(path) + len(args)]
+        for spot in spots:
+            argv = [*path, *args]
+            argv[spot:spot] = ["--format", "json"]
+            rc, out = run(capsys, *argv)
+            assert rc == 0, argv
+            json.loads(out)

@@ -1,10 +1,12 @@
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
 
 from paradim import quaternion
+from paradim.characters import chi_values
 from paradim.compact import CHI_INDEX, DEN, level, trace_R
 from paradim.errors import (FamilySizeMismatch, NonIntegral, NotPrimeLevel,
                             NotSimilitude, ParadimError)
@@ -385,6 +387,30 @@ def test_coset_tally_is_the_trace_vector():
         assert vector == level(p).tr
         assert {i: c for i, c in zip(CHI_INDEX, vector) if c} == want[p]
         assert sum(vector) == DEN  # every coset element is counted once
+
+
+def test_characters_have_rank_17_on_a_small_young_grid():
+    # The converse of the test above.  chi_1 .. chi_17 are linearly
+    # independent on this grid, so two coefficient vectors over CHI_INDEX
+    # that give equal traces on it are equal.  With the test above,
+    # trace_vector(p) == level(p).tr is then the same statement as
+    # verify_trace_p23(p, .) == trace_R(p, .) at every weight, and the grid
+    # of test_trace_matches_formula_on_coset_grid, which contains this one,
+    # could not pass with a wrong trace vector.
+    rows = [[Fraction(v) for v in chi_values(range(1, 18), f1, f2)]
+            for f2 in range(40) for f1 in range(f2, f2 + 12, 2)]
+    rank = 0
+    for col in range(17):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            if factor:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    assert rank == 17
 
 
 def test_unsupported_prime_is_typed():

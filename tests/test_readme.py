@@ -10,6 +10,10 @@ told in the module docstrings.
 Every name of `paradim.__all__` must appear in it.  The same resolution
 check runs over the dotted names cited in the docstrings and comments of
 src/paradim, where private names are allowed.
+
+Each thing is said once in src/paradim: no run of RUN words, case-folded
+and without punctuation, may occur in two of its docstrings or comments
+(consecutive comment lines are one comment).
 """
 import ast
 import doctest
@@ -66,15 +70,42 @@ def code_spans(text):
     return re.findall(r"`+([^`]+)`+", text)
 
 
+def said_texts(path):
+    """The docstrings of a Python source file, and its comments, those on
+    consecutive lines joined into one."""
+    source = path.read_text(encoding="utf-8")
+    texts = [ast.get_docstring(node) or "" for node in ast.walk(ast.parse(source))
+             if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))]
+    last = None
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            if tok.start[0] - 1 == last:
+                texts[-1] += "\n" + tok.string
+            else:
+                texts.append(tok.string)
+            last = tok.start[0]
+    return texts
+
+
 def cited_text(path):
     """The docstrings and comments of a Python source file."""
-    source = path.read_text(encoding="utf-8")
-    nodes = [node for node in ast.walk(ast.parse(source))
-             if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))]
-    texts = [ast.get_docstring(node) or "" for node in nodes]
-    texts += [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
-              if tok.type == tokenize.COMMENT]
-    return "\n".join(texts)
+    return "\n".join(said_texts(path))
+
+
+RUN = 10
+
+
+def repeated_runs(texts, n=RUN):
+    """The runs of n words, case-folded and without punctuation, that occur
+    in two of the texts."""
+    first = {}
+    repeated = set()
+    for i, text in enumerate(texts):
+        words = re.findall(r"\w+", text.casefold())
+        for run in {tuple(words[k:k + n]) for k in range(len(words) - n + 1)}:
+            if first.setdefault(run, i) != i:
+                repeated.add(" ".join(run))
+    return sorted(repeated)
 
 
 def test_readme_examples():
@@ -124,3 +155,15 @@ def test_readme_names_every_export():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_docstring_names_resolve(path):
     assert [name for name in dotted_names(cited_text(path)) if not resolves(name)] == []
+
+
+def test_repeated_run_pattern():
+    told = "So the rows are built once, and kept (for later)."
+    assert repeated_runs([told, "# so the ROWS are built once and kept for later"]) == [
+        "so the rows are built once and kept for later"]
+    assert repeated_runs([told + " " + told, "the rows are built once and kept for later"]) == []
+
+
+def test_each_thing_is_said_once():
+    texts = [text for path in sorted(PACKAGE.glob("*.py")) for text in said_texts(path)]
+    assert repeated_runs(texts) == []
