@@ -7,46 +7,19 @@ provided:
 
 * chi_values -- one table, CHI_TABLE: chi_i is a sum of polynomial factors
   F(u, v) times periodic brackets [row]_k over a denominator, in the weight
-  coordinates (k, j) = (f2 + 3, f1 - f2); chi_closed and chi_young are its
-  one-index case;
+  coordinates (k, j) = (f2 + 3, f1 - f2), which young(k, j) inverts;
+  chi_young is its one-index case;
 * chi_series -- the Weyl character formula
   p_{f1}(p_{f2} + p_{f2-2}) - p_{f2-1}(p_{f1+1} + p_{f1-1})
   where 1/phi_i(x) = sum p_f x^f, computed by the exact integer
   recurrence in Z[sqrt(m)] coming from the degree-4 denominator.
 
-They must agree everywhere; the test suite sweeps this.
+They agree at every weight: tests/test_acceptance.py proves it from their periods.
 """
-from collections import namedtuple
 from functools import lru_cache
 
 from .errors import BadIndex, BadYoung, IrrationalResidue
 from .exactmath import exact_quotient
-
-
-class WeightParams(namedtuple("WeightParams", "k j")):
-    """Weight (k, j) with the derived Young parameters.  (A namedtuple
-    rather than a frozen dataclass: importing dataclasses loads inspect and
-    its dependencies, about 40 % of the package's import time.)"""
-
-    __slots__ = ()
-
-    def __new__(cls, k, j):
-        if not (isinstance(k, int) and isinstance(j, int)) or k < 3 or j < 0 or j % 2:
-            raise BadYoung(f"need integers k >= 3 and even j >= 0, got (k,j)=({k!r},{j!r})")
-        return super().__new__(cls, k, j)
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, which would skip the check in __new__
-        return cls(*iterable)
-
-    @property
-    def f1(self):
-        return self.k + self.j - 3
-
-    @property
-    def f2(self):
-        return self.k - 3
 
 
 # phi_i as ascending coefficient lists (c0..c4) over Z[sqrt(m)]:
@@ -76,6 +49,14 @@ PHI_COEFFS = {
 def _check_index(i):
     if i not in PHI_COEFFS:
         raise BadIndex(f"character index {i} not in 1..17")
+
+
+def young(k, j):
+    """The Young weight (k + j - 3, k - 3) of det^k Sym(j); BadYoung, naming
+    (k, j), unless k >= 3 and j >= 0 are integers and j is even."""
+    if not (isinstance(k, int) and isinstance(j, int)) or k < 3 or j < 0 or j % 2:
+        raise BadYoung(f"need integers k >= 3 and even j >= 0, got (k,j)=({k!r},{j!r})")
+    return k + j - 3, k - 3
 
 
 def _check_young(f1, f2):
@@ -233,14 +214,6 @@ def chi_values(indices, f1, f2):
         num = sum([f(u, v) * _br(rows[j // 2 % len(rows)], k) for f, rows in terms])
         out.append(exact_quotient(num, den, "chi_{}(k={}, j={})", i, k, j))
     return tuple(out)
-
-
-def chi_closed(i, w):
-    """chi_i at weight w = WeightParams(k, j) (or a (k, j) pair), read from CHI_TABLE."""
-    _check_index(i)
-    if not isinstance(w, WeightParams):
-        w = WeightParams(*w)
-    return chi_values((i,), w.f1, w.f2)[0]
 
 
 def chi_young(i, f1, f2):

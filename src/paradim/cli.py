@@ -10,7 +10,7 @@ import os
 import sys
 
 from .arith import primes_up_to
-from .characters import WeightParams
+from .characters import young
 from .compact import dim_M_signed
 from .errors import ParadimError
 from .corpus import LONG_WEIGHTS, _row_values, run_checks
@@ -55,19 +55,16 @@ def cmd_dim(args):
         _check_space("A", j)
         plus, minus = dim_A_signed(p, k)
     else:
-        w = WeightParams(k, j)
-        plus, minus = dim_M_signed(p, w.f1, w.f2)
+        plus, minus = dim_M_signed(p, *young(k, j))
     _emit([[p, k, j, args.space, plus, minus, plus + minus]],
           ["p", "k", "j", "space", "plus", "minus", "total"], args.format)
 
 
 def cmd_table(args):
-    WeightParams(args.k, 0)  # refuses a bad weight even when no row follows
-    long = args.k in LONG_WEIGHTS
+    young(args.k, 0)  # refuses a bad weight even when no row follows
     header = ["p", "H", "R", "S_plus", "S_minus"]
-    if long:
-        header = ["p", "H", "R", "M_plus", "M_minus", "s2_plus", "s2_minus",
-                  "S_plus", "S_minus"]
+    if args.k in LONG_WEIGHTS:
+        header[3:3] = ["M_plus", "M_minus", "s2_plus", "s2_minus"]
     rows_filter = args.rows.split(",") if args.rows else None
     if rows_filter:
         bad = [r for r in rows_filter if r not in header[1:]]
@@ -76,13 +73,15 @@ def cmd_table(args):
         header = ["p"] + [h for h in header[1:] if h in rows_filter]
     rows = []
     for p in primes_up_to(args.pmax)[3:]:  # the tables start after 2, 3, 5
-        vals = _row_values(p, args.k, long)
+        vals = _row_values(p, args.k)
         rows.append([p] + [vals[h] for h in header[1:]])
     _emit(rows, header, args.format)
 
 
 def cmd_verify(args):
     total, failures = run_checks(args.only)
+    if not total:  # a mistyped filter would otherwise pass having checked nothing
+        raise ParadimError(f"no check name contains {args.only!r}")
     if args.format == "json":
         import json  # as in _emit, loaded only for JSON output
         print(json.dumps({

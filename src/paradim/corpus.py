@@ -15,7 +15,7 @@ j and the denominator tried before the residual that refused the fit.
 from collections import namedtuple
 
 from .arith import primes_up_to
-from .characters import WeightParams
+from .characters import young
 from .compact import dim_M_signed
 from .data import load_csv, load_json
 from .elliptic import dim_new_gamma0_signed
@@ -28,7 +28,7 @@ Check = namedtuple("Check", "name ok expected got")
 
 # the weights whose tables also list M^± and the weight-2 newspace
 LONG_WEIGHTS = (7, 10)
-TABLES = [(f"table_k{k}.csv", k, k in LONG_WEIGHTS) for k in (4, 5, 6, 8, 7, 10)]
+TABLES = [(f"table_k{k}.csv", k) for k in (4, 5, 6, 8, 7, 10)]
 
 # the columns of a table row, in the order they are checked
 COLUMNS = ("H", "R", "S_plus", "S_minus")
@@ -40,28 +40,26 @@ def _selected(name, only):
     return only is None or only in name
 
 
-def _row_values(p, k, long):
-    w = WeightParams(k, 0)
-    m_plus, m_minus = dim_M_signed(p, w.f1, w.f2)
+def _row_values(p, k):
+    m_plus, m_minus = dim_M_signed(p, *young(k, 0))
     s_plus, s_minus = dim_paramodular_signed(p, k)
     vals = {"H": m_plus + m_minus, "R": m_plus - m_minus,
             "S_plus": s_plus, "S_minus": s_minus}
-    if long:
-        vals["M_plus"] = m_plus
-        vals["M_minus"] = m_minus
+    if k in LONG_WEIGHTS:
+        vals["M_plus"], vals["M_minus"] = m_plus, m_minus
         vals["s2_plus"], vals["s2_minus"] = dim_new_gamma0_signed(p, 2)
     return vals
 
 
 def table_checks(only=None):
-    for filename, k, long in TABLES:
+    for filename, k in TABLES:
+        columns = LONG_COLUMNS if k in LONG_WEIGHTS else COLUMNS
         for row in load_csv(filename):
             p = int(row["p"])
-            cols = [col for col in (LONG_COLUMNS if long else COLUMNS)
-                    if _selected(f"{filename}:p={p}:{col}", only)]
+            cols = [col for col in columns if _selected(f"{filename}:p={p}:{col}", only)]
             if not cols:
                 continue
-            computed = _row_values(p, k, long)
+            computed = _row_values(p, k)
             for col in cols:
                 expected, got = int(row[col]), computed[col]
                 yield Check(f"{filename}:p={p}:{col}", got == expected, expected, got)

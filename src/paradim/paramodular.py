@@ -132,11 +132,12 @@ SPACES = ("M", "M+", "M-", "A", "A+", "A-", "S+", "S-")
 
 
 def _check_space(space, j):
-    """BadSpace, BadYoung or UnsupportedJ unless `space` graded at j exists."""
+    """BadSpace, BadYoung (naming j) or UnsupportedJ unless `space` graded
+    at j exists; S+- at an odd j is the zero series."""
     if space not in SPACES:
         raise BadSpace(f"space must be one of {', '.join(SPACES)}, got {space!r}")
-    if not isinstance(j, int):
-        raise BadYoung(f"j = {j!r} must be an integer")
+    if not isinstance(j, int) or j < 0 or (space[0] == "M" and j % 2):
+        raise BadYoung(f"space {space} is not graded at j = {j!r}")
     if space[0] == "A" and j != 0:
         raise UnsupportedJ(f"space {space} is only graded at j = 0, got j = {j}")
 

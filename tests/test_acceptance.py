@@ -5,9 +5,17 @@ Each test covers one criterion; the whole file is budgeted to run in
 well under two minutes.
 """
 import time
+from math import comb, lcm
 
 from paradim.arith import primes_up_to
-from paradim.characters import WeightParams, chi_bracket_young, chi_closed, chi_series
+from paradim.characters import (
+    CHI_TABLE,
+    _pf,
+    chi_bracket_young,
+    chi_series,
+    chi_young,
+    young,
+)
 from paradim.compact import class_and_type, dim_M_signed, dim_M_total, trace_R
 from paradim.corpus import run_checks
 from paradim.data import load_csv, load_json
@@ -216,19 +224,58 @@ def test_criterion_07_quaternion_enumeration():
             assert verify_trace_p23(p, f + 4, f) == trace_R(p, f + 4, f), (p, f)
 
 
+def _pole(i, negate):
+    """(N, e), the least N and then the least e, with 1/phi_i(+-x) = Q(x) /
+    (1 - x^N)^e for a polynomial Q of degree <= eN - 4.  The series times
+    (1 - x^N)^e is checked to vanish at x^(eN-3) .. x^eN; beyond eN the
+    recurrence of phi_i, whose constant term is 1, carries that on."""
+    for n in range(1, 121):
+        for e in range(1, 5):
+            p = _pf(i, e * n, negate)
+            terms = [(comb(e, t) * (-1) ** t, t * n) for t in range(e + 1)]
+            tail = [sum(c * p[f - s][h] for c, s in terms if f >= s)
+                    for f in range(e * n - 3, e * n + 1) for h in (0, 1)]
+            if not any(tail):
+                return n, e
+    raise AssertionError(f"no pole order found for phi_{i}")
+
+
 def test_criterion_08_character_oracles():
-    for i in range(1, 18):
-        for k in range(3, 61):
-            for j in range(0, 61, 2):
-                w = WeightParams(k, j)
-                closed = chi_closed(i, w)
-                assert closed == chi_series(i, w.f1, w.f2), (i, k, j)
-                assert closed == chi_series(i, w.f1, w.f2, negate=True), (i, k, j)
-    for i in (2, 6, 9, 11, 13):
-        for k in range(3, 61):
-            for j in range(0, 61, 2):
-                w = WeightParams(k, j)
-                assert chi_bracket_young(i, w.f1, w.f2) == chi_closed(i, w), (i, k, j)
+    # chi_young (CHI_TABLE) equals chi_series at every weight (k, j), and so
+    # does chi_bracket_young where it exists, because each side is a
+    # polynomial in (k, j) on a class of k and of j mod a period.
+    # - CHI_TABLE: on a class of k mod dk (the lcm of chi_i's row lengths)
+    #   and j mod dj (twice its row count), every factor F(u, v) has degree
+    #   <= 3 in k and in j, with u = k - 2 and v = j + k - 1; the Weyl term
+    #   u v (v - u)(v + u) has v - u = j + 1.
+    # - chi_series: by _pole, 1/phi_i(+-x) = Q / (1 - x^N)^e with deg Q <=
+    #   eN - 4, so on a class of f mod N its coefficient p_f is a polynomial
+    #   in f of degree < e for every f > deg Q - eN, i.e. f >= -3 with p_f = 0
+    #   below 0.  chi_series reads p_f only at f >= -2, at f1 = k + j - 3
+    #   and f2 = k - 3, so it has degree <= e - 1 in j and <= 2e - 2 in k,
+    #   and no weight lies below the range where this holds.
+    # - chi_bracket_young: read off its code, periods dividing (dk, dj) and
+    #   degree <= 2 in k and <= 1 in j.
+    # On a class of k mod lcm(dk, N) and j mod lcm(dj, N) (both signs) the
+    # differences are polynomials of degree <= max(3, 2e - 2) in k and <= 3
+    # in j (e <= deg phi_i = 4), so they vanish if they vanish on a block of
+    # max(4, 2e - 1) x 4 weights of that class.
+    for i, (_, terms) in CHI_TABLE.items():
+        poles = [_pole(i, negate) for negate in (False, True)]
+        n = lcm(*(n for n, _ in poles))
+        k_step = lcm(n, *(len(row) for _, rows in terms for row in rows))
+        j_step = lcm(n, *(2 * len(rows) for _, rows in terms))
+        k_block = max(4, *(2 * e - 1 for _, e in poles))
+        for k0 in range(3, 3 + k_step):
+            for j0 in range(0, j_step, 2):
+                for k in range(k0, k0 + k_block * k_step, k_step):
+                    for j in range(j0, j0 + 4 * j_step, j_step):
+                        f1, f2 = young(k, j)
+                        closed = chi_young(i, f1, f2)
+                        assert closed == chi_series(i, f1, f2), (i, k, j)
+                        assert closed == chi_series(i, f1, f2, negate=True), (i, k, j)
+                        if i in (2, 6, 9, 11, 13):
+                            assert chi_bracket_young(i, f1, f2) == closed, (i, k, j)
 
 
 def test_criterion_09_structural_invariants():

@@ -132,6 +132,14 @@ def test_verify_subset(capsys):
     assert rc == 0 and "0 failed" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_only_matching_nothing_is_a_domain_error(capsys, fmt):
+    # it printed "0 checks, 0 failed" and passed, having checked nothing
+    rc = main(["--format", fmt, "verify", "--only", "nosuchcheck"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (3, "") and "'nosuchcheck'" in err
+
+
 @pytest.fixture
 def one_failure(monkeypatch):
     failure = Check("series:p=2:M:j=0:fit", False, (1, 0, 1), (1, 1))
@@ -221,6 +229,14 @@ def test_hilbert_refuses_a_negative_nmax(capsys):
     rc = main(["hilbert", "--p", "7", "--space", "M", "--nmax", "-3", "--fit"])
     out, err = capsys.readouterr()
     assert rc == 3 and out == "" and "--nmax" in err
+
+
+@pytest.mark.parametrize("space, j", [("M", 3), ("M-", 1), ("M+", -2), ("A", -2), ("S+", -2)])
+def test_hilbert_weight_error_names_j(capsys, space, j):
+    # not the Young pair (j, 0) or the weight (0, j) of the series' first term
+    rc = main(["hilbert", "--p", "7", "--space", space, "--j", str(j)])
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (3, "", f"error: space {space} is not graded at j = {j}\n")
 
 
 def test_hilbert_zero_numerator_prints_0(capsys):

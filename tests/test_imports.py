@@ -10,7 +10,12 @@ function or class of src/paradim must be named, outside its own
 definition, somewhere in src/paradim or tests: one that is not is a
 leftover copy of something done elsewhere.  So must every module-level
 constant assigned in src/paradim, outside its own assignment: one that
-is not is a leftover of a design that is gone.
+is not is a leftover of a design that is gone.  A public module-level
+function or class of src/paradim must be named in the code (not the
+docstrings) of src/paradim outside its own definition, or be exported in
+`paradim.__all__`, or be a function that perfbench/tracer.py times, or be
+one of ORACLES: else it is an entry point that nothing calls.  When the
+tracer drops a target, this asks for that function's deletion.
 
 An `lru_cache` on a function of two or more parameters must be
 `typed=True`: an untyped key (7, 4.0) equals (7, 4), so a warm entry
@@ -43,6 +48,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import paradim
+from test_perfbench_targets import _targets
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -145,6 +153,41 @@ def test_no_unnamed_private_defs():
     sources = {path.relative_to(ROOT).as_posix(): path.read_text() for path in _modules()}
     checked = {label for label in sources if label.startswith("src/")}
     assert unnamed_private_defs(sources, checked) == []
+
+
+# (module, name, why it stays): public functions that no code of src/paradim
+# calls, kept as an independent route that the tests compare the fast one with
+ORACLES = (
+    ("paradim.characters", "chi_series",
+     "the Weyl character formula; tests/test_acceptance.py proves chi_values by it"),
+)
+
+
+def uncalled_public_defs(sources, checked):
+    """The public module-level functions and classes that nothing names."""
+    return _unnamed(sources, checked, lambda stmt, name: (
+        not name.startswith("_") and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))))
+
+
+def test_public_detector():
+    lib = ('def used():\n    """Not `gone`."""\n\n\ndef recursive(n):\n'
+           '    return recursive(n - 1)\n\n\nclass Gone:\n    pass\n\n\n'
+           'def _private():\n    return used()\n')
+    assert uncalled_public_defs({"lib": lib}, {"lib"}) == [
+        ("lib", 5, "recursive"), ("lib", 9, "Gone")]
+
+
+def test_every_public_name_has_a_caller():
+    sources = {f"paradim.{path.stem}": path.read_text()
+               for path in sorted((ROOT / "src" / "paradim").glob("*.py"))
+               if path.name != "__init__.py"}
+    kept = {(getattr(paradim, name).__module__, name) for name in paradim.__all__}
+    kept.update((module, name) for _, module, name, _ in _targets())
+    kept.update((module, name) for module, name, _ in ORACLES)
+    found = [f"{module}:{line}: {name}"
+             for module, line, name in uncalled_public_defs(sources, set(sources))
+             if (module, name) not in kept]
+    assert found == []
 
 
 def test_constant_detector():

@@ -285,6 +285,9 @@ def test_printed_series_checks_level_space_and_j():
         printed_series(7, "Q")
     with pytest.raises(UnsupportedJ):
         printed_series(7, "A", 2)
+    # M is not graded at an odd j; this used to raise MissingData
+    with pytest.raises(BadYoung):
+        printed_series(7, "M", 3)
 
 
 def test_hilbert_series_matches_printed():
