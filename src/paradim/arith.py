@@ -13,6 +13,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .errors import DSquare, NotPrimeLevel, NotSquarefree, ParadimError, UnsupportedPrime
+from .exactmath import is_int
 from .kernels import (_field_disc, _primes_to, _reduced_forms, b2_character_sum, kronecker,
                       squarefree_part)
 
@@ -27,7 +28,7 @@ def fundamental_discriminant(d):
 
 def split_symbol(d, p):
     """(d/p): 1, -1, 0 as p splits, is inert, or ramifies in Q(sqrt(d))."""
-    if not isinstance(p, int):
+    if not is_int(p):
         raise ParadimError(f"the prime of a split symbol must be an integer, got {p!r}")
     if d == 0:
         raise DSquare("d must be nonzero")
@@ -56,7 +57,7 @@ def _symbol_row(r):
 @lru_cache(maxsize=None)
 def class_number(d):
     """h(sqrt(-d)): class number of the imaginary quadratic field Q(sqrt(-d))."""
-    if not isinstance(d, int) or d < 1:
+    if not is_int(d) or d < 1:
         raise NotSquarefree(f"d must be a positive integer, got {d!r}")
     if squarefree_part(d) != d:
         raise NotSquarefree(f"{d} is not squarefree")
@@ -108,14 +109,14 @@ def is_prime(n):
 
 def check_level(p):
     """NotPrimeLevel unless p is a prime int, the only levels treated here."""
-    if not isinstance(p, int) or not is_prime(p):
+    if not is_int(p) or not is_prime(p):
         raise NotPrimeLevel(f"level {p!r} is not prime")
 
 
 def primes_up_to(n):
     """Ascending list of primes <= n, sliced off the kernels' prime table;
     ParadimError unless n is an int."""
-    if not isinstance(n, int):
+    if not is_int(n):
         raise ParadimError(f"a prime bound must be an integer, got {n!r}")
     primes = _primes_to(n)
     return primes[:bisect_right(primes, n)]

@@ -19,7 +19,7 @@ They agree at every weight: tests/test_acceptance.py proves it from their period
 from functools import lru_cache
 
 from .errors import BadIndex, BadYoung, IrrationalResidue
-from .exactmath import exact_quotient
+from .exactmath import exact_quotient, is_int
 
 
 # phi_i as ascending coefficient lists (c0..c4) over Z[sqrt(m)]:
@@ -47,20 +47,20 @@ PHI_COEFFS = {
 
 
 def _check_index(i):
-    if i not in PHI_COEFFS:
+    if not is_int(i) or i not in PHI_COEFFS:
         raise BadIndex(f"character index {i} not in 1..17")
 
 
 def young(k, j):
     """The Young weight (k + j - 3, k - 3) of det^k Sym(j); BadYoung, naming
     (k, j), unless k >= 3 and j >= 0 are integers and j is even."""
-    if not (isinstance(k, int) and isinstance(j, int)) or k < 3 or j < 0 or j % 2:
+    if not (is_int(k) and is_int(j)) or k < 3 or j < 0 or j % 2:
         raise BadYoung(f"need integers k >= 3 and even j >= 0, got (k,j)=({k!r},{j!r})")
     return k + j - 3, k - 3
 
 
 def _check_young(f1, f2):
-    if not (isinstance(f1, int) and isinstance(f2, int)) or not f1 >= f2 >= 0 or (f1 - f2) % 2:
+    if not (is_int(f1) and is_int(f2)) or not f1 >= f2 >= 0 or (f1 - f2) % 2:
         raise BadYoung(f"need integers f1 >= f2 >= 0 with f1 = f2 (mod 2), got ({f1!r},{f2!r})")
 
 
@@ -225,6 +225,7 @@ def chi_young(i, f1, f2):
 def chi_bracket_young(i, f1, f2):
     """Alternative closed forms indexed directly by (f1, f2), available
     for i in {2, 6, 9, 11, 13}; kept as an independent cross-check."""
+    _check_index(i)
     _check_young(f1, f2)
     d = f1 - f2
     if i == 2:

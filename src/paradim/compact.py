@@ -8,12 +8,21 @@ M_ROWS and TRACE_ROWS to the level invariants I(p).  dim_M_total and
 trace_R divide a dot product with the cached character vector by DEN
 exactly, and dim_M_signed splits the two into (plus, minus).
 
+A run of weights at one prime, _signed_run(p, weights), reads level(p)
+once and then takes both dot products, their checked divisions and the
+split per weight inline, with the messages of the three functions above.
+A single weight keeps that chain of three calls (dim, table, weight 3):
+perfbench/tests/test_harness.py counts one dim_M_total call for a dim
+command.
+
 The level invariants I(p) = _invariants(p) are a tuple of 20 ints, named
 by INVARIANTS.  M_ROWS is one table, since [p = 2] and [p = 3] are
-invariants; TRACE_ROWS has one table per branch of the trace: p = 2,
-p = 3, p = 1 and p = 3 (mod 4).  No Fraction is on this path: after one
-primality test of p, `level` takes the integer 5 B_{2,chi} from
-kernels.b2_character_sum by one exact division.
+invariants; each branch of the trace, p = 2, p = 3, p = 1 and p = 3
+(mod 4), has its own TRACE_ROWS table and its own flat copy of M_ROWS,
+which drops the terms of [p = q] where q is another branch's prime.  No
+Fraction is on this path: after one primality test of p, `level` takes
+the integer 5 B_{2,chi} from kernels.b2_character_sum by one exact
+division.
 
 The record Level(m, tr) holds both coefficient vectors once per prime,
 indexed by CHI_INDEX.  The character vector _chi_vector(f1, f2) is one
@@ -69,10 +78,18 @@ TRACE_ROWS = {
                 11: ((360, "h_2p"),)},
 }
 
-# each table as flat (chi position, coefficient, invariant position) triples
-_TRIPLES = {branch: tuple((CHI_INDEX.index(i), c, INVARIANTS.index(x))
-                          for i, terms in rows.items() for c, x in terms)
-            for branch, rows in (("M", M_ROWS), *TRACE_ROWS.items())}
+
+def _triples(rows, branch):
+    """rows as flat (chi position, coefficient, invariant position) triples,
+    without the terms of d2 and d3 that are 0 on `branch`."""
+    return tuple((CHI_INDEX.index(i), c, INVARIANTS.index(x))
+                 for i, terms in rows.items() for c, x in terms
+                 if x not in ("d2", "d3") or x == f"d{branch}")
+
+
+# per branch, the triples of M_ROWS and of its TRACE_ROWS table
+_TRIPLES = {branch: (_triples(M_ROWS, branch), _triples(rows, branch))
+            for branch, rows in TRACE_ROWS.items()}
 
 
 class Level(namedtuple("Level", "m tr")):
@@ -112,8 +129,8 @@ def level(p):
     """The coefficient record of the prime level p; NotPrimeLevel for any
     other p."""
     inv = _invariants(p)
-    branch = p if p < 5 else "1 mod 4" if p % 4 == 1 else "3 mod 4"
-    return Level(_apply(_TRIPLES["M"], inv), _apply(_TRIPLES[branch], inv))
+    m, tr = _TRIPLES[p if p < 5 else "1 mod 4" if p % 4 == 1 else "3 mod 4"]
+    return Level(_apply(m, inv), _apply(tr, inv))
 
 
 # typed, so that (2.0, 2.0) misses the entry of (2, 2) and is refused
@@ -142,6 +159,19 @@ def dim_M_signed(p, f1, f2):
     sum and half the difference of dim_M_total and trace_R."""
     return plus_minus(dim_M_total(p, f1, f2), trace_R(p, f1, f2),
                       "M({},{},{})", p, f1, f2)
+
+
+def _signed_run(p, weights):
+    """[dim_M_signed(p, f1, f2) for (f1, f2) in weights], with one lookup
+    of level(p); the same checks raise the same errors in the same order."""
+    m, tr = level(p)
+    out = []
+    for f1, f2 in weights:
+        chi = _chi_vector(f1, f2)
+        total = exact_quotient(sum(map(mul, m, chi)), DEN, "dim M({},{},{})", p, f1, f2)
+        trace = exact_quotient(sum(map(mul, tr, chi)), DEN, "trace R({},{},{})", p, f1, f2)
+        out.append(plus_minus(total, trace, "M({},{},{})", p, f1, f2))
+    return out
 
 
 def class_and_type(p):

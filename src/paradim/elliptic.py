@@ -15,13 +15,13 @@ from functools import lru_cache
 from .arith import _split_symbols, a_p, check_level, class_number
 from .characters import _br
 from .errors import BadYoung, OddWeight
-from .exactmath import exact_quotient, plus_minus
+from .exactmath import exact_quotient, is_int, plus_minus
 
 
 def dim_cusp_level1(k):
     """dim S_k(SL_2(Z)); 0 for odd k and for k <= 0, BadYoung for a
     non-integer k."""
-    if not isinstance(k, int):
+    if not is_int(k):
         raise BadYoung(f"weight k = {k!r} must be an integer")
     if k % 2 or k <= 0:
         return 0
@@ -58,7 +58,7 @@ def dim_new_gamma0(p, k):
     prime p (NotPrimeLevel otherwise) and an even integer k (BadYoung for a
     non-integer k, OddWeight for an odd one)."""
     p1, c2, c3, _ = _gamma0(p)
-    if not isinstance(k, int):
+    if not is_int(k):
         raise BadYoung(f"weight k = {k!r} must be an integer")
     if k % 2:
         raise OddWeight(f"k = {k} must be even")

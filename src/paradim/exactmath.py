@@ -11,6 +11,12 @@ from collections import namedtuple
 from .errors import BadPresentation, NonIntegral, NonPolynomial, ParityFailure
 
 
+def is_int(x):
+    """Whether x is an int and not a bool, the one test of an integer level,
+    weight, index or bound: bool subclasses int, and True would pass as 1."""
+    return type(x) is int
+
+
 def exact_quotient(num, den, what, *args):
     """num // den for integers, or NonIntegral when den does not divide num.
 
@@ -39,7 +45,7 @@ def plus_minus(total, diff, what, *args):
 def _trim(coeffs):
     """coeffs as a numerator: a tuple of ints with its trailing zeros dropped."""
     q = tuple(coeffs)
-    if not set(map(type, q)) <= {int}:
+    if not all(map(is_int, q)):
         raise BadPresentation(f"numerator {q} has a coefficient that is not an integer")
     end = len(q)
     while end and not q[end - 1]:
@@ -50,7 +56,7 @@ def _trim(coeffs):
 def _sorted_ints(values, least, what):
     """values as a sorted tuple; BadPresentation unless each is an int >= least."""
     values = tuple(values)
-    if not all(type(a) is int and a >= least for a in values):
+    if not all(is_int(a) and a >= least for a in values):
         raise BadPresentation(f"{what} {values} must be integers >= {least}")
     return tuple(sorted(values))
 

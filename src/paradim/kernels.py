@@ -38,7 +38,7 @@ from math import isqrt
 from operator import getitem, mod
 
 from .errors import BadDiscriminant, ParadimError
-from .exactmath import exact_quotient
+from .exactmath import exact_quotient, is_int
 
 
 def kronecker(a, n):
@@ -81,7 +81,7 @@ def squarefree_part(d):
     Trial division stops at the cube root of what is left, which then has
     at most two prime factors and is q^2 exactly when it is a square.
     """
-    if not isinstance(d, int):
+    if not is_int(d):
         raise ParadimError(f"{d!r} is not an integer")
     n = abs(d)
     d0 = -1 if d < 0 else 1
@@ -112,7 +112,7 @@ def class_number_from_disc(D):
         h(D) = h(D0) f / u * prod_{q | f} (1 - (D0/q) / q),
     with the unit index u = 3 at D0 = -3, 2 at D0 = -4 and 1 otherwise.
     """
-    if not isinstance(D, int) or D >= 0 or D % 4 not in (0, 1):
+    if not is_int(D) or D >= 0 or D % 4 not in (0, 1):
         raise BadDiscriminant(f"{D!r} is not a negative discriminant")
     D0 = _field_disc(squarefree_part(D))
     f = isqrt(D // D0)
@@ -296,7 +296,7 @@ def b2_character_sum(D0):
     is (2/5) D0 S.  So 5 B_{2,chi} = 2 S is an even integer; that is why
     compact.DEN = 2880 is one constant for every prime.
     """
-    if not isinstance(D0, int) or not (D0 > 1 and _field_disc(squarefree_part(D0)) == D0):
+    if not is_int(D0) or not (D0 > 1 and _field_disc(squarefree_part(D0)) == D0):
         raise BadDiscriminant(f"{D0!r} is not a positive fundamental discriminant")
     sigma = _sigma1_to(D0 // 4)
     S = 2 * sum(sigma[(D0 - s * s) // 4] for s in range(D0 % 2, isqrt(D0 - 1) + 1, 2))

@@ -11,10 +11,22 @@ takes dim S_{2k-2}(SL_2(Z)) + [k = 3] off the minus space at j = 0.  Only
 the compact side depends on both the level and the weight, and it is
 evaluated on every call; the other terms are read from a per-weight
 record, _weight_terms(k, j), and a per-level one, _lifted_newspace(p, j).
+_cusp_pair assembles the pair from the three, and is the one home of
+that formula.
+
+Grids.  check_bias_region and the graded S and A sequences from k = 3
+ask for whole runs of weights at a prime.  _signed_grid(ps, j, ks) reads
+the weight records and the Young weights once per call, and per prime
+the lifted newspace once and the compact pairs of all of ks from
+compact._signed_run; so the level is looked up once per prime, not twice
+per weight.  dim_paramodular_signed stays the route of a single weight
+(dim, table), and below k = 3 the sequences stay pointwise, where weight
+2 may raise MissingJacobiData.
 
 Graded series.  Every graded sequence is read from one held run of
 (plus, minus) pairs per (base space, p, j), the base space being M, A or
-S (_held_run).  A longer request extends the run in place, a shorter one
+S (_held_run); M is extended by compact._signed_run, S and A by the grid
+of one prime.  A longer request extends the run in place, a shorter one
 slices it, and another key replaces it.  So the A, A+ and A- records of
 one prime (and M+-, S+-), the fallback denominators hilbert_series tries
 and the palindromic checks of A and then A+ share one computation.
@@ -30,7 +42,8 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .arith import check_level, primes_up_to
-from .compact import class_and_type, dim_M_signed
+from .characters import young
+from .compact import _signed_run, class_and_type, dim_M_signed
 from .data import load_json
 from .elliptic import dim_cusp_level1, dim_modular_level1, dim_new_gamma0_signed
 from .errors import (
@@ -44,7 +57,7 @@ from .errors import (
     ParadimError,
     UnsupportedJ,
 )
-from .exactmath import RationalGF, fit_numerator, from_terms
+from .exactmath import RationalGF, fit_numerator, from_terms, is_int
 from .siegel1 import dim_cusp_sp4
 
 
@@ -70,20 +83,47 @@ def dim_paramodular_signed(p, k, j=0):
     cusp forms of prime level p, for integers k >= 3, j >= 0 (BadYoung
     otherwise).  Odd j gives the zero space.  NotPrimeLevel unless p is a
     prime int; NegativeDim if either dimension comes out negative."""
-    if not (isinstance(k, int) and isinstance(j, int)) or k < 3 or j < 0:
+    if not (is_int(k) and is_int(j)) or k < 3 or j < 0:
         raise BadYoung(f"weight (k, j) = ({k!r}, {j!r}) needs integers k >= 3 and j >= 0")
     if j % 2:
         check_level(p)
         return 0, 0
     # the level first: a non-prime p raises NotPrimeLevel at every j
-    m_plus, m_minus = dim_M_signed(p, j + k - 3, k - 3)
-    sp, lift, minus_drop = _weight_terms(k, j)
-    s_plus, s_minus = _lifted_newspace(p, j)
+    m_pair = dim_M_signed(p, *young(k, j))
+    return _cusp_pair(p, k, j, m_pair, _weight_terms(k, j), _lifted_newspace(p, j))
+
+
+def _cusp_pair(p, k, j, m_pair, terms, lifted):
+    """S^+- at (p, k, j) from the compact pair m_pair = (M+, M-) at the
+    Young weight, terms = _weight_terms(k, j) and lifted =
+    _lifted_newspace(p, j); NegativeDim if either entry is negative."""
+    m_plus, m_minus = m_pair
+    sp, lift, minus_drop = terms
+    s_plus, s_minus = lifted
     plus = sp + m_minus - s_plus * lift
     minus = sp - minus_drop + m_plus - s_minus * lift
     if plus < 0 or minus < 0:
         raise NegativeDim(f"p={p}, (k,j)=({k},{j}): got ({plus},{minus})")
     return plus, minus
+
+
+def _signed_grid(ps, j, ks):
+    """For each prime p of ps in turn, the list of dim_paramodular_signed(p,
+    k, j) over ks, a sequence of integers k >= 3 (j an integer >= 0); nothing
+    when ks is empty."""
+    if not ks:
+        return
+    if j % 2:
+        for p in ps:
+            check_level(p)
+            yield [(0, 0)] * len(ks)
+        return
+    weights = [young(k, j) for k in ks]
+    terms = [_weight_terms(k, j) for k in ks]
+    for p in ps:
+        run = _signed_run(p, weights)
+        lifted = _lifted_newspace(p, j)
+        yield [_cusp_pair(p, k, j, m_pair, t, lifted) for k, m_pair, t in zip(ks, run, terms)]
 
 
 def dim_weight3(p):
@@ -105,7 +145,7 @@ def dim_S_signed(p, k, j=0):
     (0, 0) below weight 2 and for j != 0, and at weight 2 the lifts
     (dim S_2^new(Gamma_0(p))^+, 0) below LIFTS_ONLY_BELOW.  From there on
     weight 2 raises MissingJacobiData."""
-    if not (isinstance(k, int) and isinstance(j, int)) or k < 0 or j < 0:
+    if not (is_int(k) and is_int(j)) or k < 0 or j < 0:
         raise BadYoung(f"weight (k, j) = ({k!r}, {j!r}) needs integers k, j >= 0")
     if k >= 3:
         return dim_paramodular_signed(p, k, j)
@@ -123,7 +163,12 @@ def dim_A_signed(p, k):
     every integer weight k >= 0: the cusp pair of dim_S_signed plus
     (dim M_k(SL_2(Z)), dim S_k(SL_2(Z))).  Weight 2 is refused from
     LIFTS_ONLY_BELOW on (MissingJacobiData)."""
-    plus, minus = dim_S_signed(p, k)
+    return _with_eisenstein(k, dim_S_signed(p, k))
+
+
+def _with_eisenstein(k, cusp_pair):
+    """The pair of dim_A_signed at weight k from that of dim_S_signed."""
+    plus, minus = cusp_pair
     return plus + dim_modular_level1(k), minus + dim_cusp_level1(k)
 
 
@@ -136,7 +181,7 @@ def _check_space(space, j):
     at j exists; S+- at an odd j is the zero series."""
     if space not in SPACES:
         raise BadSpace(f"space must be one of {', '.join(SPACES)}, got {space!r}")
-    if not isinstance(j, int) or j < 0 or (space[0] == "M" and j % 2):
+    if not is_int(j) or j < 0 or (space[0] == "M" and j % 2):
         raise BadYoung(f"space {space} is not graded at j = {j!r}")
     if space[0] == "A" and j != 0:
         raise UnsupportedJ(f"space {space} is only graded at j = 0, got j = {j}")
@@ -154,18 +199,24 @@ def _space_sequence(p, space, nmax, j=0):
 
     S+/S-/A+/A-/A are graded by the weight k; M+/M-/M by the Young
     parameter f of the weight (f + j, f).
-    Each base space has one (plus, minus) pair function; the suffix picks
-    the sum, the plus or the minus entry.  A pair that raises is not held,
-    so it raises again.
+    The held run of (plus, minus) pairs is extended by a whole list, so a
+    run that raises holds nothing new and raises again; the suffix picks
+    the sum, the plus or the minus entry.
     """
     _check_space(space, j)
     base, sign = space[0], space[1:]
     pairs = _held_run(base, p, j)
-    pair = {"M": lambda f: dim_M_signed(p, f + j, f),
-            "A": lambda k: dim_A_signed(p, k),
-            "S": lambda k: dim_S_signed(p, k, j)}[base]
-    for n in range(len(pairs), nmax + 1):
-        pairs.append(pair(n))
+    start = len(pairs)
+    if base == "M":
+        if start <= nmax:
+            pairs += _signed_run(p, [(f + j, f) for f in range(start, nmax + 1)])
+    else:
+        new = [dim_S_signed(p, k, j) for k in range(start, min(3, nmax + 1))]
+        for run in _signed_grid([p], j, range(max(3, start), nmax + 1)):
+            new += run
+        if base == "A":
+            new = [_with_eisenstein(k, pair) for k, pair in enumerate(new, start)]
+        pairs += new
     pick = {"": sum, "+": itemgetter(0), "-": itemgetter(1)}[sign]
     return [pick(pairs[n]) for n in range(nmax + 1)]
 
@@ -235,7 +286,12 @@ def hilbert_series(p, space, j=0):
 
 def bias(p, k):
     """(-1)^k (dim plus - dim minus) in weight k, scalar valued."""
-    plus, minus = dim_paramodular_signed(p, k)
+    return _signed_bias(k, dim_paramodular_signed(p, k))
+
+
+def _signed_bias(k, pair):
+    """bias at weight k from the pair (plus, minus) of S_k."""
+    plus, minus = pair
     return (-1) ** k * (plus - minus)
 
 
@@ -245,13 +301,16 @@ def search_weight3_zero(pmax):
 
 
 def check_bias_region(pmax, kmax):
-    """Assert bias >= 0 on the rectangle and return the zero pairs."""
-    if not isinstance(kmax, int):
+    """The pairs (p, k), p <= pmax prime and 3 <= k <= kmax, in that order,
+    at which bias(p, k) = 0; BiasViolation at the first pair where it is
+    negative."""
+    if not is_int(kmax):
         raise ParadimError(f"a weight bound must be an integer, got {kmax!r}")
+    primes, ks = primes_up_to(pmax), range(3, kmax + 1)
     zeros = []
-    for p in primes_up_to(pmax):
-        for k in range(3, kmax + 1):
-            b = bias(p, k)
+    for p, pairs in zip(primes, _signed_grid(primes, 0, ks)):
+        for k, pair in zip(ks, pairs):
+            b = _signed_bias(k, pair)
             if b < 0:
                 raise BiasViolation(p, k, b)
             if b == 0:

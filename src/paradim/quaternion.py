@@ -42,7 +42,7 @@ from operator import mul
 from .compact import CHI_INDEX, DEN, _chi_vector
 from .errors import (FamilySizeMismatch, NonIntegral, NotPrimeLevel,
                      NotSimilitude, UnsupportedPrime)
-from .exactmath import _trim, exact_quotient
+from .exactmath import _trim, exact_quotient, is_int
 
 
 def add(q, r):
@@ -307,7 +307,7 @@ def _check_sizes(p, fams, expected):
 def _check_p23(p):
     """NotPrimeLevel unless p is an int, UnsupportedPrime unless it is 2 or
     3; run before the caches, which would serve 2.0 from the entry of 2."""
-    if not isinstance(p, int):
+    if not is_int(p):
         raise NotPrimeLevel(f"level {p!r} is not an integer prime")
     if p not in (2, 3):
         raise UnsupportedPrime(f"enumeration only implemented for p = 2, 3, got {p}")

@@ -6,7 +6,7 @@ Any other j raises UnsupportedJ.
 from functools import lru_cache
 
 from .errors import BadYoung, UnsupportedJ
-from .exactmath import RationalGF, from_terms, series_coeffs
+from .exactmath import RationalGF, from_terms, is_int, series_coeffs
 
 
 # numerators over (1-t^4)(1-t^6)(1-t^10)(1-t^12) as (exponent, coefficient) pairs
@@ -27,7 +27,7 @@ def _level1_coeffs(j, size):
 def dim_cusp_sp4(k, j=0):
     """dim of weight det^k Sym(j) level-1 Siegel cusp forms of degree 2;
     0 for k < 0, BadYoung for a non-integer k or j."""
-    if not (isinstance(k, int) and isinstance(j, int)):
+    if not (is_int(k) and is_int(j)):
         raise BadYoung(f"weight (k, j) = ({k!r}, {j!r}) needs integers")
     if j not in LEVEL1_SERIES:
         raise UnsupportedJ(f"j = {j}: no level-1 series")

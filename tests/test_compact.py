@@ -4,7 +4,10 @@ from hypothesis import given, settings, strategies as st
 from paradim import compact
 from paradim.arith import primes_up_to
 from paradim.compact import (
+    INVARIANTS,
+    M_ROWS,
     Level,
+    _TRIPLES,
     class_and_type,
     dim_M_signed,
     dim_M_total,
@@ -104,6 +107,17 @@ def test_one_lookup_per_call(fn):
     fn(7, 4, 2)
     after = level.cache_info().hits, compact._chi_vector.cache_info().hits
     assert (after[0] - before[0], after[1] - before[1]) == (1, 1)
+
+
+def test_m_tables_drop_the_other_branches_indicators():
+    # [p = 2] and [p = 3] are 0 off their own branch, so each branch's M
+    # table keeps only the terms that can be nonzero there
+    n_terms = sum(map(len, M_ROWS.values()))
+    reads = {branch: {INVARIANTS[x] for _, _, x in m} for branch, (m, _) in _TRIPLES.items()}
+    assert {branch: len(m) for branch, (m, _) in _TRIPLES.items()} == {
+        2: n_terms - 1, 3: n_terms - 3, "1 mod 4": n_terms - 4, "3 mod 4": n_terms - 4}
+    assert "d2" in reads[2] and "d3" in reads[3]
+    assert not {"d2", "d3"} & (reads["1 mod 4"] | reads["3 mod 4"])
 
 
 def test_inexact_assembly_raises(monkeypatch):

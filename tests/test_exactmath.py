@@ -8,12 +8,20 @@ from paradim.exactmath import (
     RationalGF,
     fit_numerator,
     from_terms,
+    is_int,
     is_palindromic,
     palindromic_ell,
     series_coeffs,
 )
 
 small_ints = st.integers(min_value=-50, max_value=50)
+
+
+@pytest.mark.parametrize("x, ok", [(7, True), (-3, True), (0, True), (2**70, True),
+                                   (True, False), (False, False), (7.0, False),
+                                   ("7", False), (None, False)])
+def test_is_int_refuses_bool_and_float(x, ok):
+    assert is_int(x) is ok
 
 
 class TestNumerator:

@@ -3,11 +3,19 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paradim import paramodular
+from paradim import compact, paramodular
 from paradim.arith import primes_up_to
-from paradim.characters import CHI_TABLE
+from paradim.characters import CHI_TABLE, young
 from paradim.cli import main
-from paradim.compact import CHI_INDEX, M_ROWS, TRACE_ROWS, dim_M_signed
+from paradim.compact import (
+    CHI_INDEX,
+    DEN,
+    M_ROWS,
+    TRACE_ROWS,
+    Level,
+    _signed_run,
+    dim_M_signed,
+)
 from paradim.data import load_json
 from paradim.elliptic import (
     dim_cusp_level1,
@@ -22,14 +30,17 @@ from paradim.errors import (
     MissingData,
     MissingJacobiData,
     NegativeDim,
+    NonIntegral,
     NotPrimeLevel,
     ParadimError,
+    ParityFailure,
     UnsupportedJ,
 )
 from paradim.exactmath import RationalGF, is_palindromic, series_coeffs
 from paradim.paramodular import (
     FALLBACK_DENOMINATORS,
     _lifted_newspace,
+    _signed_grid,
     _weight_terms,
     bias,
     check_bias_region,
@@ -256,14 +267,94 @@ def test_a_negative_dimension_is_refused(monkeypatch, lifted):
 
 
 def test_a_negative_bias_is_refused(monkeypatch, capsys):
-    # one pair with minus > plus in even weight inside the rectangle
-    monkeypatch.setattr(paramodular, "dim_paramodular_signed",
-                        lambda p, k, j=0: (0, 1) if (p, k) == (3, 4) else (0, 0))
+    # one pair with minus > plus in even weight inside the rectangle, put in
+    # by the assembly that the pointwise route and the grid share
+    monkeypatch.setattr(paramodular, "_cusp_pair",
+                        lambda p, k, *terms: (0, 1) if (p, k) == (3, 4) else (0, 0))
+    assert bias(3, 4) == -1
     with pytest.raises(BiasViolation) as exc:
         check_bias_region(5, 6)
     assert (exc.value.p, exc.value.k, exc.value.value) == (3, 4, -1)
     assert main(["bias", "--pmax", "5", "--kmax", "6"]) == 3
     assert capsys.readouterr() == ("", "error: bias(3, 4) = -1 < 0\n")
+
+
+# p = 2, 3, 5 and both classes mod 4 of the generic branch
+GRID_PRIMES = primes_up_to(200)
+GRID_KS = range(3, 131)
+
+
+@pytest.mark.parametrize("j", [0, 2, 4])
+def test_grid_is_the_pointwise_route(j):
+    grid = list(_signed_grid(GRID_PRIMES, j, GRID_KS))
+    assert grid == [[dim_paramodular_signed(p, k, j) for k in GRID_KS] for p in GRID_PRIMES]
+    weights = [young(k, j) for k in GRID_KS]
+    for p in GRID_PRIMES:
+        assert _signed_run(p, weights) == [dim_M_signed(p, *w) for w in weights], p
+
+
+def test_grid_at_odd_j_is_zero():
+    assert list(_signed_grid([2, 7, 199], 3, range(3, 7))) == [[(0, 0)] * 4] * 3
+    assert [dim_paramodular_signed(7, k, 3) for k in range(3, 7)] == [(0, 0)] * 4
+    with pytest.raises(NotPrimeLevel):
+        list(_signed_grid([7, 9], 3, range(3, 7)))
+    assert list(_signed_grid([9], 0, range(3, 3))) == []
+
+
+def _raised(call):
+    """(type, message) of the ParadimError that call() raises."""
+    with pytest.raises(ParadimError) as exc:
+        call()
+    return type(exc.value), str(exc.value)
+
+
+def _both_routes(p, j, ks, compact_too=True):
+    """What dim_paramodular_signed at each k of ks in turn, and the grid of
+    p, raise; with compact_too, also what dim_M_signed and _signed_run
+    raise at the Young weights of ks."""
+    weights = [young(k, j) for k in ks]
+    routes = [lambda: [dim_paramodular_signed(p, k, j) for k in ks],
+              lambda: list(_signed_grid([p], j, ks))]
+    if compact_too:
+        routes += [lambda: [dim_M_signed(p, *w) for w in weights],
+                   lambda: _signed_run(p, weights)]
+    return [_raised(route) for route in routes]
+
+
+@pytest.mark.parametrize("dm, dtr, error, message", [
+    (1, 0, NonIntegral, "dim M(7,0,0) = 2881/2880 is not an integer"),
+    (0, 1, NonIntegral, "trace R(7,0,0) = 2881/2880 is not an integer"),
+    (DEN, 0, ParityFailure, "M(7,0,0): total 2 and difference 1 have opposite parity"),
+])
+def test_a_bent_level_raises_alike_on_both_routes(monkeypatch, dm, dtr, error, message):
+    # chi_1 is the degree of the representation, 1 at (0, 0): one more on
+    # its coefficient gives an odd numerator, DEN more flips the parity
+    lev = compact.level(7)
+    bent = Level((lev.m[0] + dm,) + lev.m[1:], (lev.tr[0] + dtr,) + lev.tr[1:])
+    monkeypatch.setattr(compact, "level", lambda p: bent)
+    assert set(_both_routes(7, 0, range(3, 12))) == {(error, message)}
+
+
+def test_a_bent_character_raises_alike_at_its_weight(monkeypatch):
+    # one more chi_1 at (5, 5) alone: the routes agree up to k = 8 and both
+    # stop there
+    chi = compact._chi_vector
+
+    def bent(f1, f2):
+        values = chi(f1, f2)
+        return (values[0] + 1,) + values[1:] if (f1, f2) == (5, 5) else values
+
+    monkeypatch.setattr(compact, "_chi_vector", bent)
+    (error, message), = set(_both_routes(7, 0, range(3, 12)))
+    assert error is NonIntegral and message.startswith("dim M(7,5,5) = ")
+
+
+def test_a_negative_dimension_raises_alike_on_both_routes(monkeypatch):
+    terms = paramodular._weight_terms
+    monkeypatch.setattr(paramodular, "_weight_terms",
+                        lambda k, j: (-10**6, 0, 0) if k == 9 else terms(k, j))
+    assert set(_both_routes(7, 0, range(3, 20), compact_too=False)) == {
+        (NegativeDim, "p=7, (k,j)=(9,0): got (-1000000,-999995)")}
 
 
 def test_printed_series_expansion():
