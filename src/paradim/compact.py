@@ -8,12 +8,39 @@ M_ROWS and TRACE_ROWS to the level invariants I(p).  dim_M_total and
 trace_R divide a dot product with the cached character vector by DEN
 exactly, and dim_M_signed splits the two into (plus, minus).
 
-A run of weights at one prime, _signed_run(p, weights), reads level(p)
-once and then takes both dot products, their checked divisions and the
-split per weight inline, with the messages of the three functions above.
 A single weight keeps that chain of three calls (dim, table, weight 3):
 perfbench/tests/test_harness.py counts one dim_M_total call for a dim
 command.
+
+Packed runs.  _signed_run(p, j, f2s) gives dim_M_signed along the
+weights w_n = (f2 + j, f2), f2 in the range f2s, from a few big-integer
+products (Kronecker substitution).  The weight side is shared by every
+prime: each column of CHI_INDEX over the run is packed into one int
+X_i = sum_n chi_i(w_n) 2^(W n), held by _packed_run per run and width W.
+The level side reads level(p) once and forms A = sum (m_i + tr_i) X_i and
+B = sum (m_i - tr_i) X_i, whose n-th fields are 2 DEN M+ and 2 DEN M- at
+w_n; CPython's C loops do every multiply-add of a column at once.
+
+Why it is exact.  W is the least multiple of 64 above the bit length of
+an integer bound on max_n |chi_i(w_n)| for every i and on
+sum_i |c_i| max_n |chi_i(w_n)| for both rows c = m + tr and m - tr.  So
+every field v of a column, of A and of B has |v| < 2^(W - 1), and digits
+in [-2^(W - 1), 2^(W - 1)) to base 2^W are unique: A and B determine
+their fields.  _pack and _unpack cross between such digits and bytes;
+adding 2^(W - 1) to each field and flipping its top bit gives it in two's
+complement.  The products are Python ints, so nothing can overflow
+silently; array("q") only converts fields of W = 64 bits, which fit.
+
+Checks in bulk.  2 DEN divides every field of A and B exactly when, at
+every weight, DEN divides the numerators of dim M and tr R and their
+quotients have one parity.  One division of A by 2 DEN checks all its
+fields: if the remainder is 0 and every digit u of the quotient has
+|2 DEN u| < 2^(W - 1), the digits 2 DEN u represent A, so by uniqueness
+they are its fields, and the digits u are M+ (of B, M-); else a field
+is not divisible.  Then, at the first weight whose fields a, b fail,
+t = (a + b)/2 and r = (a - b)/2 go through exact_quotient and plus_minus
+with the format strings of the three functions above: the same error at
+the same weight as the pointwise chain, each message written once.
 
 The level invariants I(p) = _invariants(p) are a tuple of 20 ints, named
 by INVARIANTS.  M_ROWS is one table, since [p = 2] and [p = 3] are
@@ -37,8 +64,11 @@ the series sum_f dim M_f t^f, and those of M+ and M-, satisfy the same
 equation: their numerators are palindromic up to a power of t, with
 l = 3.
 """
+import sys
+from array import array
 from collections import namedtuple
 from functools import lru_cache
+from itertools import zip_longest
 from operator import mul
 
 from .arith import _split_symbols, check_level, class_number
@@ -140,38 +170,111 @@ def _chi_vector(f1, f2):
     return chi_values(CHI_INDEX, f1, f2)
 
 
+# the checked quantities, as their errors name them
+_TOTAL, _TRACE, _SPLIT = "dim M({},{},{})", "trace R({},{},{})", "M({},{},{})"
+
+
 def dim_M_total(p, f1, f2):
     """Total dimension of the space of algebraic modular forms with Young
     parameters (f1, f2) at prime level p (both genera conventions fixed
     to the non-principal one)."""
     num = sum(map(mul, level(p).m, _chi_vector(f1, f2)))
-    return exact_quotient(num, DEN, "dim M({},{},{})", p, f1, f2)
+    return exact_quotient(num, DEN, _TOTAL, p, f1, f2)
 
 
 def trace_R(p, f1, f2):
     """Trace of the Atkin-Lehner operator on the same space."""
     num = sum(map(mul, level(p).tr, _chi_vector(f1, f2)))
-    return exact_quotient(num, DEN, "trace R({},{},{})", p, f1, f2)
+    return exact_quotient(num, DEN, _TRACE, p, f1, f2)
 
 
 def dim_M_signed(p, f1, f2):
     """Signed (Atkin-Lehner eigenspace) dimensions (plus, minus): half the
     sum and half the difference of dim_M_total and trace_R."""
-    return plus_minus(dim_M_total(p, f1, f2), trace_R(p, f1, f2),
-                      "M({},{},{})", p, f1, f2)
+    return plus_minus(dim_M_total(p, f1, f2), trace_R(p, f1, f2), _SPLIT, p, f1, f2)
 
 
-def _signed_run(p, weights):
-    """[dim_M_signed(p, f1, f2) for (f1, f2) in weights], with one lookup
-    of level(p); the same checks raise the same errors in the same order."""
+def _run_columns(j, f2s):
+    """The columns of CHI_INDEX along the weights (f2 + j, f2), f2 in f2s."""
+    return tuple(zip(*[_chi_vector(f2 + j, f2) for f2 in f2s]))
+
+
+# Both run records are keyed by the range f2s, typed so that j = 2.0 misses
+# the entry of j = 2; a run is asked for at every prime of a grid.
+@lru_cache(maxsize=64, typed=True)
+def _run_tops(j, f2s):
+    """max |chi_i| over the run, for each i of CHI_INDEX."""
+    return tuple(max(map(abs, column)) for column in _run_columns(j, f2s))
+
+
+@lru_cache(maxsize=64, typed=True)
+def _packed_run(j, f2s, width):
+    """(X, offset): the columns of the run packed at `width`, and the offset
+    that _pack and _unpack take there."""
+    half = (1 << width - 1).to_bytes(width // 8, "little")
+    offset = int.from_bytes(half * len(f2s), "little")
+    return tuple(_pack(column, width, offset) for column in _run_columns(j, f2s)), offset
+
+
+def _native(width):
+    """Whether a field of `width` bits is one little-endian array("q") item."""
+    return width == 64 and sys.byteorder == "little" and array("q").itemsize == 8
+
+
+def _pack(values, width, offset):
+    """sum_n values[n] 2^(width n), for |values[n]| < 2^(width - 1): the
+    fields in two's complement, each top bit flipped by `offset` (one
+    2^(width - 1) per field), and the offset taken off again."""
+    if _native(width):
+        data = array("q", values).tobytes()
+    else:
+        data = b"".join(v.to_bytes(width // 8, "little", signed=True) for v in values)
+    return (int.from_bytes(data, "little") ^ offset) - offset
+
+
+def _unpack(x, width, offset, n):
+    """The n values that _pack(values, width, offset) packs into x."""
+    data = ((x + offset) ^ offset).to_bytes(n * width // 8, "little")
+    if _native(width):
+        return array("q", data).tolist()
+    size = width // 8
+    return [int.from_bytes(data[i:i + size], "little", signed=True)
+            for i in range(0, len(data), size)]
+
+
+def _signed_run(p, j, f2s):
+    """The columns (plus, minus) of dim_M_signed(p, f2 + j, f2) over the
+    range f2s, from one lookup of level(p); the same checks raise the same
+    errors at the same weight."""
     m, tr = level(p)
-    out = []
-    for f1, f2 in weights:
-        chi = _chi_vector(f1, f2)
-        total = exact_quotient(sum(map(mul, m, chi)), DEN, "dim M({},{},{})", p, f1, f2)
-        trace = exact_quotient(sum(map(mul, tr, chi)), DEN, "trace R({},{},{})", p, f1, f2)
-        out.append(plus_minus(total, trace, "M({},{},{})", p, f1, f2))
-    return out
+    if not f2s:
+        return [], []
+    tops = _run_tops(j, f2s)
+    combos = [[a + b for a, b in zip_longest(m, tr, fillvalue=0)],
+              [a - b for a, b in zip_longest(m, tr, fillvalue=0)]]
+    bound = max(max(tops), *(sum(map(mul, map(abs, c), tops)) for c in combos))
+    width = 64 * (bound.bit_length() // 64 + 1)
+    packed, offset = _packed_run(j, f2s, width)
+    sums = [sum(map(mul, c, packed)) for c in combos]
+    den2, n = 2 * DEN, len(f2s)
+    limit = ((1 << width - 1) - 1) // den2
+    columns = []
+    for x in sums:
+        q, r = divmod(x, den2)
+        column = _unpack(q, width, offset, n)
+        if r or min(column) < -limit or max(column) > limit:
+            _refuse(p, j, f2s, *(_unpack(x, width, offset, n) for x in sums))
+        columns.append(column)
+    return columns
+
+
+def _refuse(p, j, f2s, a, b):
+    """Raise what dim_M_signed raises at the first weight of the run where
+    2 DEN does not divide the field of A (in a) or of B (in b)."""
+    f2, x, y = next(row for row in zip(f2s, a, b) if row[1] % (2 * DEN) or row[2] % (2 * DEN))
+    total = exact_quotient((x + y) // 2, DEN, _TOTAL, p, f2 + j, f2)
+    trace = exact_quotient((x - y) // 2, DEN, _TRACE, p, f2 + j, f2)
+    plus_minus(total, trace, _SPLIT, p, f2 + j, f2)
 
 
 def class_and_type(p):

@@ -11,15 +11,18 @@ takes dim S_{2k-2}(SL_2(Z)) + [k = 3] off the minus space at j = 0.  Only
 the compact side depends on both the level and the weight, and it is
 evaluated on every call; the other terms are read from a per-weight
 record, _weight_terms(k, j), and a per-level one, _lifted_newspace(p, j).
-_cusp_pair assembles the pair from the three, and is the one home of
-that formula.
+_cusp_pair assembles S^+- from the three, and is the one home of that
+formula.
 
 Grids.  check_bias_region and the graded S and A sequences from k = 3
 ask for whole runs of weights at a prime.  _signed_grid(ps, j, ks) reads
-the weight records and the Young weights once per call, and per prime
-the lifted newspace once and the compact pairs of all of ks from
-compact._signed_run; so the level is looked up once per prime, not twice
-per weight.  dim_paramodular_signed stays the route of a single weight
+the weight records once per call as columns, and per prime the lifted
+newspace once and the compact columns of all of ks from one packed
+compact._signed_run.  _cusp_pair (S^+- and NegativeDim) and _signed_bias
+(the sign rule) work on columns with map, one C loop per term;
+dim_paramodular_signed and bias call them with runs of one.  A prime's
+compact errors come first, then NegativeDim and BiasViolation at its
+first bad k.  dim_paramodular_signed stays the route of a single weight
 (dim, table), and below k = 3 the sequences stay pointwise, where weight
 2 may raise MissingJacobiData.
 
@@ -39,7 +42,8 @@ polynomial division.
 """
 from collections import namedtuple
 from functools import lru_cache
-from operator import itemgetter
+from itertools import cycle, repeat
+from operator import add, itemgetter, mul, sub
 
 from .arith import check_level, primes_up_to
 from .characters import young
@@ -89,41 +93,45 @@ def dim_paramodular_signed(p, k, j=0):
         check_level(p)
         return 0, 0
     # the level first: a non-prime p raises NotPrimeLevel at every j
-    m_pair = dim_M_signed(p, *young(k, j))
-    return _cusp_pair(p, k, j, m_pair, _weight_terms(k, j), _lifted_newspace(p, j))
+    m_plus, m_minus = dim_M_signed(p, *young(k, j))
+    (plus,), (minus,) = _cusp_pair(p, j, (k,), ([m_plus], [m_minus]),
+                                   zip(_weight_terms(k, j)), _lifted_newspace(p, j))
+    return plus, minus
 
 
-def _cusp_pair(p, k, j, m_pair, terms, lifted):
-    """S^+- at (p, k, j) from the compact pair m_pair = (M+, M-) at the
-    Young weight, terms = _weight_terms(k, j) and lifted =
-    _lifted_newspace(p, j); NegativeDim if either entry is negative."""
-    m_plus, m_minus = m_pair
+def _cusp_pair(p, j, ks, m_run, terms, lifted):
+    """The columns (S^+, S^-) over the weights ks at (p, j), from the
+    compact columns m_run = (M+, M-) at their Young weights, the columns
+    terms of _weight_terms(k, j) and lifted = _lifted_newspace(p, j);
+    NegativeDim at the first k where either entry is negative."""
+    m_plus, m_minus = m_run
     sp, lift, minus_drop = terms
     s_plus, s_minus = lifted
-    plus = sp + m_minus - s_plus * lift
-    minus = sp - minus_drop + m_plus - s_minus * lift
-    if plus < 0 or minus < 0:
-        raise NegativeDim(f"p={p}, (k,j)=({k},{j}): got ({plus},{minus})")
+    plus = list(map(sub, map(add, sp, m_minus), map(mul, lift, repeat(s_plus))))
+    minus = list(map(sub, map(add, map(sub, sp, minus_drop), m_plus),
+                     map(mul, lift, repeat(s_minus))))
+    if min(plus) < 0 or min(minus) < 0:
+        k, a, b = next(row for row in zip(ks, plus, minus) if min(row[1:]) < 0)
+        raise NegativeDim(f"p={p}, (k,j)=({k},{j}): got ({a},{b})")
     return plus, minus
 
 
 def _signed_grid(ps, j, ks):
-    """For each prime p of ps in turn, the list of dim_paramodular_signed(p,
-    k, j) over ks, a sequence of integers k >= 3 (j an integer >= 0); nothing
-    when ks is empty."""
+    """For each prime p of ps in turn, the columns (plus, minus) of
+    dim_paramodular_signed(p, k, j) over ks, a range of consecutive integers
+    k >= 3 (j an integer >= 0); nothing when ks is empty."""
     if not ks:
         return
     if j % 2:
         for p in ps:
             check_level(p)
-            yield [(0, 0)] * len(ks)
+            yield [0] * len(ks), [0] * len(ks)
         return
-    weights = [young(k, j) for k in ks]
-    terms = [_weight_terms(k, j) for k in ks]
+    terms = tuple(zip(*[_weight_terms(k, j) for k in ks]))
+    f2s = range(ks.start - 3, ks.stop - 3)
     for p in ps:
-        run = _signed_run(p, weights)
-        lifted = _lifted_newspace(p, j)
-        yield [_cusp_pair(p, k, j, m_pair, t, lifted) for k, m_pair, t in zip(ks, run, terms)]
+        m_run = _signed_run(p, j, f2s)
+        yield _cusp_pair(p, j, ks, m_run, terms, _lifted_newspace(p, j))
 
 
 def dim_weight3(p):
@@ -209,11 +217,11 @@ def _space_sequence(p, space, nmax, j=0):
     start = len(pairs)
     if base == "M":
         if start <= nmax:
-            pairs += _signed_run(p, [(f + j, f) for f in range(start, nmax + 1)])
+            pairs += zip(*_signed_run(p, j, range(start, nmax + 1)))
     else:
         new = [dim_S_signed(p, k, j) for k in range(start, min(3, nmax + 1))]
         for run in _signed_grid([p], j, range(max(3, start), nmax + 1)):
-            new += run
+            new += zip(*run)
         if base == "A":
             new = [_with_eisenstein(k, pair) for k, pair in enumerate(new, start)]
         pairs += new
@@ -286,13 +294,15 @@ def hilbert_series(p, space, j=0):
 
 def bias(p, k):
     """(-1)^k (dim plus - dim minus) in weight k, scalar valued."""
-    return _signed_bias(k, dim_paramodular_signed(p, k))
+    plus, minus = dim_paramodular_signed(p, k)
+    return _signed_bias((k,), [plus], [minus])[0]
 
 
-def _signed_bias(k, pair):
-    """bias at weight k from the pair (plus, minus) of S_k."""
-    plus, minus = pair
-    return (-1) ** k * (plus - minus)
+def _signed_bias(ks, plus, minus):
+    """The column of bias over the consecutive weights ks from the columns
+    plus, minus of S_k: (-1)^k alternates from k = ks[0]."""
+    sign = (-1) ** ks[0]
+    return list(map(mul, cycle((sign, -sign)), map(sub, plus, minus)))
 
 
 def search_weight3_zero(pmax):
@@ -308,11 +318,10 @@ def check_bias_region(pmax, kmax):
         raise ParadimError(f"a weight bound must be an integer, got {kmax!r}")
     primes, ks = primes_up_to(pmax), range(3, kmax + 1)
     zeros = []
-    for p, pairs in zip(primes, _signed_grid(primes, 0, ks)):
-        for k, pair in zip(ks, pairs):
-            b = _signed_bias(k, pair)
-            if b < 0:
-                raise BiasViolation(p, k, b)
-            if b == 0:
-                zeros.append((p, k))
+    for p, (plus, minus) in zip(primes, _signed_grid(primes, 0, ks)):
+        b = _signed_bias(ks, plus, minus)
+        if min(b) < 0:
+            raise BiasViolation(p, *next((k, v) for k, v in zip(ks, b) if v < 0))
+        if 0 in b:
+            zeros += [(p, k) for k, v in zip(ks, b) if not v]
     return zeros

@@ -112,9 +112,9 @@ def _count_dim_M_total(monkeypatch):
         seen["calls"] += 1
         return total(*args)
 
-    def counted_run(p, weights):
-        seen["calls"] += len(weights)
-        return run(p, weights)
+    def counted_run(p, j, f2s):
+        seen["calls"] += len(f2s)
+        return run(p, j, f2s)
 
     monkeypatch.setattr(compact, "dim_M_total", counted)
     monkeypatch.setattr(paramodular, "_signed_run", counted_run)

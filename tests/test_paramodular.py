@@ -268,9 +268,9 @@ def test_a_negative_dimension_is_refused(monkeypatch, lifted):
 
 def test_a_negative_bias_is_refused(monkeypatch, capsys):
     # one pair with minus > plus in even weight inside the rectangle, put in
-    # by the assembly that the pointwise route and the grid share
-    monkeypatch.setattr(paramodular, "_cusp_pair",
-                        lambda p, k, *terms: (0, 1) if (p, k) == (3, 4) else (0, 0))
+    # by the column assembly that the pointwise route and the grid share
+    monkeypatch.setattr(paramodular, "_cusp_pair", lambda p, j, ks, *terms: (
+        [0] * len(ks), [int((p, k) == (3, 4)) for k in ks]))
     assert bias(3, 4) == -1
     with pytest.raises(BiasViolation) as exc:
         check_bias_region(5, 6)
@@ -284,21 +284,66 @@ GRID_PRIMES = primes_up_to(200)
 GRID_KS = range(3, 131)
 
 
+def _pairs(columns):
+    """The (plus, minus) pairs of a run given as the columns (plus, minus)."""
+    return list(zip(*columns))
+
+
+def _f2s(ks):
+    """The range of f2 in the Young weights of the range ks."""
+    return range(ks.start - 3, ks.stop - 3)
+
+
 @pytest.mark.parametrize("j", [0, 2, 4])
 def test_grid_is_the_pointwise_route(j):
     grid = list(_signed_grid(GRID_PRIMES, j, GRID_KS))
-    assert grid == [[dim_paramodular_signed(p, k, j) for k in GRID_KS] for p in GRID_PRIMES]
+    assert list(map(_pairs, grid)) == [[dim_paramodular_signed(p, k, j) for k in GRID_KS]
+                                       for p in GRID_PRIMES]
     weights = [young(k, j) for k in GRID_KS]
     for p in GRID_PRIMES:
-        assert _signed_run(p, weights) == [dim_M_signed(p, *w) for w in weights], p
+        assert _pairs(_signed_run(p, j, _f2s(GRID_KS))) == [
+            dim_M_signed(p, *w) for w in weights], p
 
 
 def test_grid_at_odd_j_is_zero():
-    assert list(_signed_grid([2, 7, 199], 3, range(3, 7))) == [[(0, 0)] * 4] * 3
+    assert list(_signed_grid([2, 7, 199], 3, range(3, 7))) == [([0] * 4, [0] * 4)] * 3
     assert [dim_paramodular_signed(7, k, 3) for k in range(3, 7)] == [(0, 0)] * 4
     with pytest.raises(NotPrimeLevel):
         list(_signed_grid([7, 9], 3, range(3, 7)))
     assert list(_signed_grid([9], 0, range(3, 3))) == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from(primes_up_to(1000)), min_size=1, max_size=3),
+       st.integers(3, 600), st.integers(0, 80), st.sampled_from([0, 2, 4]))
+def test_grid_is_the_pointwise_route_on_random_runs(ps, start, length, j):
+    ks = range(start, min(start + length, 600) + 1)
+    assert list(map(_pairs, _signed_grid(ps, j, ks))) == [
+        [dim_paramodular_signed(p, k, j) for k in ks] for p in ps]
+
+
+@pytest.mark.parametrize("j", [0, 2, 4])
+def test_a_wide_level_takes_a_wider_field(monkeypatch, j):
+    # m and tr times 2^70 keep every quotient integral and every split
+    # even, and put the fields of a packed run beyond 64 bits
+    true_level, packed_run, widths = compact.level, compact._packed_run, []
+
+    def recorded(j, f2s, width):
+        widths.append(width)
+        return packed_run(j, f2s, width)
+
+    ps, ks = [2, 3, 5, 7, 199], range(3, 131)
+    unscaled = dim_M_signed(199, *young(130, j))
+    monkeypatch.setattr(compact, "level", lambda p: Level(
+        *([c << 70 for c in row] for row in true_level(p))))
+    monkeypatch.setattr(compact, "_packed_run", recorded)
+    assert dim_M_signed(199, *young(130, j)) == tuple(v << 70 for v in unscaled)
+    assert list(map(_pairs, _signed_grid(ps, j, ks))) == [
+        [dim_paramodular_signed(p, k, j) for k in ks] for p in ps]
+    for p in ps:
+        assert _pairs(_signed_run(p, j, _f2s(ks))) == [
+            dim_M_signed(p, *young(k, j)) for k in ks], p
+    assert min(widths) >= 128
 
 
 def _raised(call):
@@ -317,7 +362,7 @@ def _both_routes(p, j, ks, compact_too=True):
               lambda: list(_signed_grid([p], j, ks))]
     if compact_too:
         routes += [lambda: [dim_M_signed(p, *w) for w in weights],
-                   lambda: _signed_run(p, weights)]
+                   lambda: _signed_run(p, j, _f2s(ks))]
     return [_raised(route) for route in routes]
 
 
@@ -335,7 +380,18 @@ def test_a_bent_level_raises_alike_on_both_routes(monkeypatch, dm, dtr, error, m
     assert set(_both_routes(7, 0, range(3, 12))) == {(error, message)}
 
 
-def test_a_bent_character_raises_alike_at_its_weight(monkeypatch):
+@pytest.fixture
+def fresh_runs():
+    """No packed run before or after the test: one packed from the true
+    characters would hide a fault put into them."""
+    for record in (compact._run_tops, compact._packed_run):
+        record.cache_clear()
+    yield
+    for record in (compact._run_tops, compact._packed_run):
+        record.cache_clear()
+
+
+def test_a_bent_character_raises_alike_at_its_weight(monkeypatch, fresh_runs):
     # one more chi_1 at (5, 5) alone: the routes agree up to k = 8 and both
     # stop there
     chi = compact._chi_vector
@@ -347,6 +403,19 @@ def test_a_bent_character_raises_alike_at_its_weight(monkeypatch):
     monkeypatch.setattr(compact, "_chi_vector", bent)
     (error, message), = set(_both_routes(7, 0, range(3, 12)))
     assert error is NonIntegral and message.startswith("dim M(7,5,5) = ")
+
+
+def test_residues_that_cancel_in_the_packed_sum_are_refused(monkeypatch, fresh_runs):
+    # DEN dim M = DEN tr R = 29 at (1, 1) and 1 at (2, 2): neither field of
+    # 2 DEN M+ is divisible by 2 DEN, but 2 (29 2^64 + 2^128) is, so the
+    # packed sum alone would pass; the digits of its quotient must not
+    monkeypatch.setattr(compact, "level", lambda p: Level((1,), (1,)))
+    monkeypatch.setattr(compact, "_chi_vector", lambda f1, f2: (
+        {1: 29, 2: 1}.get(f2, 0),) + (0,) * (len(CHI_INDEX) - 1))
+    assert 2 * (29 * 2**64 + 2**128) % (2 * DEN) == 0
+    assert _raised(lambda: _signed_run(7, 0, range(3))) == _raised(
+        lambda: [dim_M_signed(7, f2, f2) for f2 in range(3)]) == (
+        NonIntegral, "dim M(7,1,1) = 29/2880 is not an integer")
 
 
 def test_a_negative_dimension_raises_alike_on_both_routes(monkeypatch):
