@@ -17,7 +17,7 @@ imported at first use, where a comment says who needs it, so dim, table,
 search and bias in text load none of them.
 """
 from .compact import class_and_type, dim_M_signed, dim_M_total, trace_R
-from .characters import chi_bracket_young, chi_young
+from .characters import chi_young
 from .elliptic import dim_cusp_level1, dim_new_gamma0_signed
 from .errors import ParadimError
 from .paramodular import (
@@ -40,7 +40,6 @@ __all__ = [
     "ParadimError",
     "bias",
     "check_bias_region",
-    "chi_bracket_young",
     "chi_young",
     "class_and_type",
     "dim_A_signed",

@@ -31,16 +31,22 @@ adding 2^(W - 1) to each field and flipping its top bit gives it in two's
 complement.  The products are Python ints, so nothing can overflow
 silently; array("q") only converts fields of W = 64 bits, which fit.
 
-Checks in bulk.  2 DEN divides every field of A and B exactly when, at
-every weight, DEN divides the numerators of dim M and tr R and their
-quotients have one parity.  One division of A by 2 DEN checks all its
-fields: if the remainder is 0 and every digit u of the quotient has
-|2 DEN u| < 2^(W - 1), the digits 2 DEN u represent A, so by uniqueness
-they are its fields, and the digits u are M+ (of B, M-); else a field
-is not divisible.  Then, at the first weight whose fields a, b fail,
-t = (a + b)/2 and r = (a - b)/2 go through exact_quotient and plus_minus
-with the format strings of the three functions above: the same error at
-the same weight as the pointwise chain, each message written once.
+Checks in bulk.  At w_n let t and r be dim M and tr R as rationals: the
+numerators that the pointwise chain divides, over DEN.  The fields of A
+and B there are DEN (t + r) and DEN (t - r), so 2 DEN divides both
+exactly when t and r are integers of one parity: exactly when
+dim_M_signed raises nothing at w_n.  One division of A by 2 DEN checks
+all its fields: if the remainder is 0 and every digit u of the quotient
+has |2 DEN u| < 2^(W - 1), the digits 2 DEN u represent A, so by
+uniqueness they are its fields, and the digits u are M+ (of B, M-).
+Conversely, if every field is 2 DEN u_n, then A is 2 DEN sum u_n 2^(W n),
+so by uniqueness the quotient has the digits u_n, each in range, and the
+check passes.  Hence it fails exactly
+when dim_M_signed fails at some weight of the run, and replaying
+dim_M_signed(p, f2 + j, f2) along the run raises, at the first such
+weight, the error of the pointwise chain.  That holds while the packed
+columns are the characters that dim_M_signed reads: if the replay raises
+nothing, they are not, and NonIntegral names the run instead.
 
 The level invariants I(p) = _invariants(p) are a tuple of 20 ints, named
 by INVARIANTS.  M_ROWS is one table, since [p = 2] and [p = 3] are
@@ -73,7 +79,7 @@ from operator import mul
 
 from .arith import _split_symbols, check_level, class_number
 from .characters import chi_values
-from .errors import TypeNumberBound
+from .errors import NonIntegral, TypeNumberBound
 from .exactmath import exact_quotient, plus_minus
 from .kernels import _field_disc, b2_character_sum
 
@@ -170,28 +176,24 @@ def _chi_vector(f1, f2):
     return chi_values(CHI_INDEX, f1, f2)
 
 
-# the checked quantities, as their errors name them
-_TOTAL, _TRACE, _SPLIT = "dim M({},{},{})", "trace R({},{},{})", "M({},{},{})"
-
-
 def dim_M_total(p, f1, f2):
     """Total dimension of the space of algebraic modular forms with Young
     parameters (f1, f2) at prime level p (both genera conventions fixed
     to the non-principal one)."""
     num = sum(map(mul, level(p).m, _chi_vector(f1, f2)))
-    return exact_quotient(num, DEN, _TOTAL, p, f1, f2)
+    return exact_quotient(num, DEN, "dim M({},{},{})", p, f1, f2)
 
 
 def trace_R(p, f1, f2):
     """Trace of the Atkin-Lehner operator on the same space."""
     num = sum(map(mul, level(p).tr, _chi_vector(f1, f2)))
-    return exact_quotient(num, DEN, _TRACE, p, f1, f2)
+    return exact_quotient(num, DEN, "trace R({},{},{})", p, f1, f2)
 
 
 def dim_M_signed(p, f1, f2):
     """Signed (Atkin-Lehner eigenspace) dimensions (plus, minus): half the
     sum and half the difference of dim_M_total and trace_R."""
-    return plus_minus(dim_M_total(p, f1, f2), trace_R(p, f1, f2), _SPLIT, p, f1, f2)
+    return plus_minus(dim_M_total(p, f1, f2), trace_R(p, f1, f2), "M({},{},{})", p, f1, f2)
 
 
 def _run_columns(j, f2s):
@@ -244,8 +246,8 @@ def _unpack(x, width, offset, n):
 
 def _signed_run(p, j, f2s):
     """The columns (plus, minus) of dim_M_signed(p, f2 + j, f2) over the
-    range f2s, from one lookup of level(p); the same checks raise the same
-    errors at the same weight."""
+    range f2s, from one lookup of level(p); a failed bulk check replays
+    dim_M_signed along the run."""
     m, tr = level(p)
     if not f2s:
         return [], []
@@ -263,18 +265,12 @@ def _signed_run(p, j, f2s):
         q, r = divmod(x, den2)
         column = _unpack(q, width, offset, n)
         if r or min(column) < -limit or max(column) > limit:
-            _refuse(p, j, f2s, *(_unpack(x, width, offset, n) for x in sums))
+            for f2 in f2s:
+                dim_M_signed(p, f2 + j, f2)
+            raise NonIntegral(f"packed run p={p}, j={j}, f2 in {f2s}: the bulk check "
+                              "fails, but dim_M_signed passes at every weight")
         columns.append(column)
     return columns
-
-
-def _refuse(p, j, f2s, a, b):
-    """Raise what dim_M_signed raises at the first weight of the run where
-    2 DEN does not divide the field of A (in a) or of B (in b)."""
-    f2, x, y = next(row for row in zip(f2s, a, b) if row[1] % (2 * DEN) or row[2] % (2 * DEN))
-    total = exact_quotient((x + y) // 2, DEN, _TOTAL, p, f2 + j, f2)
-    trace = exact_quotient((x - y) // 2, DEN, _TRACE, p, f2 + j, f2)
-    plus_minus(total, trace, _SPLIT, p, f2 + j, f2)
 
 
 def class_and_type(p):

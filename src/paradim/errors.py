@@ -34,10 +34,6 @@ class BadIndex(ParadimError):
     """Character index outside 1..17."""
 
 
-class IrrationalResidue(ParadimError):
-    """The sqrt(m) component of a character value failed to cancel."""
-
-
 class BadYoung(ParadimError):
     """Weights must be integers in range; Young parameters must satisfy
     f1 >= f2 >= 0 and f1 == f2 (mod 2)."""

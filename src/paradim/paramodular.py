@@ -9,14 +9,14 @@ plus space, M+ for the minus space) at the Young weight
 weight-(j + 2) newspace of Gamma_0(p) times dim S_{2k+j-2}(SL_2(Z)), and
 takes dim S_{2k-2}(SL_2(Z)) + [k = 3] off the minus space at j = 0.  Only
 the compact side depends on both the level and the weight, and it is
-evaluated on every call; the other terms are read from a per-weight
-record, _weight_terms(k, j), and a per-level one, _lifted_newspace(p, j).
-_cusp_pair assembles S^+- from the three, and is the one home of that
-formula.
+evaluated on every call; the other weight terms are read from a
+per-weight record, _weight_terms(k, j), and the newspace from
+elliptic's per-level record.  _cusp_pair assembles S^+- from the three,
+and is the one home of that formula.
 
 Grids.  check_bias_region and the graded S and A sequences from k = 3
 ask for whole runs of weights at a prime.  _signed_grid(ps, j, ks) reads
-the weight records once per call as columns, and per prime the lifted
+the weight records once per call as columns, and per prime the signed
 newspace once and the compact columns of all of ks from one packed
 compact._signed_run.  _cusp_pair (S^+- and NegativeDim) and _signed_bias
 (the sign rule) work on columns with map, one C loop per term;
@@ -65,7 +65,7 @@ from .exactmath import RationalGF, fit_numerator, from_terms, is_int
 from .siegel1 import dim_cusp_sp4
 
 
-# Both records are typed: (4.0, 2) would otherwise hit the entry of (4, 2).
+# typed: (4.0, 2) would otherwise hit the entry of (4, 2)
 @lru_cache(maxsize=None, typed=True)
 def _weight_terms(k, j):
     """The Siegel term, the lift multiplier and the minus-space drop of
@@ -74,12 +74,6 @@ def _weight_terms(k, j):
     if j == 0:
         drop = dim_cusp_level1(2 * k - 2) + (1 if k == 3 else 0)
     return dim_cusp_sp4(k, j), dim_cusp_level1(2 * k + j - 2), drop
-
-
-@lru_cache(maxsize=None, typed=True)
-def _lifted_newspace(p, j):
-    """The signed newspace of dim_paramodular_signed at (p, j)."""
-    return dim_new_gamma0_signed(p, j + 2)
 
 
 def dim_paramodular_signed(p, k, j=0):
@@ -94,15 +88,15 @@ def dim_paramodular_signed(p, k, j=0):
         return 0, 0
     # the level first: a non-prime p raises NotPrimeLevel at every j
     m_plus, m_minus = dim_M_signed(p, *young(k, j))
-    (plus,), (minus,) = _cusp_pair(p, j, (k,), ([m_plus], [m_minus]),
-                                   zip(_weight_terms(k, j)), _lifted_newspace(p, j))
+    (plus,), (minus,) = _cusp_pair(p, j, (k,), ([m_plus], [m_minus]), zip(_weight_terms(k, j)),
+                                   dim_new_gamma0_signed(p, j + 2))
     return plus, minus
 
 
 def _cusp_pair(p, j, ks, m_run, terms, lifted):
     """The columns (S^+, S^-) over the weights ks at (p, j), from the
     compact columns m_run = (M+, M-) at their Young weights, the columns
-    terms of _weight_terms(k, j) and lifted = _lifted_newspace(p, j);
+    terms of _weight_terms(k, j) and lifted = dim_new_gamma0_signed(p, j + 2);
     NegativeDim at the first k where either entry is negative."""
     m_plus, m_minus = m_run
     sp, lift, minus_drop = terms
@@ -131,7 +125,7 @@ def _signed_grid(ps, j, ks):
     f2s = range(ks.start - 3, ks.stop - 3)
     for p in ps:
         m_run = _signed_run(p, j, f2s)
-        yield _cusp_pair(p, j, ks, m_run, terms, _lifted_newspace(p, j))
+        yield _cusp_pair(p, j, ks, m_run, terms, dim_new_gamma0_signed(p, j + 2))
 
 
 def dim_weight3(p):

@@ -8,14 +8,7 @@ import time
 from math import comb, lcm
 
 from paradim.arith import primes_up_to
-from paradim.characters import (
-    CHI_TABLE,
-    _pf,
-    chi_bracket_young,
-    chi_series,
-    chi_young,
-    young,
-)
+from paradim.characters import CHI_TABLE, chi_young, young
 from paradim.compact import class_and_type, dim_M_signed, dim_M_total, trace_R
 from paradim.corpus import run_checks
 from paradim.data import load_csv, load_json
@@ -35,6 +28,8 @@ from paradim.quaternion import (
     family_tallies,
     verify_trace_p23,
 )
+
+from character_oracles import _pf, chi_bracket_young, chi_series
 
 
 # (p, dim J_{2,p}): the published weight-2 index-p Jacobi cusp form

@@ -6,7 +6,7 @@ They read the ingredients from `paradim.arith` and the characters from
 `chi_young` directly, so they share neither the coefficient records nor
 the cached character vectors with the code they check.  The oracle for
 S^± adds its terms as `dim_paramodular_signed` did before it read them
-from its per-weight and per-level records.
+from its per-weight record.
 """
 from fractions import Fraction
 
@@ -21,7 +21,6 @@ from paradim.errors import BadYoung, MissingJacobiData, NotPrimeLevel
 from paradim.paramodular import (
     LIFTS_ONLY_BELOW,
     SPACES,
-    _lifted_newspace,
     _space_sequence,
     _weight_terms,
     dim_A_signed,
@@ -190,11 +189,10 @@ def paramodular_signed_oracle(p, k, j):
 
 def test_cached_assembly_matches_term_by_term_oracle():
     grid = [(p, k, j) for p in primes_up_to(200) for k in range(3, 61) for j in (0, 2, 4)]
-    # each walk starts from empty records, so neither order can read an
-    # entry the other one left behind
+    # each walk starts from an empty weight record, so neither order can
+    # read an entry the other one left behind
     for walk in (grid, grid[::-1]):
         _weight_terms.cache_clear()
-        _lifted_newspace.cache_clear()
         for p, k, j in walk:
             assert dim_paramodular_signed(p, k, j) == paramodular_signed_oracle(p, k, j), (p, k, j)
 

@@ -4,18 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from paradim import characters, compact
-from paradim.characters import (
-    CHI_TABLE,
-    PHI_COEFFS,
-    chi_bracket_young,
-    chi_series,
-    chi_values,
-    chi_young,
-    young,
-)
+from paradim.arith import primes_up_to
+from paradim.characters import CHI_TABLE, chi_values, chi_young, young
 from paradim.errors import BadIndex, BadYoung, NonIntegral
 from paradim.exactmath import fit_numerator, is_palindromic, palindromic_ell
 from paradim.paramodular import hilbert_series
+
+from character_oracles import PHI_COEFFS, chi_bracket_young, chi_series
 
 
 def test_weight_params():
@@ -125,6 +120,15 @@ def test_minus_series_inherits_the_functional_equation():
     assert is_palindromic(gf) and palindromic_ell(gf) == 3
 
 
+def test_compact_series_are_palindromic_at_j_0_only():
+    # the functional equation holds for every prime at j = 0, not beyond
+    for p in primes_up_to(99):
+        for space in ("M", "M+", "M-"):
+            gf = hilbert_series(p, space).gf
+            assert is_palindromic(gf) and palindromic_ell(gf) == 3, (p, space)
+    assert not is_palindromic(hilbert_series(7, "M", 2).gf)
+
+
 def test_vector_equals_chi_young():
     for f2 in range(60):
         for f1 in range(f2, f2 + 40, 2):
@@ -172,7 +176,7 @@ def test_young_validation():
 
 @pytest.mark.parametrize("f1, f2", [(2.5, 0.5), (2.0, 0), (2, "0")])
 def test_non_integer_young_is_refused(f1, f2):
-    # (2.5, 0.5) used to raise IrrationalResidue
+    # (2.5, 0.5) used to get past the domain check
     with pytest.raises(BadYoung):
         chi_young(2, f1, f2)
     with pytest.raises(BadYoung):

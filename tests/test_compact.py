@@ -158,7 +158,7 @@ def test_young_validation():
 
 @pytest.mark.parametrize("f1, f2", [(2.5, 0.5), (3, 0.5), (2.0, 2.0)])
 def test_non_integer_young_is_refused(f1, f2):
-    # (2.5, 0.5) used to raise IrrationalResidue
+    # (2.5, 0.5) used to get past the domain check
     for fn in (dim_M_signed, dim_M_total, trace_R):
         with pytest.raises(BadYoung):
             fn(7, f1, f2)

@@ -19,7 +19,6 @@ from paradim.errors import ParadimError
 IN_DOMAIN = {
     "bias": (7, 4),
     "check_bias_region": (7, 6),
-    "chi_bracket_young": (2, 4, 2),
     "chi_young": (2, 4, 2),
     "class_and_type": (7,),
     "dim_A_signed": (7, 4),

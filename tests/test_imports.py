@@ -13,9 +13,11 @@ constant assigned in src/paradim, outside its own assignment: one that
 is not is a leftover of a design that is gone.  A public module-level
 function or class of src/paradim must be named in the code (not the
 docstrings) of src/paradim outside its own definition, or be exported in
-`paradim.__all__`, or be a function that perfbench/tracer.py times, or be
-one of ORACLES: else it is an entry point that nothing calls.  When the
-tracer drops a target, this asks for that function's deletion.
+`paradim.__all__`, or be a function that perfbench/tracer.py times: else
+it is an entry point that nothing calls.  An oracle, an independent route
+that only the tests call, lives in tests/ (tests/naive_kernels.py,
+tests/character_oracles.py).  When the tracer drops a target, this asks
+for that function's deletion or its move to tests/.
 
 An `lru_cache` on a function of two or more parameters must be
 `typed=True`: an untyped key (7, 4.0) equals (7, 4), so a warm entry
@@ -30,6 +32,10 @@ empties; kernels.py keeps its five growable tables `_spf`, `_primes`,
 
 No `assert` statement appears in src/paradim: `python -O` strips them,
 so a mathematical invariant is checked by raising a typed ParadimError.
+
+Every import of src/paradim is relative or names a module of
+`sys.stdlib_module_names`: the package depends on nothing outside the
+standard library, and never on the oracles of tests/.
 
 Every command runs in a fresh process, so import time is paid on every
 call: `import paradim, paradim.cli` must not load dataclasses or inspect
@@ -155,14 +161,6 @@ def test_no_unnamed_private_defs():
     assert unnamed_private_defs(sources, checked) == []
 
 
-# (module, name, why it stays): public functions that no code of src/paradim
-# calls, kept as an independent route that the tests compare the fast one with
-ORACLES = (
-    ("paradim.characters", "chi_series",
-     "the Weyl character formula; tests/test_acceptance.py proves chi_values by it"),
-)
-
-
 def uncalled_public_defs(sources, checked):
     """The public module-level functions and classes that nothing names."""
     return _unnamed(sources, checked, lambda stmt, name: (
@@ -183,7 +181,6 @@ def test_every_public_name_has_a_caller():
                if path.name != "__init__.py"}
     kept = {(getattr(paradim, name).__module__, name) for name in paradim.__all__}
     kept.update((module, name) for _, module, name, _ in _targets())
-    kept.update((module, name) for module, name, _ in ORACLES)
     found = [f"{module}:{line}: {name}"
              for module, line, name in uncalled_public_defs(sources, set(sources))
              if (module, name) not in kept]
@@ -302,6 +299,38 @@ def test_no_asserts_in_the_package():
     found = [f"{path.relative_to(ROOT)}:{line}"
              for path in sorted((ROOT / "src" / "paradim").rglob("*.py"))
              for line in assert_lines(path.read_text())]
+    assert found == []
+
+
+def foreign_imports(source):
+    """(line, module) of each absolute import of `source` whose top-level
+    module is not in the standard library."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        found.extend((node.lineno, module) for module in modules
+                     if module.split(".")[0] not in sys.stdlib_module_names)
+    return found
+
+
+def test_foreign_import_detector():
+    source = ("import os.path, naive_kernels\nfrom . import kernels\n"
+              "from .arith import a_p\nfrom hypothesis import given\n"
+              "from __future__ import annotations\n\n\ndef f():\n"
+              "    from character_oracles import chi_series\n")
+    assert foreign_imports(source) == [(1, "naive_kernels"), (4, "hypothesis"),
+                                       (9, "character_oracles")]
+
+
+def test_package_imports_only_itself_and_the_standard_library():
+    found = [f"{path.relative_to(ROOT)}:{line}: {module}"
+             for path in sorted((ROOT / "src" / "paradim").rglob("*.py"))
+             for line, module in foreign_imports(path.read_text())]
     assert found == []
 
 

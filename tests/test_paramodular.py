@@ -39,7 +39,6 @@ from paradim.errors import (
 from paradim.exactmath import RationalGF, is_palindromic, series_coeffs
 from paradim.paramodular import (
     FALLBACK_DENOMINATORS,
-    _lifted_newspace,
     _signed_grid,
     _weight_terms,
     bias,
@@ -138,8 +137,6 @@ def test_warm_records_still_refuse_non_int_input():
         _weight_terms(4.0, 2)
     with pytest.raises(BadYoung):
         _weight_terms(4, 2.0)
-    with pytest.raises(NotPrimeLevel):
-        _lifted_newspace(7.0, 2)
 
 
 def test_table_spot_checks():
@@ -261,7 +258,7 @@ def test_bias_region_weight_bound_must_be_integer(kmax):
 def test_a_negative_dimension_is_refused(monkeypatch, lifted):
     # more lifts than the whole space holds would leave S^+ or S^- negative;
     # at k = 12 each lift counts dim S_22(SL_2(Z)) = 1 times
-    monkeypatch.setattr(paramodular, "_lifted_newspace", lambda p, j: lifted)
+    monkeypatch.setattr(paramodular, "dim_new_gamma0_signed", lambda p, k: lifted)
     with pytest.raises(NegativeDim, match=r"p=7, \(k,j\)=\(12,0\)"):
         dim_paramodular_signed(7, 12)
 
@@ -383,11 +380,13 @@ def test_a_bent_level_raises_alike_on_both_routes(monkeypatch, dm, dtr, error, m
 @pytest.fixture
 def fresh_runs():
     """No packed run before or after the test: one packed from the true
-    characters would hide a fault put into them."""
-    for record in (compact._run_tops, compact._packed_run):
+    characters would hide a fault put into them.  The records are taken
+    before the test, which may patch them."""
+    records = (compact._run_tops, compact._packed_run)
+    for record in records:
         record.cache_clear()
     yield
-    for record in (compact._run_tops, compact._packed_run):
+    for record in records:
         record.cache_clear()
 
 
@@ -416,6 +415,22 @@ def test_residues_that_cancel_in_the_packed_sum_are_refused(monkeypatch, fresh_r
     assert _raised(lambda: _signed_run(7, 0, range(3))) == _raised(
         lambda: [dim_M_signed(7, f2, f2) for f2 in range(3)]) == (
         NonIntegral, "dim M(7,1,1) = 29/2880 is not an integer")
+
+
+def test_a_packing_fault_is_not_blamed_on_dim_M(monkeypatch, fresh_runs):
+    # one more chi_1 at (1, 1) in the packed column alone: dim_M_signed
+    # holds at every weight of the run, so the error names the packed run
+    packed_run = compact._packed_run
+    pointwise = [dim_M_signed(7, f2, f2) for f2 in range(10)]
+
+    def faulty(j, f2s, width):
+        columns, offset = packed_run(j, f2s, width)
+        return (columns[0] + (1 << width),) + columns[1:], offset
+
+    monkeypatch.setattr(compact, "_packed_run", faulty)
+    with pytest.raises(NonIntegral, match=r"^packed run p=7, j=0, f2 in range\(0, 10\): "):
+        _signed_run(7, 0, range(10))
+    assert [dim_M_signed(7, f2, f2) for f2 in range(10)] == pointwise
 
 
 def test_a_negative_dimension_raises_alike_on_both_routes(monkeypatch):
