@@ -5,8 +5,9 @@ parameters (f1, f2), evaluated at any group element whose principal
 polynomial is phi_i(+-x).  One table, CHI_TABLE, gives them: chi_i is a
 sum of polynomial factors F(u, v) times periodic brackets [row]_k over a
 denominator, in the weight coordinates (k, j) = (f2 + 3, f1 - f2), which
-young(k, j) inverts.  chi_values reads it, and chi_young is its
-one-index case.
+young(k, j) inverts.  chi_columns reads it a column at a time along a
+run of weights (f1 + t, f2 + t); chi_values is its run of one, and
+chi_young the one-index case of that.
 
 The oracles of the table live in tests/character_oracles.py: the Weyl
 character formula and closed forms indexed by (f1, f2).
@@ -109,19 +110,38 @@ CHI_TABLE = {
 }
 
 
-def chi_values(indices, f1, f2):
-    """chi_i(f1, f2) for each i of `indices`, in order, read from CHI_TABLE:
-    the Young weight is checked and turned into (k, j) once for the tuple."""
+def chi_columns(indices, f1, f2, n):
+    """The columns chi_i(f1 + t, f2 + t), t < n, for each i of `indices` in
+    order, read from CHI_TABLE column by column.  The run keeps j = f1 - f2,
+    so checking its first Young weight checks them all; chi_values is the
+    run of one."""
     _check_young(f1, f2)
-    k, j = f2 + 3, f1 - f2
-    u, v = f2 + 1, f1 + 2
-    out = []
+    k0, j = f2 + 3, f1 - f2
+    ks = range(k0, k0 + n)
+    # each factor F(u, v), at u = k - 2 and v = j + k - 1, once per run
+    factors = {}
+    columns = []
     for i in indices:
         _check_index(i)
         den, terms = CHI_TABLE[i]
-        num = sum([f(u, v) * _br(rows[j // 2 % len(rows)], k) for f, rows in terms])
-        out.append(exact_quotient(num, den, "chi_{}(k={}, j={})", i, k, j))
-    return tuple(out)
+        nums = [0] * n
+        for f, rows in terms:
+            xs = factors.get(f)
+            if xs is None:
+                xs = factors[f] = [f(k - 2, k + j - 1) for k in ks]
+            row = rows[j // 2 % len(rows)]
+            for t, k in enumerate(ks):
+                nums[t] += xs[t] * row[k % len(row)]
+        if den > 1:
+            nums = [exact_quotient(num, den, "chi_{}(k={}, j={})", i, k, j)
+                    for num, k in zip(nums, ks)]
+        columns.append(tuple(nums))
+    return columns
+
+
+def chi_values(indices, f1, f2):
+    """chi_i(f1, f2) for each i of `indices`, in order."""
+    return tuple([column[0] for column in chi_columns(indices, f1, f2, 1)])
 
 
 def chi_young(i, f1, f2):

@@ -12,23 +12,33 @@ A single weight keeps that chain of three calls (dim, table, weight 3):
 perfbench/tests/test_harness.py counts one dim_M_total call for a dim
 command.
 
-Packed runs.  _signed_run(p, j, f2s) gives dim_M_signed along the
-weights w_n = (f2 + j, f2), f2 in the range f2s, from a few big-integer
-products (Kronecker substitution).  The weight side is shared by every
-prime: each column of CHI_INDEX over the run is packed into one int
-X_i = sum_n chi_i(w_n) 2^(W n), held by _packed_run per run and width W.
-The level side reads level(p) once and forms A = sum (m_i + tr_i) X_i and
-B = sum (m_i - tr_i) X_i, whose n-th fields are 2 DEN M+ and 2 DEN M- at
-w_n; CPython's C loops do every multiply-add of a column at once.
+Packed runs.  _signed_packed(p, j, f2s, extra) gives dim_M_signed along
+the weights w_n = (f2 + j, f2), f2 in the range f2s, from a few
+big-integer products (Kronecker substitution); _signed_run unpacks it
+into lists.  The weight side is shared by every prime: _chi_run reads the
+columns of CHI_INDEX over the run from characters.chi_columns, and
+_packed_run packs each into one int X_i = sum_n chi_i(w_n) 2^(W n) per
+width W.  The level side reads level(p) once and forms
+A = sum (m_i + tr_i) X_i and B = sum (m_i - tr_i) X_i, whose n-th fields
+are 2 DEN M+ and 2 DEN M- at w_n; CPython's C loops do every multiply-add
+of a column at once.  The quotients of A and B by 2 DEN are M+ and M-
+packed at W, which paramodular carries on to S+-, their signs and the
+bias without unpacking them.
 
-Why it is exact.  W is the least multiple of 64 above the bit length of
-an integer bound on max_n |chi_i(w_n)| for every i and on
-sum_i |c_i| max_n |chi_i(w_n)| for both rows c = m + tr and m - tr.  So
-every field v of a column, of A and of B has |v| < 2^(W - 1), and digits
-in [-2^(W - 1), 2^(W - 1)) to base 2^W are unique: A and B determine
-their fields.  _pack and _unpack cross between such digits and bytes;
-adding 2^(W - 1) to each field and flipping its top bit gives it in two's
-complement.  The products are Python ints, so nothing can overflow
+Why it is exact.  Packing is linear: an integer combination of packed
+ints packs the same combination of their fields, and digits in
+[-2^(W - 1), 2^(W - 1)) to base 2^W are unique, so a packed int whose
+fields lie there determines them.  W is the least multiple of 64 above
+the bit length of a bound b >= max_n |chi_i(w_n)| for every i; with a,
+a' the bounds sum_i |c_i| max_n |chi_i(w_n)| on the fields of A and B
+(c = m + tr and m - tr), also b >= 2a, b >= 2a' and
+b >= a // (2 DEN) + a' // (2 DEN) + extra.  So every field of a column,
+and |M+| + |M-| + extra at each weight, lie below 2^(W - 1), and every
+field of A and of B below 2^(W - 2).  paramodular passes as extra what
+the Siegel term, the minus drop and the lifts add, so the fields of S+,
+S- and S+ - S- lie in range too.  _pack and _unpack cross between such
+digits and bytes; adding 2^(W - 1) to each field and flipping its top
+bit gives it in two's complement.  The products are Python ints, so nothing can overflow
 silently; array("q") only converts fields of W = 64 bits, which fit.
 
 Checks in bulk.  At w_n let t and r be dim M and tr R as rationals: the
@@ -36,17 +46,29 @@ numerators that the pointwise chain divides, over DEN.  The fields of A
 and B there are DEN (t + r) and DEN (t - r), so 2 DEN divides both
 exactly when t and r are integers of one parity: exactly when
 dim_M_signed raises nothing at w_n.  One division of A by 2 DEN checks
-all its fields: if the remainder is 0 and every digit u of the quotient
-has |2 DEN u| < 2^(W - 1), the digits 2 DEN u represent A, so by
-uniqueness they are its fields, and the digits u are M+ (of B, M-).
-Conversely, if every field is 2 DEN u_n, then A is 2 DEN sum u_n 2^(W n),
-so by uniqueness the quotient has the digits u_n, each in range, and the
-check passes.  Hence it fails exactly
-when dim_M_signed fails at some weight of the run, and replaying
-dim_M_signed(p, f2 + j, f2) along the run raises, at the first such
-weight, the error of the pointwise chain.  That holds while the packed
-columns are the characters that dim_M_signed reads: if the replay raises
-nothing, they are not, and NonIntegral names the run instead.
+all its fields.  Let e be the bit length of 2 DEN, h = 2^(W - 1 - e), so
+that 2 DEN h < 2^(W - 1), and H, L the ints whose every field is h and
+2h - 1.  The check passes when the remainder is 0 and the quotient q
+has q + H | L = L: then q + H has digits in [0, 2h), so q has digits u_n
+in [-h, h), and |2 DEN u_n| < 2^(W - 1); the digits 2 DEN u_n represent
+A, so by uniqueness they are its fields, and the u_n are M+ (of B, M-).
+Conversely, if every field of A is 2 DEN u_n, then |u_n| < 2^(W - 2) /
+2^(e - 1) = h, q = sum u_n 2^(W n) and the check passes.  Hence it fails
+exactly when dim_M_signed fails at some weight of the run, and
+replaying dim_M_signed(p, f2 + j, f2) along the run raises, at the first
+such weight, the error of the pointwise chain.  That holds while the
+packed columns are the characters that dim_M_signed reads: if the replay
+raises nothing, they are not, and NonIntegral names the run instead.
+
+Signs in bulk.  Let T be the int whose every field is 2^(W - 1).  For x
+packed with fields v_n in range, x + T has the fields v_n + 2^(W - 1) in
+[0, 2^W): those are its digits to base 2^W, with no carry between fields
+(the borrow of a negative field is paid from its own offset), and the
+top bit of each is set exactly when v_n >= 0.  So (x + T) & T = T
+exactly when no field of x is negative, the lowest set bit of
+T & ~(x + T) is the top bit of the first negative field, and T - x, with
+the fields 2^(W - 1) - v_n, finds the fields v_n <= 0.  paramodular tests
+S+- and the bias so, one int at a time.
 
 The level invariants I(p) = _invariants(p) are a tuple of 20 ints, named
 by INVARIANTS.  M_ROWS is one table, since [p = 2] and [p = 3] are
@@ -59,7 +81,8 @@ division.
 
 The record Level(m, tr) holds both coefficient vectors once per prime,
 indexed by CHI_INDEX.  The character vector _chi_vector(f1, f2) is one
-call of characters.chi_values(CHI_INDEX, f1, f2).
+call of characters.chi_values(CHI_INDEX, f1, f2), the run of one of the
+columns that _chi_run reads.
 
 Functional equation.  At j = 0 each scalar character series
 F_i(t) = sum_{f >= 0} chi_i(f, f) t^f, i in CHI_INDEX, is rational over
@@ -78,7 +101,7 @@ from itertools import zip_longest
 from operator import mul
 
 from .arith import _split_symbols, check_level, class_number
-from .characters import chi_values
+from .characters import chi_columns, chi_values
 from .errors import NonIntegral, TypeNumberBound
 from .exactmath import exact_quotient, plus_minus
 from .kernels import _field_disc, b2_character_sum
@@ -88,6 +111,7 @@ from .kernels import _field_disc, b2_character_sum
 CHI_INDEX = (1, 2, 3, 4, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16, 17)
 
 DEN = 2880
+DEN2 = 2 * DEN
 
 # I(p), as _invariants returns it: s_d = (d/p), s_p5 = (p/5), d_q = [p = q], b5 =
 # 5 B_{2,chi} of Q(sqrt(p)), h_n = h(n), s2_x = (2/p) x; b5, h_n are 0 at p = 2, 3.
@@ -196,26 +220,50 @@ def dim_M_signed(p, f1, f2):
     return plus_minus(dim_M_total(p, f1, f2), trace_R(p, f1, f2), "M({},{},{})", p, f1, f2)
 
 
-def _run_columns(j, f2s):
-    """The columns of CHI_INDEX along the weights (f2 + j, f2), f2 in f2s."""
-    return tuple(zip(*[_chi_vector(f2 + j, f2) for f2 in f2s]))
-
-
-# Both run records are keyed by the range f2s, typed so that j = 2.0 misses
+# The run records are keyed by the range f2s, typed so that j = 2.0 misses
 # the entry of j = 2; a run is asked for at every prime of a grid.
 @lru_cache(maxsize=64, typed=True)
-def _run_tops(j, f2s):
-    """max |chi_i| over the run, for each i of CHI_INDEX."""
-    return tuple(max(map(abs, column)) for column in _run_columns(j, f2s))
+def _chi_run(j, f2s):
+    """(columns, tops): the columns of CHI_INDEX along the weights
+    (f2 + j, f2), f2 in the range f2s, and max |chi_i| over each."""
+    columns = chi_columns(CHI_INDEX, f2s.start + j, f2s.start, len(f2s))
+    return columns, tuple(max(map(abs, column), default=0) for column in columns)
 
 
 @lru_cache(maxsize=64, typed=True)
 def _packed_run(j, f2s, width):
     """(X, offset): the columns of the run packed at `width`, and the offset
     that _pack and _unpack take there."""
-    half = (1 << width - 1).to_bytes(width // 8, "little")
-    offset = int.from_bytes(half * len(f2s), "little")
-    return tuple(_pack(column, width, offset) for column in _run_columns(j, f2s)), offset
+    offset = _repeat(1 << width - 1, width, len(f2s))
+    return tuple(_pack(column, width, offset) for column in _chi_run(j, f2s)[0]), offset
+
+
+def _width(bound):
+    """W for `bound` (see "Why it is exact"): fields of W bits hold every v
+    with |v| <= bound."""
+    return 64 * (bound.bit_length() // 64 + 1)
+
+
+def _repeat(field, width, n):
+    """sum_t field 2^(width t) over t < n, for 0 <= field < 2^width."""
+    return int.from_bytes(field.to_bytes(width // 8, "little") * n, "little")
+
+
+def _mask(flags, width):
+    """The int whose field n has every bit set where flags[n] holds, and
+    none where it does not."""
+    return int.from_bytes(b"".join(bytes([255 * flag]) * (width // 8) for flag in flags),
+                          "little")
+
+
+def _field(x, n, width, top):
+    """Field n of x packed at `width`, top the top bit of every field."""
+    return ((x + top) >> width * n & (1 << width) - 1) - (1 << width - 1)
+
+
+def _first_field(bits, width):
+    """The index of the field that holds the lowest set bit of bits > 0."""
+    return ((bits & -bits).bit_length() - 1) // width
 
 
 def _native(width):
@@ -244,33 +292,40 @@ def _unpack(x, width, offset, n):
             for i in range(0, len(data), size)]
 
 
-def _signed_run(p, j, f2s):
-    """The columns (plus, minus) of dim_M_signed(p, f2 + j, f2) over the
-    range f2s, from one lookup of level(p); a failed bulk check replays
-    dim_M_signed along the run."""
+def _signed_packed(p, j, f2s, extra=0):
+    """(plus, minus, width): the columns of dim_M_signed(p, f2 + j, f2) over
+    the range f2s, packed at `width`, from one lookup of level(p).  Fields
+    of that width also hold every v with |v| <= |M+| + |M-| + extra at
+    each weight of the run.  A failed bulk check replays dim_M_signed
+    along the run."""
     m, tr = level(p)
-    if not f2s:
-        return [], []
-    tops = _run_tops(j, f2s)
+    tops = _chi_run(j, f2s)[1]
     combos = [[a + b for a, b in zip_longest(m, tr, fillvalue=0)],
               [a - b for a, b in zip_longest(m, tr, fillvalue=0)]]
-    bound = max(max(tops), *(sum(map(mul, map(abs, c), tops)) for c in combos))
-    width = 64 * (bound.bit_length() // 64 + 1)
+    bounds = [sum(map(mul, map(abs, c), tops)) for c in combos]
+    width = _width(max(max(tops, default=0), 2 * max(bounds),
+                       sum(b // DEN2 for b in bounds) + extra))
     packed, offset = _packed_run(j, f2s, width)
-    sums = [sum(map(mul, c, packed)) for c in combos]
-    den2, n = 2 * DEN, len(f2s)
-    limit = ((1 << width - 1) - 1) // den2
-    columns = []
-    for x in sums:
-        q, r = divmod(x, den2)
-        column = _unpack(q, width, offset, n)
-        if r or min(column) < -limit or max(column) > limit:
+    # H and L of "Checks in bulk": h and 2h - 1 in every field
+    h = offset >> DEN2.bit_length()
+    low = (h << 1) - (offset >> width - 1)
+    quotients = []
+    for c in combos:
+        q, r = divmod(sum(map(mul, c, packed)), DEN2)
+        if r or (q + h) | low != low:
             for f2 in f2s:
                 dim_M_signed(p, f2 + j, f2)
             raise NonIntegral(f"packed run p={p}, j={j}, f2 in {f2s}: the bulk check "
                               "fails, but dim_M_signed passes at every weight")
-        columns.append(column)
-    return columns
+        quotients.append(q)
+    return (*quotients, width)
+
+
+def _signed_run(p, j, f2s):
+    """The two columns of _signed_packed(p, j, f2s) as lists."""
+    *columns, width = _signed_packed(p, j, f2s)
+    offset = _packed_run(j, f2s, width)[1]
+    return [_unpack(x, width, offset, len(f2s)) for x in columns]
 
 
 def class_and_type(p):

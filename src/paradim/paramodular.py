@@ -15,14 +15,27 @@ elliptic's per-level record.  _cusp_pair assembles S^+- from the three,
 and is the one home of that formula.
 
 Grids.  check_bias_region and the graded S and A sequences from k = 3
-ask for whole runs of weights at a prime.  _signed_grid(ps, j, ks) reads
-the weight records once per call as columns, and per prime the signed
-newspace once and the compact columns of all of ks from one packed
-compact._signed_run.  _cusp_pair (S^+- and NegativeDim) and _signed_bias
-(the sign rule) work on columns with map, one C loop per term;
-dim_paramodular_signed and bias call them with runs of one.  A prime's
-compact errors come first, then NegativeDim and BiasViolation at its
-first bad k.  dim_paramodular_signed stays the route of a single weight
+ask for whole runs of weights at a prime, and each run stays packed from
+the characters up to the bias (compact, "Packed runs").  The weight side
+is built once per run and shared by every prime: _weight_run(j, ks)
+holds the columns of _weight_terms, their maxima and the Eisenstein pair
+of the A spaces; _packed_weights(j, ks, W) packs the Siegel term SP, SP
+less the minus drop DROP and the lift multiplier LIFT at the width W,
+with the masks of the fields' top bits and of the fields at even k.  Per
+prime, _cusp_runs reads the signed newspace (s+, s-), and
+compact._signed_packed packs M+- at a W that also holds what _extra says
+the weight terms add.  _cusp_pair forms S+ = SP + M- - s+ LIFT and
+S- = SP - DROP + M+ - s- LIFT as two ints, and _signed_bias gives
+(-1)^k (S+ - S-) by adding the fields at even k of S+ - S- twice and the
+whole difference once with the sign flipped.  NegativeDim and the sign of
+the bias are read from the top bits of the fields (compact, "Signs in
+bulk"), and a field is unpacked only to name the first bad k.
+check_bias_region reads only the zero fields, and _signed_grid unpacks
+S+- for the sequences.  A prime's compact errors come first, then
+NegativeDim and BiasViolation at its first bad k.  A packed run of one
+is its value, so dim_paramodular_signed and bias evaluate a single
+weight by the same integer expressions, from the pointwise chain of
+dim_M_signed; dim_paramodular_signed stays the route of a single weight
 (dim, table), and below k = 3 the sequences stay pointwise, where weight
 2 may raise MissingJacobiData.
 
@@ -42,12 +55,23 @@ polynomial division.
 """
 from collections import namedtuple
 from functools import lru_cache
-from itertools import cycle, repeat
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, sub
 
 from .arith import check_level, primes_up_to
 from .characters import young
-from .compact import _signed_run, class_and_type, dim_M_signed
+from .compact import (
+    _field,
+    _first_field,
+    _mask,
+    _pack,
+    _repeat,
+    _signed_packed,
+    _signed_run,
+    _unpack,
+    _width,
+    class_and_type,
+    dim_M_signed,
+)
 from .data import load_json
 from .elliptic import dim_cusp_level1, dim_modular_level1, dim_new_gamma0_signed
 from .errors import (
@@ -88,26 +112,71 @@ def dim_paramodular_signed(p, k, j=0):
         return 0, 0
     # the level first: a non-prime p raises NotPrimeLevel at every j
     m_plus, m_minus = dim_M_signed(p, *young(k, j))
-    (plus,), (minus,) = _cusp_pair(p, j, (k,), ([m_plus], [m_minus]), zip(_weight_terms(k, j)),
-                                   dim_new_gamma0_signed(p, j + 2))
-    return plus, minus
+    ks, lifted = range(k, k + 1), dim_new_gamma0_signed(p, j + 2)
+    width = _width(abs(m_plus) + abs(m_minus) + _extra(j, ks, lifted))
+    return _cusp_pair(p, j, ks, (m_plus, m_minus, width), lifted)
 
 
-def _cusp_pair(p, j, ks, m_run, terms, lifted):
-    """The columns (S^+, S^-) over the weights ks at (p, j), from the
-    compact columns m_run = (M+, M-) at their Young weights, the columns
-    terms of _weight_terms(k, j) and lifted = dim_new_gamma0_signed(p, j + 2);
-    NegativeDim at the first k where either entry is negative."""
-    m_plus, m_minus = m_run
-    sp, lift, minus_drop = terms
+# Every prime of a grid reads the weight records of its run ks; a float j
+# gets its own key.
+@lru_cache(maxsize=64, typed=True)
+def _weight_run(j, ks):
+    """(terms, tops, eisenstein): the columns of _weight_terms(k, j) over
+    the range ks, max |.| of each, and the columns of the pair that
+    dim_A_signed adds to dim_S_signed."""
+    terms = tuple(map(list, zip(*[_weight_terms(k, j) for k in ks])))
+    eisenstein = [dim_modular_level1(k) for k in ks], [dim_cusp_level1(k) for k in ks]
+    return terms, [max(map(abs, t), default=0) for t in terms], eisenstein
+
+
+def _extra(j, ks, lifted):
+    """A bound on what the weight terms of ks and lifted =
+    dim_new_gamma0_signed(p, j + 2) add to M+- in S+-, and to M- - M+ in
+    S+ - S-, at each weight."""
+    sp, lift, drop = _weight_run(j, ks)[1]
+    return sp + drop + (abs(lifted[0]) + abs(lifted[1])) * lift
+
+
+@lru_cache(maxsize=64, typed=True)
+def _packed_weights(j, ks, width):
+    """((sp, kept, lift), (top, even, even_top)): the Siegel term, the
+    Siegel term less the minus drop and the lift multiplier of the weights
+    ks at (k, j), packed at `width`; the top bit of every field, every bit
+    of the fields at even k, and their top bits."""
+    (sp, lift, drop), _, _ = _weight_run(j, ks)
+    top, even = _repeat(1 << width - 1, width, len(ks)), _mask([k % 2 == 0 for k in ks], width)
+    terms = sp, list(map(sub, sp, drop)), lift
+    return tuple(_pack(t, width, top) for t in terms), (top, even, even & top)
+
+
+def _cusp_pair(p, j, ks, m_run, lifted):
+    """(S^+, S^-) over the weights ks at (p, j), each packed into one int,
+    from the compact side m_run = (M+, M-, width) packed at the Young
+    weights of ks and lifted = dim_new_gamma0_signed(p, j + 2); NegativeDim
+    at the first k where either field is negative."""
+    m_plus, m_minus, width = m_run
+    (sp, kept, lift), (top, _, _) = _packed_weights(j, ks, width)
     s_plus, s_minus = lifted
-    plus = list(map(sub, map(add, sp, m_minus), map(mul, lift, repeat(s_plus))))
-    minus = list(map(sub, map(add, map(sub, sp, minus_drop), m_plus),
-                     map(mul, lift, repeat(s_minus))))
-    if min(plus) < 0 or min(minus) < 0:
-        k, a, b = next(row for row in zip(ks, plus, minus) if min(row[1:]) < 0)
-        raise NegativeDim(f"p={p}, (k,j)=({k},{j}): got ({a},{b})")
+    plus = sp + m_minus - s_plus * lift
+    minus = kept + m_plus - s_minus * lift
+    signs = (plus + top) & (minus + top) & top
+    if signs != top:
+        n = _first_field(top ^ signs, width)
+        raise NegativeDim(f"p={p}, (k,j)=({ks[n]},{j}): got "
+                          f"({_field(plus, n, width, top)},{_field(minus, n, width, top)})")
     return plus, minus
+
+
+def _cusp_runs(ps, j, ks):
+    """For each prime p of ps in turn, (S^+, S^-, width): _cusp_pair over
+    ks, a nonempty range of consecutive integers k >= 3 (j an even integer
+    >= 0), packed at width."""
+    _weight_run(j, ks)  # UnsupportedJ before any level is read
+    f2s = range(ks.start - 3, ks.stop - 3)
+    for p in ps:
+        lifted = dim_new_gamma0_signed(p, j + 2)
+        m_run = _signed_packed(p, j, f2s, _extra(j, ks, lifted))
+        yield (*_cusp_pair(p, j, ks, m_run, lifted), m_run[2])
 
 
 def _signed_grid(ps, j, ks):
@@ -121,11 +190,9 @@ def _signed_grid(ps, j, ks):
             check_level(p)
             yield [0] * len(ks), [0] * len(ks)
         return
-    terms = tuple(zip(*[_weight_terms(k, j) for k in ks]))
-    f2s = range(ks.start - 3, ks.stop - 3)
-    for p in ps:
-        m_run = _signed_run(p, j, f2s)
-        yield _cusp_pair(p, j, ks, m_run, terms, dim_new_gamma0_signed(p, j + 2))
+    for plus, minus, width in _cusp_runs(ps, j, ks):
+        top = _packed_weights(j, ks, width)[1][0]
+        yield _unpack(plus, width, top, len(ks)), _unpack(minus, width, top, len(ks))
 
 
 def dim_weight3(p):
@@ -214,10 +281,14 @@ def _space_sequence(p, space, nmax, j=0):
             pairs += zip(*_signed_run(p, j, range(start, nmax + 1)))
     else:
         new = [dim_S_signed(p, k, j) for k in range(start, min(3, nmax + 1))]
-        for run in _signed_grid([p], j, range(max(3, start), nmax + 1)):
-            new += zip(*run)
         if base == "A":
             new = [_with_eisenstein(k, pair) for k, pair in enumerate(new, start)]
+        ks = range(max(3, start), nmax + 1)
+        for plus, minus in _signed_grid([p], j, ks):
+            if base == "A":
+                eis_plus, eis_minus = _weight_run(j, ks)[2]
+                plus, minus = map(add, plus, eis_plus), map(add, minus, eis_minus)
+            new += zip(plus, minus)
         pairs += new
     pick = {"": sum, "+": itemgetter(0), "-": itemgetter(1)}[sign]
     return [pick(pairs[n]) for n in range(nmax + 1)]
@@ -289,14 +360,16 @@ def hilbert_series(p, space, j=0):
 def bias(p, k):
     """(-1)^k (dim plus - dim minus) in weight k, scalar valued."""
     plus, minus = dim_paramodular_signed(p, k)
-    return _signed_bias((k,), [plus], [minus])[0]
+    return _signed_bias(range(k, k + 1), plus, minus, _width(abs(plus) + abs(minus)))
 
 
-def _signed_bias(ks, plus, minus):
-    """The column of bias over the consecutive weights ks from the columns
-    plus, minus of S_k: (-1)^k alternates from k = ks[0]."""
-    sign = (-1) ** ks[0]
-    return list(map(mul, cycle((sign, -sign)), map(sub, plus, minus)))
+def _signed_bias(ks, plus, minus, width):
+    """bias over the consecutive weights ks, packed at `width`, from S^+
+    and S^- packed there: the fields of plus - minus at even k are added
+    twice, so that those at odd k change sign."""
+    top, even, even_top = _packed_weights(0, ks, width)[1]
+    diff = plus - minus
+    return 2 * (((diff + top) & even) - even_top) - diff
 
 
 def search_weight3_zero(pmax):
@@ -312,10 +385,19 @@ def check_bias_region(pmax, kmax):
         raise ParadimError(f"a weight bound must be an integer, got {kmax!r}")
     primes, ks = primes_up_to(pmax), range(3, kmax + 1)
     zeros = []
-    for p, (plus, minus) in zip(primes, _signed_grid(primes, 0, ks)):
-        b = _signed_bias(ks, plus, minus)
-        if min(b) < 0:
-            raise BiasViolation(p, *next((k, v) for k, v in zip(ks, b) if v < 0))
-        if 0 in b:
-            zeros += [(p, k) for k, v in zip(ks, b) if not v]
+    if not ks:
+        return zeros
+    for p, (plus, minus, width) in zip(primes, _cusp_runs(primes, 0, ks)):
+        b = _signed_bias(ks, plus, minus, width)
+        top = _packed_weights(0, ks, width)[1][0]
+        signs = (b + top) & top
+        if signs != top:
+            n = _first_field(top ^ signs, width)
+            raise BiasViolation(p, ks[n], _field(b, n, width, top))
+        # no field is negative, so 2^(width - 1) - b keeps its top bit
+        # exactly where b is 0
+        zero = (top - b) & top
+        while zero:
+            zeros.append((p, ks[_first_field(zero, width)]))
+            zero &= zero - 1
     return zeros

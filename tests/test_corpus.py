@@ -104,20 +104,24 @@ def test_only_computes_nothing_it_does_not_select(monkeypatch, only, calls):
 def _count_dim_M_total(monkeypatch):
     """A counter of the total dimensions of M computed, with no run held:
     the calls of compact.dim_M_total and the weights of each run that
-    paramodular evaluates with compact._signed_run."""
+    paramodular evaluates with compact._signed_run (the M sequences) or
+    compact._signed_packed (the S and A sequences)."""
     seen = Counter()
-    total, run = compact.dim_M_total, paramodular._signed_run
+    total = compact.dim_M_total
 
     def counted(*args):
         seen["calls"] += 1
         return total(*args)
 
-    def counted_run(p, j, f2s):
-        seen["calls"] += len(f2s)
-        return run(p, j, f2s)
+    def counted_run(run):
+        def counted(p, j, f2s, *extra):
+            seen["calls"] += len(f2s)
+            return run(p, j, f2s, *extra)
+        return counted
 
     monkeypatch.setattr(compact, "dim_M_total", counted)
-    monkeypatch.setattr(paramodular, "_signed_run", counted_run)
+    for name in ("_signed_run", "_signed_packed"):
+        monkeypatch.setattr(paramodular, name, counted_run(getattr(paramodular, name)))
     paramodular._held_run.cache_clear()
     return seen
 

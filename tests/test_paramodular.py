@@ -1,9 +1,9 @@
-from operator import itemgetter
+from operator import add, itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paradim import compact, paramodular
+from paradim import characters, compact, paramodular
 from paradim.arith import primes_up_to
 from paradim.characters import CHI_TABLE, young
 from paradim.cli import main
@@ -14,6 +14,7 @@ from paradim.compact import (
     TRACE_ROWS,
     Level,
     _signed_run,
+    _unpack,
     dim_M_signed,
 )
 from paradim.data import load_json
@@ -39,6 +40,9 @@ from paradim.errors import (
 from paradim.exactmath import RationalGF, is_palindromic, series_coeffs
 from paradim.paramodular import (
     FALLBACK_DENOMINATORS,
+    _cusp_runs,
+    _packed_weights,
+    _signed_bias,
     _signed_grid,
     _weight_terms,
     bias,
@@ -266,8 +270,9 @@ def test_a_negative_dimension_is_refused(monkeypatch, lifted):
 def test_a_negative_bias_is_refused(monkeypatch, capsys):
     # one pair with minus > plus in even weight inside the rectangle, put in
     # by the column assembly that the pointwise route and the grid share
-    monkeypatch.setattr(paramodular, "_cusp_pair", lambda p, j, ks, *terms: (
-        [0] * len(ks), [int((p, k) == (3, 4)) for k in ks]))
+    # (S+, S-) packed at the width of the compact side: 0, and 1 at (3, 4)
+    monkeypatch.setattr(paramodular, "_cusp_pair", lambda p, j, ks, m_run, lifted: (
+        0, (1 << m_run[2] * ks.index(4)) if p == 3 and 4 in ks else 0))
     assert bias(3, 4) == -1
     with pytest.raises(BiasViolation) as exc:
         check_bias_region(5, 6)
@@ -319,6 +324,57 @@ def test_grid_is_the_pointwise_route_on_random_runs(ps, start, length, j):
         [dim_paramodular_signed(p, k, j) for k in ks] for p in ps]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(primes_up_to(1000)), min_size=1, max_size=3),
+       st.integers(0, 150), st.booleans(), st.sampled_from([0, 0, 1, 5, 40]),
+       st.sampled_from([0, 2, 4]))
+def test_packed_runs_are_the_pointwise_route(ps, half, even, length, j):
+    # runs of one (length 0) and longer ones, from an odd or an even k: S+-
+    # and, at j = 0, the bias, packed field by field as the pointwise route
+    # gives them
+    start = 3 + 2 * half + even
+    ks = range(start, start + length + 1)
+    for p, (plus, minus, width) in zip(ps, _cusp_runs(ps, j, ks)):
+        top = _packed_weights(j, ks, width)[1][0]
+        columns = [_unpack(x, width, top, len(ks)) for x in (plus, minus)]
+        assert _pairs(columns) == [dim_paramodular_signed(p, k, j) for k in ks]
+        if j == 0:
+            b = _signed_bias(ks, plus, minus, width)
+            assert _unpack(b, width, top, len(ks)) == [bias(p, k) for k in ks]
+
+
+def _region(pmax, kmax):
+    """check_bias_region by the pointwise route, in its order at each
+    prime: the compact side, then S+-, then the bias, each at its first bad
+    k."""
+    zeros, ks = [], range(3, kmax + 1)
+    for p in primes_up_to(pmax):
+        for k in ks:
+            dim_M_signed(p, *young(k, 0))
+        for k in ks:
+            dim_paramodular_signed(p, k)
+        for k in ks:
+            b = bias(p, k)
+            if b < 0:
+                raise BiasViolation(p, k, b)
+            if not b:
+                zeros.append((p, k))
+    return zeros
+
+
+def _outcome(call):
+    """What call() returns, or the type, message and attributes of the
+    ParadimError that it raises."""
+    try:
+        return call()
+    except ParadimError as exc:
+        return type(exc), str(exc), vars(exc)
+
+
+def test_the_bias_region_is_the_pointwise_route():
+    assert check_bias_region(500, 120) == _region(500, 120)
+
+
 @pytest.mark.parametrize("j", [0, 2, 4])
 def test_a_wide_level_takes_a_wider_field(monkeypatch, j):
     # m and tr times 2^70 keep every quotient integral and every split
@@ -340,7 +396,24 @@ def test_a_wide_level_takes_a_wider_field(monkeypatch, j):
     for p in ps:
         assert _pairs(_signed_run(p, j, _f2s(ks))) == [
             dim_M_signed(p, *young(k, j)) for k in ks], p
+    if j == 0:
+        assert _outcome(lambda: check_bias_region(199, 130)) == _outcome(
+            lambda: _region(199, 130))
     assert min(widths) >= 128
+
+
+def test_the_bulk_check_holds_at_every_width_edge(monkeypatch):
+    # m and tr times 2^s, s < 140, move the bound on the fields of A and B
+    # across 140 powers of two; a field that came within a factor 2 of
+    # 2^(W - 1) would fail the check on integral dimensions
+    true_level, f2s = compact.level, range(60)
+    unscaled = {p: [dim_M_signed(p, f2, f2) for f2 in f2s] for p in (3, 199)}
+    for p in unscaled:
+        for s in range(140):
+            monkeypatch.setattr(compact, "level", lambda p, s=s: Level(
+                *([c << s for c in row] for row in true_level(p))))
+            assert _pairs(_signed_run(p, 0, f2s)) == [
+                (plus << s, minus << s) for plus, minus in unscaled[p]], (p, s)
 
 
 def _raised(call):
@@ -380,9 +453,10 @@ def test_a_bent_level_raises_alike_on_both_routes(monkeypatch, dm, dtr, error, m
 @pytest.fixture
 def fresh_runs():
     """No packed run before or after the test: one packed from the true
-    characters would hide a fault put into them.  The records are taken
-    before the test, which may patch them."""
-    records = (compact._run_tops, compact._packed_run)
+    characters or weight terms would hide a fault put into them.  The
+    records are taken before the test, which may patch them."""
+    records = (compact._chi_vector, compact._chi_run, compact._packed_run,
+               paramodular._weight_run, paramodular._packed_weights)
     for record in records:
         record.cache_clear()
     yield
@@ -390,16 +464,25 @@ def fresh_runs():
         record.cache_clear()
 
 
+def _patch_characters(monkeypatch, columns):
+    """Make `columns` the characters.chi_columns that both routes read: the
+    single weights through chi_values, the runs through compact."""
+    for module in (characters, compact):
+        monkeypatch.setattr(module, "chi_columns", columns)
+
+
 def test_a_bent_character_raises_alike_at_its_weight(monkeypatch, fresh_runs):
     # one more chi_1 at (5, 5) alone: the routes agree up to k = 8 and both
     # stop there
-    chi = compact._chi_vector
+    chi = characters.chi_columns
 
-    def bent(f1, f2):
-        values = chi(f1, f2)
-        return (values[0] + 1,) + values[1:] if (f1, f2) == (5, 5) else values
+    def bent(indices, f1, f2, n):
+        columns = chi(indices, f1, f2, n)
+        if indices[0] == 1 and f1 == f2 <= 5 < f2 + n:
+            columns[0] = tuple(v + (f == 5) for f, v in enumerate(columns[0], f2))
+        return columns
 
-    monkeypatch.setattr(compact, "_chi_vector", bent)
+    _patch_characters(monkeypatch, bent)
     (error, message), = set(_both_routes(7, 0, range(3, 12)))
     assert error is NonIntegral and message.startswith("dim M(7,5,5) = ")
 
@@ -409,8 +492,9 @@ def test_residues_that_cancel_in_the_packed_sum_are_refused(monkeypatch, fresh_r
     # 2 DEN M+ is divisible by 2 DEN, but 2 (29 2^64 + 2^128) is, so the
     # packed sum alone would pass; the digits of its quotient must not
     monkeypatch.setattr(compact, "level", lambda p: Level((1,), (1,)))
-    monkeypatch.setattr(compact, "_chi_vector", lambda f1, f2: (
-        {1: 29, 2: 1}.get(f2, 0),) + (0,) * (len(CHI_INDEX) - 1))
+    _patch_characters(monkeypatch, lambda indices, f1, f2, n: (
+        [tuple({1: 29, 2: 1}.get(f, 0) for f in range(f2, f2 + n))]
+        + [(0,) * n] * (len(indices) - 1)))
     assert 2 * (29 * 2**64 + 2**128) % (2 * DEN) == 0
     assert _raised(lambda: _signed_run(7, 0, range(3))) == _raised(
         lambda: [dim_M_signed(7, f2, f2) for f2 in range(3)]) == (
@@ -433,12 +517,46 @@ def test_a_packing_fault_is_not_blamed_on_dim_M(monkeypatch, fresh_runs):
     assert [dim_M_signed(7, f2, f2) for f2 in range(10)] == pointwise
 
 
-def test_a_negative_dimension_raises_alike_on_both_routes(monkeypatch):
+def test_a_negative_dimension_raises_alike_on_both_routes(monkeypatch, fresh_runs):
     terms = paramodular._weight_terms
     monkeypatch.setattr(paramodular, "_weight_terms",
                         lambda k, j: (-10**6, 0, 0) if k == 9 else terms(k, j))
     assert set(_both_routes(7, 0, range(3, 20), compact_too=False)) == {
         (NegativeDim, "p=7, (k,j)=(9,0): got (-1000000,-999995)")}
+
+
+@pytest.mark.parametrize("bends, kmax, expected", [
+    # S+ = -1 at k = 28 between S+ = 1 at k = 27 and 29, S- kept
+    ({28: (-15, 0, -15)}, 40, (NegativeDim, "p=2, (k,j)=(28,0): got (-1,4)")),
+    # S- = -1 at k = 27 between S- = 2 and 4, S+ kept
+    ({27: (0, 0, 7)}, 40, (NegativeDim, "p=2, (k,j)=(27,0): got (1,-1)")),
+    # a bias of -1 at an even and at an odd k, between positive ones
+    ({20: (0, 0, -6)}, 40, (BiasViolation, "bias(2, 20) = -1 < 0")),
+    ({23: (0, 0, 4)}, 40, (BiasViolation, "bias(2, 23) = -1 < 0")),
+    # a zero bias with S+ = S- = 5 at the first k, and with S+ = S- = 10 at
+    # the last
+    ({3: (5, 0, 0)}, 10, [(2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 9)]),
+    ({24: (0, 0, -8)}, 24, [(2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 9), (2, 13),
+                            (2, 24)]),
+    # fields beyond 64 bits: the width bounds S+- and their difference too
+    ({30: (-2**70, 0, -2**70)}, 40,
+     (NegativeDim, "p=2, (k,j)=(30,0): got (-1180591620717411303409,4)")),
+    ({k: (2**70, 0, 0) for k in range(3, 41)}, 40,
+     [(2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 9), (2, 13)]),
+])
+def test_each_mask_reads_what_the_pointwise_route_gives(monkeypatch, fresh_runs, bends,
+                                                        kmax, expected):
+    # the weight terms at (k, 0) moved by (Siegel term, lifts, minus drop) at
+    # p = 2, the only prime of the region
+    terms = paramodular._weight_terms
+    monkeypatch.setattr(paramodular, "_weight_terms", lambda k, j: tuple(
+        map(add, terms(k, j), bends.get(k, (0, 0, 0)) if j == 0 else (0, 0, 0))))
+    packed, pointwise = (_outcome(lambda: region(2, kmax))
+                         for region in (check_bias_region, _region))
+    assert packed == pointwise
+    assert packed[:2] == expected if isinstance(packed, tuple) else packed == expected
+    if expected[0] is NegativeDim:
+        assert set(_both_routes(2, 0, range(3, kmax + 1), compact_too=False)) == {expected}
 
 
 def test_printed_series_expansion():
