@@ -9,8 +9,8 @@ plus space, M+ for the minus space) at the Young weight
 weight-(j + 2) newspace of Gamma_0(p) times dim S_{2k+j-2}(SL_2(Z)), and
 takes dim S_{2k-2}(SL_2(Z)) + [k = 3] off the minus space at j = 0.  Only
 the compact side depends on both the level and the weight, and it is
-evaluated on every call; the other weight terms are read from a
-per-weight record, _weight_terms(k, j), and the newspace from
+evaluated on every call; the other weight terms, _weight_terms(k, j),
+are read from the per-run record _weight_run, and the newspace from
 elliptic's per-level record.  _cusp_pair assembles S^+- from the three,
 and is the one home of that formula.
 
@@ -36,16 +36,20 @@ NegativeDim and BiasViolation at its first bad k.  A packed run of one
 is its value, so dim_paramodular_signed and bias evaluate a single
 weight by the same integer expressions, from the pointwise chain of
 dim_M_signed; dim_paramodular_signed stays the route of a single weight
-(dim, table), and below k = 3 the sequences stay pointwise, where weight
-2 may raise MissingJacobiData.
+(dim, table).
 
-Graded series.  Every graded sequence is read from one held run of
-(plus, minus) pairs per (base space, p, j), the base space being M, A or
-S (_held_run); M is extended by compact._signed_run, S and A by the grid
-of one prime.  A longer request extends the run in place, a shorter one
-slices it, and another key replaces it.  So the A, A+ and A- records of
-one prime (and M+-, S+-), the fallback denominators hilbert_series tries
-and the palindromic checks of A and then A+ share one computation.
+Graded series.  Every graded sequence is read from one cached run per
+(base space, p, j), the base space being M, A or S (_graded_run): the
+columns (plus, minus) of M from degree 0 (compact._signed_run), and of S
+and A from weight 3 (the grid of one prime, plus the Eisenstein columns
+of _weight_run for A).  A run reaches at least degree _RUN_MIN - 1, the
+last that the first fallback fit reads, so one run serves the A, A+ and
+A- records of a prime (and M+-, S+-), the expand checks, every embedded
+fit, the first two fallback denominators and the palindromic checks;
+only the last fallback reads a longer run.  No caller changes a run, and
+lru_cache holds no run that raised.  Below weight 3 the S and A
+sequences stay pointwise and uncached, so weight 2 at p >=
+LIFTS_ONLY_BELOW raises only when a sequence reaches it.
 hilbert_series is the one fitter: for a denominator with exponent sum s
 it reads the sequence up to t^n, n = 2 s + FIT_SLACK, and fits a
 numerator of degree below n - s.  Without an embedded presentation it
@@ -89,8 +93,6 @@ from .exactmath import RationalGF, fit_numerator, from_terms, is_int
 from .siegel1 import dim_cusp_sp4
 
 
-# typed: (4.0, 2) would otherwise hit the entry of (4, 2)
-@lru_cache(maxsize=None, typed=True)
 def _weight_terms(k, j):
     """The Siegel term, the lift multiplier and the minus-space drop of
     dim_paramodular_signed at (k, j)."""
@@ -232,12 +234,7 @@ def dim_A_signed(p, k):
     every integer weight k >= 0: the cusp pair of dim_S_signed plus
     (dim M_k(SL_2(Z)), dim S_k(SL_2(Z))).  Weight 2 is refused from
     LIFTS_ONLY_BELOW on (MissingJacobiData)."""
-    return _with_eisenstein(k, dim_S_signed(p, k))
-
-
-def _with_eisenstein(k, cusp_pair):
-    """The pair of dim_A_signed at weight k from that of dim_S_signed."""
-    plus, minus = cusp_pair
+    plus, minus = dim_S_signed(p, k)
     return plus + dim_modular_level1(k), minus + dim_cusp_level1(k)
 
 
@@ -256,42 +253,38 @@ def _check_space(space, j):
         raise UnsupportedJ(f"space {space} is only graded at j = 0, got j = {j}")
 
 
-# typed=True keeps 7.0 off the run of 7, so it is refused as a level; one
-# entry bounds the memory to one run.
-@lru_cache(maxsize=1, typed=True)
-def _held_run(base, p, j):
-    return []
+# typed=True keeps 7.0 off the run of 7, so it is refused as a level
+@lru_cache(maxsize=64, typed=True)
+def _graded_run(base, p, j, size):
+    """The columns (plus, minus) of the base space M, A or S at (p, j) up
+    to degree size - 1: M from degree 0, S and A from weight 3."""
+    if base == "M":
+        return _signed_run(p, j, range(size))
+    ks = range(3, size)
+    ((plus, minus),) = _signed_grid([p], j, ks)
+    if base == "A":
+        eis_plus, eis_minus = _weight_run(j, ks)[2]
+        return list(map(add, plus, eis_plus)), list(map(add, minus, eis_minus))
+    return plus, minus
 
 
 def _space_sequence(p, space, nmax, j=0):
     """Dimension sequence (index 0..nmax) of a graded space.
 
     S+/S-/A+/A-/A are graded by the weight k; M+/M-/M by the Young
-    parameter f of the weight (f + j, f).
-    The held run of (plus, minus) pairs is extended by a whole list, so a
-    run that raises holds nothing new and raises again; the suffix picks
-    the sum, the plus or the minus entry.
+    parameter f of the weight (f + j, f).  The suffix picks the sum, the
+    plus or the minus entry.
     """
     _check_space(space, j)
     base, sign = space[0], space[1:]
-    pairs = _held_run(base, p, j)
-    start = len(pairs)
-    if base == "M":
-        if start <= nmax:
-            pairs += zip(*_signed_run(p, j, range(start, nmax + 1)))
-    else:
-        new = [dim_S_signed(p, k, j) for k in range(start, min(3, nmax + 1))]
-        if base == "A":
-            new = [_with_eisenstein(k, pair) for k, pair in enumerate(new, start)]
-        ks = range(max(3, start), nmax + 1)
-        for plus, minus in _signed_grid([p], j, ks):
-            if base == "A":
-                eis_plus, eis_minus = _weight_run(j, ks)[2]
-                plus, minus = map(add, plus, eis_plus), map(add, minus, eis_minus)
-            new += zip(plus, minus)
-        pairs += new
+    first = 0 if base == "M" else 3
+    pairs = [dim_A_signed(p, k) if base == "A" else dim_S_signed(p, k, j)
+             for k in range(min(first, nmax + 1))]
+    if nmax >= first:
+        run = _graded_run(base, p, j, max(nmax + 1, _RUN_MIN))
+        pairs += zip(*(column[:nmax + 1 - first] for column in run))
     pick = {"": sum, "+": itemgetter(0), "-": itemgetter(1)}[sign]
-    return [pick(pairs[n]) for n in range(nmax + 1)]
+    return [pick(pair) for pair in pairs]
 
 
 @lru_cache(maxsize=None)
@@ -328,6 +321,10 @@ FALLBACK_DENOMINATORS = [
 ]
 
 FIT_SLACK = 41
+
+# the length of sequence that the first fallback fit reads; every graded
+# run is at least this long
+_RUN_MIN = 2 * sum(FALLBACK_DENOMINATORS[0]) + FIT_SLACK + 1
 
 
 class HilbertSeries(namedtuple("HilbertSeries", "p space gf")):

@@ -6,7 +6,7 @@ They read the ingredients from `paradim.arith` and the characters from
 `chi_young` directly, so they share neither the coefficient records nor
 the cached character vectors with the code they check.  The oracle for
 S^± adds its terms as `dim_paramodular_signed` did before it read them
-from its per-weight record.
+from its per-run weight record.
 """
 from fractions import Fraction
 
@@ -22,7 +22,7 @@ from paradim.paramodular import (
     LIFTS_ONLY_BELOW,
     SPACES,
     _space_sequence,
-    _weight_terms,
+    _weight_run,
     dim_A_signed,
     dim_paramodular_signed,
     hilbert_series,
@@ -192,7 +192,7 @@ def test_cached_assembly_matches_term_by_term_oracle():
     # each walk starts from an empty weight record, so neither order can
     # read an entry the other one left behind
     for walk in (grid, grid[::-1]):
-        _weight_terms.cache_clear()
+        _weight_run.cache_clear()
         for p, k, j in walk:
             assert dim_paramodular_signed(p, k, j) == paramodular_signed_oracle(p, k, j), (p, k, j)
 
@@ -232,11 +232,11 @@ def test_space_sequence_matches_oracle(p):
                 p, space, j)
 
 
-def test_held_run_matches_oracle_in_any_call_order():
-    # one run is held at a time: each call must read the pairs of its own
-    # (p, base, j), whether it grows the run, shrinks it, follows a call at
-    # another prime or at another j
-    paramodular._held_run.cache_clear()
+def test_graded_run_matches_oracle_in_any_call_order():
+    # one run is cached per (base, p, j): each call must read the columns of
+    # its own key, whether it asks for more or fewer terms than the last
+    # call, follows a call at another prime or at another j
+    paramodular._graded_run.cache_clear()
     calls = [(11, "M", 5, 0), (11, "M+", 20, 0), (11, "M-", 8, 0), (11, "M", 30, 0),
              (11, "M", 0, 0), (11, "M", -1, 0), (53, "M", 12, 0), (11, "M+", 12, 0),
              (53, "M-", 25, 0), (11, "M", 10, 2), (11, "M", 10, 0), (11, "M-", 15, 2),
@@ -248,9 +248,9 @@ def test_held_run_matches_oracle_in_any_call_order():
             p, space, nmax, j)
 
 
-def test_held_run_keeps_the_domain_checks():
-    # the held run is typed: 7.0 misses the runs of 7
-    paramodular._held_run.cache_clear()
+def test_graded_run_keeps_the_domain_checks():
+    # the graded run is typed: 7.0 misses the runs of 7
+    paramodular._graded_run.cache_clear()
     hilbert_series(7, "A")
     with pytest.raises(NotPrimeLevel):
         hilbert_series(7.0, "A")
@@ -261,10 +261,10 @@ def test_held_run_keeps_the_domain_checks():
         _space_sequence(7, "M", 3, 2.0)
 
 
-def test_held_run_does_not_hold_a_refused_weight():
-    # weight 2 is refused at p = 389 on every call, and the weights held
-    # before it still serve a shorter run
-    paramodular._held_run.cache_clear()
+def test_graded_run_does_not_hold_a_refused_weight():
+    # weight 2 is refused at p = 389 on every call, and a sequence that
+    # stops below it is still served
+    paramodular._graded_run.cache_clear()
     for _ in range(2):
         with pytest.raises(MissingJacobiData):
             _space_sequence(389, "S+", 5)

@@ -22,21 +22,20 @@ def test_series_checks_pass():
 
 
 def test_fit_check_fails_on_a_perturbed_dimension():
-    # one wrong dimension in the held run that hilbert_series fits (a low
+    # one wrong dimension in the cached run that hilbert_series fits (a low
     # weight, so that a numerator still fits) must fail the :fit check
     name = "series:p=2:M:j=0:fit"
-    paramodular._held_run.cache_clear()
+    paramodular._graded_run.cache_clear()
     try:
         (good,) = series_checks(only=name)
         assert good.ok
-        pairs = paramodular._held_run("M", 2, 0)
-        plus, minus = pairs[3]
-        pairs[3] = (plus + 1, minus)
+        plus, _ = paramodular._graded_run("M", 2, 0, paramodular._RUN_MIN)
+        plus[3] += 1
         (bad,) = series_checks(only=name)
         assert not bad.ok
         assert bad.expected == good.expected and bad.got != good.got
     finally:
-        paramodular._held_run.cache_clear()
+        paramodular._graded_run.cache_clear()
 
 
 def test_only_filter():
@@ -102,7 +101,7 @@ def test_only_computes_nothing_it_does_not_select(monkeypatch, only, calls):
 
 
 def _count_dim_M_total(monkeypatch):
-    """A counter of the total dimensions of M computed, with no run held:
+    """A counter of the total dimensions of M computed, with no run cached:
     the calls of compact.dim_M_total and the weights of each run that
     paramodular evaluates with compact._signed_run (the M sequences) or
     compact._signed_packed (the S and A sequences)."""
@@ -122,24 +121,57 @@ def _count_dim_M_total(monkeypatch):
     monkeypatch.setattr(compact, "dim_M_total", counted)
     for name in ("_signed_run", "_signed_packed"):
         monkeypatch.setattr(paramodular, name, counted_run(getattr(paramodular, name)))
-    paramodular._held_run.cache_clear()
+    paramodular._graded_run.cache_clear()
     return seen
 
 
 def test_verify_computes_each_graded_dimension_once(monkeypatch):
     # a count, not a time: 16 890 signed M dimensions for 6 604 distinct
     # weights when each space and each fallback denominator recomputed its
-    # sequence; 11 767 with one held run.  Each distinct weight is computed
-    # at least once, so a count that misses a route falls below 6 604.
+    # sequence; 10 756 with one cached run per key.  Each distinct weight is
+    # computed at least once, so a count that misses a route falls below 6 604.
     seen = _count_dim_M_total(monkeypatch)
     assert run_checks() == (902, [])
     assert 6604 <= seen["calls"] <= 12000
 
 
+def test_verify_evaluates_one_graded_run_per_key(monkeypatch):
+    # a cold run_checks evaluates one run per (base space, p, j) that a
+    # graded sequence reads (84 when a run was extended in place), and
+    # check_bias_region one run of its own
+    runs, keys = Counter(), set()
+    for name in ("_signed_run", "_cusp_runs"):
+        def counted(*args, _fn=getattr(paramodular, name)):
+            runs["calls"] += 1
+            return _fn(*args)
+        monkeypatch.setattr(paramodular, name, counted)
+    sequence = paramodular._space_sequence
+
+    def recorded(p, space, nmax, j=0):
+        if nmax >= (0 if space[0] == "M" else 3):
+            keys.add((space[0], p, j))
+        return sequence(p, space, nmax, j)
+
+    for module in (paramodular, corpus):
+        monkeypatch.setattr(module, "_space_sequence", recorded)
+    paramodular._graded_run.cache_clear()
+    assert run_checks() == (902, [])
+    assert len(keys) == 41
+    assert runs["calls"] == len(keys) + 1
+
+
+def test_one_run_serves_every_embedded_fit():
+    # the expand checks and every embedded fit read degrees below _RUN_MIN,
+    # so a new record whose fit reads further would not share the run
+    assert paramodular._RUN_MIN > corpus.SERIES_NMAX
+    for rec in paramodular._printed_registry().values():
+        assert paramodular._RUN_MIN > 2 * sum(rec["den"]) + paramodular.FIT_SLACK, rec
+
+
 def test_fallback_denominators_share_one_run(monkeypatch):
     # two candidate denominators are tried, with sequences of length 105 and
-    # 101; without the held run, the five candidates of the longer list made
-    # 481 calls.  The held run computes weights 3..105 once each.
+    # 101; without a shared run, the five candidates of the longer list made
+    # 481 calls.  The cached run computes weights 3..105 once each.
     seen = _count_dim_M_total(monkeypatch)
     hilbert_series(2, "A+")
     assert 103 <= seen["calls"] <= 110

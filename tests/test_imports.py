@@ -28,7 +28,9 @@ module-level assignment holds an empty (or nested-empty) `{}`, `[]` or
 `set()`, or calls `dict`, `list`, `set`, `defaultdict` or `array`.  A
 memo is an `lru_cache`, which `cache_info()` reports and `cache_clear()`
 empties; kernels.py keeps its five growable tables `_spf`, `_primes`,
-`_root_counts`, `_squares` and `_sigma`.
+`_root_counts`, `_squares` and `_sigma`.  Nor does a cached function
+return a fresh empty container for its callers to fill: that is module
+state too, held in the cache where the assignments above cannot show it.
 
 No `assert` statement appears in src/paradim: `python -O` strips them,
 so a mathematical invariant is checked by raising a typed ParadimError.
@@ -281,6 +283,55 @@ def test_no_module_state_outside_the_kernels():
     kernels = (ROOT / "src" / "paradim" / "kernels.py").read_text()
     assert {name for _, name in module_state(kernels)} == {"_spf", "_primes", "_root_counts",
                                                              "_squares", "_sigma"}
+
+
+def _empty_container(node):
+    """Whether `node` builds an empty `[]` or `{}`, or calls one of
+    CONTAINER_CALLS without arguments."""
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        return name in CONTAINER_CALLS and not (node.args or node.keywords)
+    return ((isinstance(node, ast.List) and not node.elts)
+            or (isinstance(node, ast.Dict) and not node.keys))
+
+
+def cached_empty_containers(source):
+    """(line, name) of each function of `source` under `lru_cache` or
+    `cache` that returns a value holding a fresh empty container."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        targets = (dec.func if isinstance(dec, ast.Call) else dec for dec in node.decorator_list)
+        names = {getattr(t, "attr", getattr(t, "id", None)) for t in targets}
+        if not names & {"lru_cache", "cache"}:
+            continue
+        if any(isinstance(ret, ast.Return) and ret.value is not None
+               and any(map(_empty_container, ast.walk(ret.value)))
+               for ret in ast.walk(node)):
+            found.append((node.lineno, node.name))
+    return found
+
+
+def test_cached_empty_container_detector():
+    source = ("@lru_cache(maxsize=1, typed=True)\ndef held(base, p):\n    return []\n\n"
+              "@functools.cache\ndef table():\n    return {}\n\n"
+              "@lru_cache\ndef fresh(p):\n    if p:\n        return list()\n"
+              "    return dict(), 0\n\n"
+              "@cache\ndef bag(p):\n    return [p], set()\n\n"
+              "@lru_cache(maxsize=64)\ndef full(p):\n"
+              "    return [p], list(range(p)), {p: 1}, tuple()\n\n"
+              "def plain():\n    return []\n\n"
+              "@lru_cache\ndef frozen(p):\n    return frozenset(), ()\n")
+    assert cached_empty_containers(source) == [(2, "held"), (6, "table"), (10, "fresh"),
+                                               (16, "bag")]
+
+
+def test_no_cached_function_returns_an_empty_container():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in sorted((ROOT / "src" / "paradim").rglob("*.py"))
+             for line, name in cached_empty_containers(path.read_text())]
+    assert found == []
 
 
 def assert_lines(source):
