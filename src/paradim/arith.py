@@ -5,8 +5,10 @@ B_{2,chi}, a_p, and the primality test.
 The quadratic symbols of a level have one route, _split_symbols(p), a
 cached row of p mod 120, which elliptic._gamma0 (the first two) and
 compact._invariants read.  Primes have one source, the
-smallest-prime-factor table of paradim.kernels, which is_prime and
-primes_up_to read; check_level refuses a level through is_prime.
+smallest-prime-factor table of paradim.kernels, which primes_up_to slices
+and is_prime reads: below the end of the table a lookup answers, past it
+trial division by the table's primes up to a squaring bound.
+check_level refuses a level through is_prime.
 """
 from bisect import bisect_right
 from functools import lru_cache
@@ -14,8 +16,8 @@ from math import isqrt
 
 from .errors import DSquare, NotPrimeLevel, NotSquarefree, ParadimError, UnsupportedPrime
 from .exactmath import is_int
-from .kernels import (_field_disc, _primes_to, _reduced_forms, b2_character_sum, kronecker,
-                      squarefree_part)
+from .kernels import (_field_disc, _least_factor, _primes_to, _reduced_forms, b2_character_sum,
+                      kronecker, squarefree_part)
 
 
 def fundamental_discriminant(d):
@@ -92,12 +94,16 @@ def a_p(p):
 
 
 def is_prime(n):
-    """Whether the integer n is prime: n > 1 and no prime of the kernels' table
-    up to sqrt(n) divides it.  The table is grown to sqrt(n) by squaring the
-    bound from 64, so a composite with a small factor is refused before the
-    table reaches the root of a large n."""
+    """Whether the integer n is prime.  Below the end of the kernels' table
+    that is whether n is its own least prime factor.  Past it, no prime of
+    the table up to sqrt(n) may divide n: the table is grown to sqrt(n) by
+    squaring the bound from 64, so a composite with a small factor is
+    refused before the table reaches the root of a large n."""
     if n < 2:
         return False
+    q = _least_factor(n)
+    if q is not None:
+        return q == n
     root, bound = isqrt(n), 1
     while bound < root:
         bound = min(max(bound * bound, 64), root)

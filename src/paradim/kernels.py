@@ -20,8 +20,11 @@ compact._invariants read it.
 All of these read one set of tables grown on demand.  _spf holds the
 least prime factor of each n below a power of two, and _primes the primes
 below its end, which every prime bound of the package reads; _grow
-extends both together.  _root_counts[a] and _squares[a] are the two rows
-of each 0 < a < len(_squares) <= _ROW_TOP + 1 (index 0 holds empty rows),
+extends both together.  The table also answers primality
+(arith.is_prime, through _least_factor) and the squarefree part of an n
+below its end, so the domain checks of a level cost O(log n) there.
+_root_counts[a] and _squares[a] are the two rows of each
+0 < a < len(_squares) <= _ROW_TOP + 1 (index 0 holds empty rows),
 made to reach sqrt(|D|/3) for the largest |D| asked.  _sigma[n] is
 sigma_1(n), which b2_character_sum sums (_sigma1_to).  The rows of a take
 4a + 2(a + 1) bytes, so the rows reaching |D| take about |D| bytes, 3 MB
@@ -33,8 +36,9 @@ in tests/naive_kernels.py, which count by definition.
 """
 from array import array
 from bisect import bisect_right
+from functools import lru_cache
 from itertools import accumulate, repeat
-from math import isqrt
+from math import gcd, isqrt, prod
 from operator import getitem, mod
 
 from .errors import BadDiscriminant, ParadimError
@@ -78,14 +82,37 @@ def squarefree_part(d):
     """The squarefree d0 with d = s^2 * d0 (sign preserved; 0 for d = 0);
     ParadimError unless d is an int.
 
-    Trial division stops at the cube root of what is left, which then has
-    at most two prime factors and is q^2 exactly when it is a square.
+    Below the end of _spf, |d| is factored by walking the table.  Past it,
+    the primes up to a bound past the cube root of |d| are divided out,
+    which leaves at most two prime factors, q^2 exactly when a square is
+    left.  Up to a bound of _PRODUCT_TOP, one gcd with the product of those
+    primes (_prime_product) and a walk of the table find the ones that
+    divide d; past it, or when the gcd is past the table, trial division
+    stops at the cube root of what is left.
     """
     if not is_int(d):
         raise ParadimError(f"{d!r} is not an integer")
     n = abs(d)
     d0 = -1 if d < 0 else 1
-    for q in _primes_to(1 << (n.bit_length() // 3 + 1)):  # past n^(1/3)
+    spf = _spf
+    if n < len(spf):
+        if not n:
+            return 0
+        while n > 1:
+            q = spf[n]
+            n //= q
+            if n % q:
+                d0 *= q
+            else:  # q^2 divides n
+                n //= q
+        return d0
+    bound = 1 << (n.bit_length() // 3 + 1)  # past n^(1/3)
+    primes = _primes_to(bound)
+    if bound <= _PRODUCT_TOP:
+        g = gcd(n, _prime_product(bound))  # the product of the primes of n to bound
+        if g < len(_spf):
+            primes = _table_primes(g)
+    for q in primes:
         if q * q * q > n:
             break
         e = 0
@@ -95,7 +122,30 @@ def squarefree_part(d):
         if e % 2:
             d0 *= q
     r = isqrt(n)
-    return d0 if n and r * r == n else d0 * n
+    return d0 if r * r == n else d0 * n
+
+
+@lru_cache(maxsize=None)
+def _prime_product(bound):
+    """The product of the primes up to `bound`, a power of two up to
+    _PRODUCT_TOP (the product of the primes to 2^12 has 5 811 bits)."""
+    primes = _primes_to(bound)
+    return prod(primes[:bisect_right(primes, bound)])
+
+
+def _table_primes(g):
+    """The primes of a squarefree 0 < g < len(_spf), ascending."""
+    spf, primes = _spf, []
+    while g > 1:
+        q = spf[g]
+        primes.append(q)
+        g //= q
+    return primes
+
+
+def _least_factor(n):
+    """The least prime factor of 1 < n < len(_spf); None past the table."""
+    return _spf[n] if n < len(_spf) else None
 
 
 def _field_disc(d0):
@@ -210,6 +260,7 @@ def _sieved_forms(D, amax, top):
 
 
 _ROW_TOP = 1024
+_PRODUCT_TOP = 1 << 12
 _spf = array("i", [0, 1])
 _primes = []
 _root_counts = [array("B")]

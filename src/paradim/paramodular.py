@@ -41,11 +41,12 @@ dim_M_signed; dim_paramodular_signed stays the route of a single weight
 Graded series.  Every graded sequence is read from one cached run per
 (base space, p, j), the base space being M, A or S (_graded_run): the
 columns (plus, minus) of M from degree 0 (compact._signed_run), and of S
-and A from weight 3 (the grid of one prime, plus the Eisenstein columns
-of _weight_run for A).  A run reaches at least degree _RUN_MIN - 1, the
-last that the first fallback fit reads, so one run serves the A, A+ and
-A- records of a prime (and M+-, S+-), the expand checks, every embedded
-fit, the first two fallback denominators and the palindromic checks;
+and A from weight 3 (S from the grid of one prime, A from the cached S
+run plus the Eisenstein columns of _weight_run).  A run reaches at least
+degree _RUN_MIN - 1, the last that the first fallback fit reads, so one
+run serves the A, A+ and A- records of a prime (and M+-, S+-), the expand
+checks, every embedded fit, the first two fallback denominators and the
+palindromic checks;
 only the last fallback reads a longer run.  No caller changes a run, and
 lru_cache holds no run that raised.  Below weight 3 the S and A
 sequences stay pointwise and uncached, so weight 2 at p >=
@@ -253,18 +254,20 @@ def _check_space(space, j):
         raise UnsupportedJ(f"space {space} is only graded at j = 0, got j = {j}")
 
 
-# typed=True keeps 7.0 off the run of 7, so it is refused as a level
-@lru_cache(maxsize=64, typed=True)
+# typed=True keeps 7.0 off the run of 7, so it is refused as a level; an A
+# run keeps its S run cached too, so a cold run_checks fills 62 entries
+@lru_cache(maxsize=128, typed=True)
 def _graded_run(base, p, j, size):
     """The columns (plus, minus) of the base space M, A or S at (p, j) up
-    to degree size - 1: M from degree 0, S and A from weight 3."""
+    to degree size - 1: M from degree 0, S and A from weight 3, A as the
+    cached S run plus the Eisenstein columns."""
     if base == "M":
         return _signed_run(p, j, range(size))
-    ks = range(3, size)
-    ((plus, minus),) = _signed_grid([p], j, ks)
     if base == "A":
-        eis_plus, eis_minus = _weight_run(j, ks)[2]
+        plus, minus = _graded_run("S", p, j, size)
+        eis_plus, eis_minus = _weight_run(j, range(3, size))[2]
         return list(map(add, plus, eis_plus)), list(map(add, minus, eis_minus))
+    ((plus, minus),) = _signed_grid([p], j, range(3, size))
     return plus, minus
 
 

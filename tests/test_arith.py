@@ -1,3 +1,4 @@
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,19 @@ def test_is_prime_refuses_a_huge_composite_from_a_small_table():
     before = len(kernels._spf)
     assert not is_prime(10**12 + 1) and not is_prime(2 * 10**12)
     assert len(kernels._spf) <= max(before, 8192)
+
+
+def test_is_prime_table_lookup_agrees_with_trial_division(monkeypatch):
+    # from an empty table, n below 2^16 grows it to 256 and is answered past
+    # that by trial division; grown to 2^17, the table answers every n
+    monkeypatch.setattr(kernels, "_spf", array("i", [0, 1]))
+    monkeypatch.setattr(kernels, "_primes", [])
+    trial = [is_prime(n) for n in range(1 << 16)]
+    assert len(kernels._spf) == 256
+    kernels._primes_to(1 << 16)
+    assert len(kernels._spf) == 1 << 17
+    assert [is_prime(n) for n in range(1 << 16)] == trial
+    assert trial.count(True) == 6542
 
 
 @pytest.mark.parametrize("x", [7.0, 7.5, "7"])

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paradim import compact
-from paradim.arith import primes_up_to
+from paradim import arith, compact, kernels
+from paradim.arith import is_prime, primes_up_to
 from paradim.compact import (
     INVARIANTS,
     M_ROWS,
@@ -174,3 +174,26 @@ def test_parity_and_positivity(p, fs):
     assert (plus, minus) == ((total + trace) // 2, (total - trace) // 2)
     assert 0 <= plus and 0 <= minus
     assert abs(trace) <= total
+
+
+def test_a_cold_level_pays_only_for_its_kernels(monkeypatch):
+    # its domain checks read the prime table without growing it, and its
+    # kernels go through the cached arith.class_number that the benchmark's
+    # tracer wraps: h(p), h(2p), h(3p) and one B_2,chi sum
+    p = 1999
+    kernels._primes_to(p)
+    end = len(kernels._spf)
+    assert is_prime(p) and len(kernels._spf) == end
+    calls = []
+
+    def counted(D0):
+        calls.append(D0)
+        return kernels.b2_character_sum(D0)
+
+    monkeypatch.setattr(compact, "b2_character_sum", counted)
+    compact.level.cache_clear()
+    arith.class_number.cache_clear()
+    level(p)
+    assert arith.class_number.cache_info().misses == 3
+    assert calls == [4 * p]
+    assert len(kernels._spf) == end

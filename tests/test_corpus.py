@@ -136,9 +136,11 @@ def test_verify_computes_each_graded_dimension_once(monkeypatch):
 
 
 def test_verify_evaluates_one_graded_run_per_key(monkeypatch):
-    # a cold run_checks evaluates one run per (base space, p, j) that a
-    # graded sequence reads (84 when a run was extended in place), and
-    # check_bias_region one run of its own
+    # a cold run_checks reads one run per (base space, p, j) that a graded
+    # sequence reads (84 when a run was extended in place) and evaluates
+    # one per M key and per (p, j) of an S/A pair, as A is built on the
+    # cached S run (41 when A had its own grid), and check_bias_region one
+    # run of its own
     runs, keys = Counter(), set()
     for name in ("_signed_run", "_cusp_runs"):
         def counted(*args, _fn=getattr(paramodular, name)):
@@ -157,7 +159,9 @@ def test_verify_evaluates_one_graded_run_per_key(monkeypatch):
     paramodular._graded_run.cache_clear()
     assert run_checks() == (902, [])
     assert len(keys) == 41
-    assert runs["calls"] == len(keys) + 1
+    evaluated = {("M" if base == "M" else "S", p, j) for base, p, j in keys}
+    assert len(evaluated) == 37
+    assert runs["calls"] == len(evaluated) + 1
 
 
 def test_one_run_serves_every_embedded_fit():

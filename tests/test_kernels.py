@@ -142,6 +142,34 @@ def test_prime_table_size_is_independent_of_call_order(fresh_table, first):
     assert kernels._primes == _naive_primes(4095)
 
 
+def test_squarefree_part_matches_the_definition_below_50000(fresh_table):
+    # first with the table of a level near 3000, where d past 4096 divides
+    # out its small primes by one gcd; then with every d below its end
+    parts = naive_kernels.squarefree_parts(50000)
+    expected = [-d0 for d0 in reversed(parts[1:])] + parts
+    kernels._primes_to(3000)
+    for end in (4096, 65536):
+        assert len(kernels._spf) == end
+        assert [kernels.squarefree_part(d) for d in range(-50000, 50001)] == expected
+        kernels._primes_to(50000)
+
+
+def test_squarefree_part_on_both_sides_of_the_table(fresh_table):
+    kernels._primes_to(1000)
+    for _ in range(2):
+        end = len(kernels._spf)
+        for d in range(end - 300, end + 300):
+            assert kernels.squarefree_part(d) == naive_kernels.squarefree_part(d), d
+            assert kernels.squarefree_part(-d) == -naive_kernels.squarefree_part(d), d
+        kernels._grow(end)
+        assert len(kernels._spf) == 2 * end
+    # past 2^35 the primes to the cube root are tried one by one:
+    # 73 * 137 * 99990001, a prime square times 3, and 2^40 * 3
+    for d in (10**12 + 1, 3 * 1000003**2, 3 << 40):
+        assert kernels.squarefree_part(d) == naive_kernels.squarefree_part(d), d
+    assert kernels.squarefree_part(10**12 + 1) == 10**12 + 1
+
+
 def _brute_root_rows(a):
     four_a = 4 * a
     roots = Counter(b * b % four_a for b in range(2 * a))
