@@ -41,7 +41,7 @@ dim_M_signed; dim_paramodular_signed stays the route of a single weight
 Graded series.  Every graded sequence is read from one cached run per
 (base space, p, j), the base space being M, A or S (_graded_run): the
 columns (plus, minus) of M from degree 0 (compact._signed_run), and of S
-and A from weight 3 (S from the grid of one prime, A from the cached S
+and A from weight 3 (S from _signed_grid, A from the cached S
 run plus the Eisenstein columns of _weight_run).  A run reaches at least
 degree _RUN_MIN - 1, the last that the first fallback fit reads, so one
 run serves the A, A+ and A- records of a prime (and M+-, S+-), the expand
@@ -182,20 +182,15 @@ def _cusp_runs(ps, j, ks):
         yield (*_cusp_pair(p, j, ks, m_run, lifted), m_run[2])
 
 
-def _signed_grid(ps, j, ks):
-    """For each prime p of ps in turn, the columns (plus, minus) of
-    dim_paramodular_signed(p, k, j) over ks, a range of consecutive integers
-    k >= 3 (j an integer >= 0); nothing when ks is empty."""
-    if not ks:
-        return
+def _signed_grid(p, j, ks):
+    """The columns (plus, minus) of dim_paramodular_signed(p, k, j) over ks,
+    the weights of a run of _cusp_runs; zero columns at an odd j."""
     if j % 2:
-        for p in ps:
-            check_level(p)
-            yield [0] * len(ks), [0] * len(ks)
-        return
-    for plus, minus, width in _cusp_runs(ps, j, ks):
-        top = _packed_weights(j, ks, width)[1][0]
-        yield _unpack(plus, width, top, len(ks)), _unpack(minus, width, top, len(ks))
+        check_level(p)
+        return [0] * len(ks), [0] * len(ks)
+    ((plus, minus, width),) = _cusp_runs([p], j, ks)
+    top = _packed_weights(j, ks, width)[1][0]
+    return _unpack(plus, width, top, len(ks)), _unpack(minus, width, top, len(ks))
 
 
 def dim_weight3(p):
@@ -267,8 +262,7 @@ def _graded_run(base, p, j, size):
         plus, minus = _graded_run("S", p, j, size)
         eis_plus, eis_minus = _weight_run(j, range(3, size))[2]
         return list(map(add, plus, eis_plus)), list(map(add, minus, eis_minus))
-    ((plus, minus),) = _signed_grid([p], j, range(3, size))
-    return plus, minus
+    return _signed_grid(p, j, range(3, size))
 
 
 def _space_sequence(p, space, nmax, j=0):

@@ -1,0 +1,102 @@
+"""The mutation registry: small faults in src/paradim, each with the tests
+that must catch it.
+
+Each entry of MUTANTS is (name, file, old text, new text, node ids): the
+mutant replaces the one occurrence of the old text in the file (a path
+from the root of the repository) by the new text, and every pytest node
+id must then fail.  tests/test_mutants.py checks in tier-1 only that each
+old text occurs exactly once in its file, so a refactor that moves the
+code must re-point its mutant rather than drop it.
+
+    python tests/mutants.py [--only NAME]
+
+copies src, tests and pyproject.toml to a temporary directory, checks
+that every node id passes there, then applies one mutant at a time and
+runs each of its node ids in a fresh pytest process.  It exits 1 if a
+node id passes under its mutant (the mutant survives) or fails
+unmutated.  A survivor is a finding: add a test that kills it, or say
+here why the mutant is equivalent.
+"""
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+KERNELS = "src/paradim/kernels.py"
+SQUAREFREE_50000 = ("tests/test_kernels.py::"
+                    "test_squarefree_part_matches_the_definition_below_50000")
+SQUAREFREE_TABLE = "tests/test_kernels.py::test_squarefree_part_on_both_sides_of_the_table"
+
+MUTANTS = [
+    ("least-factor-reads-past-the-table", KERNELS,
+     "return _spf[n] if n < len(_spf) else None",
+     "return _spf[n] if n <= len(_spf) else None",
+     ["tests/test_arith.py::test_is_prime_table_lookup_agrees_with_trial_division"]),
+    ("table-walk-keeps-even-exponents", KERNELS,
+     "            else:  # q^2 divides n\n                n //= q\n",
+     "            else:  # q^2 divides n\n                n //= q\n                d0 *= q\n",
+     [SQUAREFREE_50000, SQUAREFREE_TABLE]),
+    ("no-leftover-square-past-the-table", KERNELS,
+     "    return d0 if r * r == n else d0 * n\n",
+     "    return d0 * n\n",
+     [SQUAREFREE_50000, SQUAREFREE_TABLE]),
+]
+
+
+def _run(tree, node_id):
+    """The exit status of pytest on one node id in `tree`: 0 when it
+    passes, 1 when it fails, another status when pytest could not run it."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           node_id], cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def _copy(tree):
+    """Copy the sources, the tests and the pytest settings into `tree`."""
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, tree / part, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", tree / "pyproject.toml")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--only", metavar="NAME", help="run only the mutant NAME")
+    args = parser.parse_args(argv)
+    mutants = [m for m in MUTANTS if args.only in (None, m[0])]
+    if not mutants:
+        parser.error(f"no mutant named {args.only!r}")
+    faults = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        _copy(tree)
+        for node_id in dict.fromkeys(n for m in mutants for n in m[4]):
+            if _run(tree, node_id):
+                print(f"fails unmutated: {node_id}")
+                faults += 1
+        for name, file, old, new, node_ids in mutants:
+            path = tree / file
+            source = path.read_text()
+            if source.count(old) != 1:
+                print(f"{name}: the old text occurs {source.count(old)} times in {file}")
+                faults += 1
+                continue
+            path.write_text(source.replace(old, new))
+            for node_id in node_ids:
+                status = _run(tree, node_id)
+                verdict = {0: "SURVIVES", 1: "killed"}.get(status, f"pytest exit {status}")
+                print(f"{name}: {verdict} by {node_id}")
+                faults += status != 1
+            path.write_text(source)
+    print(f"{len(mutants)} mutants, {faults} faults")
+    return 1 if faults else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

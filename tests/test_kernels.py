@@ -143,8 +143,9 @@ def test_prime_table_size_is_independent_of_call_order(fresh_table, first):
 
 
 def test_squarefree_part_matches_the_definition_below_50000(fresh_table):
-    # first with the table of a level near 3000, where d past 4096 divides
-    # out its small primes by one gcd; then with every d below its end
+    # first with the table of a level near 3000, where d past 4096 is
+    # trial-divided by the primes to its cube root; then with every d
+    # below the end of the table
     parts = naive_kernels.squarefree_parts(50000)
     expected = [-d0 for d0 in reversed(parts[1:])] + parts
     kernels._primes_to(3000)
@@ -163,10 +164,16 @@ def test_squarefree_part_on_both_sides_of_the_table(fresh_table):
             assert kernels.squarefree_part(-d) == -naive_kernels.squarefree_part(d), d
         kernels._grow(end)
         assert len(kernels._spf) == 2 * end
-    # past 2^35 the primes to the cube root are tried one by one:
+    # past the table the primes to the cube root are tried one by one.
+    # Either side of 2^35: prime squares q^2 and products of two primes q,
+    # each q past the cube root, 6^2 and 7^3 times a prime, and 2^35; then
     # 73 * 137 * 99990001, a prime square times 3, and 2^40 * 3
-    for d in (10**12 + 1, 3 * 1000003**2, 3 << 40):
-        assert kernels.squarefree_part(d) == naive_kernels.squarefree_part(d), d
+    for d in (185363**2, 185369**2, 185359 * 185363, 185363 * 185369,
+              36 * 954437161, 36 * 954437191, 7**3 * 100174169, 1 << 35,
+              10**12 + 1, 3 * 1000003**2, 3 << 40):
+        d0 = naive_kernels.squarefree_part(d)
+        assert kernels.squarefree_part(d) == d0, d
+        assert kernels.squarefree_part(-d) == -d0, d
     assert kernels.squarefree_part(10**12 + 1) == 10**12 + 1
 
 
