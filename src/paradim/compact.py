@@ -14,16 +14,17 @@ command.
 
 Packed runs.  _signed_packed(p, j, f2s, extra) gives dim_M_signed along
 the weights w_n = (f2 + j, f2), f2 in the range f2s, from a few
-big-integer products (Kronecker substitution); _signed_run unpacks it
-into lists.  The weight side is shared by every prime: _chi_run reads the
-columns of CHI_INDEX over the run from characters.chi_columns, and
-_packed_run packs each into one int X_i = sum_n chi_i(w_n) 2^(W n) per
-width W.  The level side reads level(p) once and forms
+big-integer products (Kronecker substitution), as a run (M+, M-, W, T):
+two packed ints, the width W of their fields and the int T whose every
+field is 2^(W - 1); _columns unpacks a run into lists.  The weight side
+is shared by every prime: _chi_run reads the columns of CHI_INDEX over
+the run from characters.chi_columns, and _packed_run packs each into one
+int X_i = sum_n chi_i(w_n) 2^(W n) per width W.  The level side reads level(p) once and forms
 A = sum (m_i + tr_i) X_i and B = sum (m_i - tr_i) X_i, whose n-th fields
 are 2 DEN M+ and 2 DEN M- at w_n; CPython's C loops do every multiply-add
 of a column at once.  The quotients of A and B by 2 DEN are M+ and M-
-packed at W, which paramodular carries on to S+-, their signs and the
-bias without unpacking them.
+packed at W, which paramodular carries on to S+- and to the signs of
+S+- and of the bias without unpacking them.
 
 Why it is exact.  Packing is linear: an integer combination of packed
 ints packs the same combination of their fields, and digits in
@@ -60,15 +61,17 @@ such weight, the error of the pointwise chain.  That holds while the
 packed columns are the characters that dim_M_signed reads: if the replay
 raises nothing, they are not, and NonIntegral names the run instead.
 
-Signs in bulk.  Let T be the int whose every field is 2^(W - 1).  For x
-packed with fields v_n in range, x + T has the fields v_n + 2^(W - 1) in
-[0, 2^W): those are its digits to base 2^W, with no carry between fields
-(the borrow of a negative field is paid from its own offset), and the
-top bit of each is set exactly when v_n >= 0.  So (x + T) & T = T
-exactly when no field of x is negative, the lowest set bit of
-T & ~(x + T) is the top bit of the first negative field, and T - x, with
-the fields 2^(W - 1) - v_n, finds the fields v_n <= 0.  paramodular tests
-S+- and the bias so, one int at a time.
+Signs in bulk.  For x packed with fields |v_n| < 2^(W - 1), x + T has
+the fields v_n + 2^(W - 1) in [0, 2^W): those are its digits to base
+2^W, with no carry between fields (the borrow of a negative field is paid
+from its own offset), and the top bit of each is set exactly when
+v_n >= 0.  So up = (x + T) & T marks the fields v_n >= 0 (up = T when
+none is negative, and the lowest set bit of T & ~up is the top bit of the
+first negative one), down = (T - x) & T those v_n <= 0, and up & down
+those v_n = 0.  paramodular tests S+- so, and the bias (-1)^k (S+ - S-)
+from x = S+ - S- alone: with E the top bits of the fields at even k, the
+bias is >= 0 exactly at the top bits of up & E | down & ~E, and 0 at
+those of up & down.
 
 The level invariants I(p) = _invariants(p) are a tuple of 20 ints, named
 by INVARIANTS.  M_ROWS is one table, since [p = 2] and [p = 3] are
@@ -249,13 +252,6 @@ def _repeat(field, width, n):
     return int.from_bytes(field.to_bytes(width // 8, "little") * n, "little")
 
 
-def _mask(flags, width):
-    """The int whose field n has every bit set where flags[n] holds, and
-    none where it does not."""
-    return int.from_bytes(b"".join(bytes([255 * flag]) * (width // 8) for flag in flags),
-                          "little")
-
-
 def _field(x, n, width, top):
     """Field n of x packed at `width`, top the top bit of every field."""
     return ((x + top) >> width * n & (1 << width) - 1) - (1 << width - 1)
@@ -282,9 +278,10 @@ def _pack(values, width, offset):
     return (int.from_bytes(data, "little") ^ offset) - offset
 
 
-def _unpack(x, width, offset, n):
-    """The n values that _pack(values, width, offset) packs into x."""
-    data = ((x + offset) ^ offset).to_bytes(n * width // 8, "little")
+def _unpack(x, width, offset):
+    """The values that _pack(values, width, offset) packs into x, one per
+    field of the offset."""
+    data = ((x + offset) ^ offset).to_bytes(offset.bit_length() // 8, "little")
     if _native(width):
         return array("q", data).tolist()
     size = width // 8
@@ -293,8 +290,9 @@ def _unpack(x, width, offset, n):
 
 
 def _signed_packed(p, j, f2s, extra=0):
-    """(plus, minus, width): the columns of dim_M_signed(p, f2 + j, f2) over
-    the range f2s, packed at `width`, from one lookup of level(p).  Fields
+    """(plus, minus, width, offset): the columns of dim_M_signed(p, f2 + j,
+    f2) over the range f2s, packed at `width` with the top bit of every
+    field in `offset`, from one lookup of level(p).  Fields
     of that width also hold every v with |v| <= |M+| + |M-| + extra at
     each weight of the run.  A failed bulk check replays dim_M_signed
     along the run."""
@@ -318,14 +316,14 @@ def _signed_packed(p, j, f2s, extra=0):
             raise NonIntegral(f"packed run p={p}, j={j}, f2 in {f2s}: the bulk check "
                               "fails, but dim_M_signed passes at every weight")
         quotients.append(q)
-    return (*quotients, width)
+    return (*quotients, width, offset)
 
 
-def _signed_run(p, j, f2s):
-    """The two columns of _signed_packed(p, j, f2s) as lists."""
-    *columns, width = _signed_packed(p, j, f2s)
-    offset = _packed_run(j, f2s, width)[1]
-    return [_unpack(x, width, offset, len(f2s)) for x in columns]
+def _columns(run):
+    """The columns (plus, minus) of a packed run (plus, minus, width,
+    offset) as lists."""
+    plus, minus, width, offset = run
+    return _unpack(plus, width, offset), _unpack(minus, width, offset)
 
 
 def class_and_type(p):

@@ -16,39 +16,38 @@ and is the one home of that formula.
 
 Grids.  check_bias_region and the graded S and A sequences from k = 3
 ask for whole runs of weights at a prime, and each run stays packed from
-the characters up to the bias (compact, "Packed runs").  The weight side
-is built once per run and shared by every prime: _weight_run(j, ks)
-holds the columns of _weight_terms, their maxima and the Eisenstein pair
-of the A spaces; _packed_weights(j, ks, W) packs the Siegel term SP, SP
-less the minus drop DROP and the lift multiplier LIFT at the width W,
-with the masks of the fields' top bits and of the fields at even k.  Per
-prime, _cusp_runs reads the signed newspace (s+, s-), and
-compact._signed_packed packs M+- at a W that also holds what _extra says
-the weight terms add.  _cusp_pair forms S+ = SP + M- - s+ LIFT and
-S- = SP - DROP + M+ - s- LIFT as two ints, and _signed_bias gives
-(-1)^k (S+ - S-) by adding the fields at even k of S+ - S- twice and the
-whole difference once with the sign flipped.  NegativeDim and the sign of
-the bias are read from the top bits of the fields (compact, "Signs in
-bulk"), and a field is unpacked only to name the first bad k.
-check_bias_region reads only the zero fields, and _signed_grid unpacks
-S+- for the sequences.  A prime's compact errors come first, then
-NegativeDim and BiasViolation at its first bad k.  A packed run of one
-is its value, so dim_paramodular_signed and bias evaluate a single
-weight by the same integer expressions, from the pointwise chain of
-dim_M_signed; dim_paramodular_signed stays the route of a single weight
-(dim, table).
+the characters up to the sign of the bias (compact, "Packed runs").  The
+weight side is built once per run and shared by every prime:
+_weight_run(j, ks) holds the columns of _weight_terms, their maxima and
+the Eisenstein pair of the A spaces; _packed_weights(j, ks, W) packs the
+Siegel term SP, SP less the minus drop DROP and the lift multiplier LIFT
+at the width W, with the top bits of the fields at even k.  Per prime,
+_cusp_run reads the signed newspace (s+, s-), compact._signed_packed
+packs M+- at a W that also holds what _extra says the weight terms add,
+and _cusp_pair forms S+ = SP + M- - s+ LIFT and
+S- = SP - DROP + M+ - s- LIFT as two ints.  NegativeDim is read from the
+top bits of S+-, and the sign of the bias (-1)^k (S+ - S-) and its zeros
+from those of S+ - S- and the even-k mask (compact, "Signs in bulk"); a
+field is unpacked only to name the first bad k.  check_bias_region reads
+only the zero fields, and the sequences unpack S+- by compact._columns.
+A prime's compact errors come first, then NegativeDim and BiasViolation
+at its first bad k.  A packed run of one is its value, so
+dim_paramodular_signed evaluates a single weight by the same integer
+expressions, from the pointwise chain of dim_M_signed, and bias is
+(-1)^k (plus - minus) of it; dim_paramodular_signed stays the route of a
+single weight (dim, table).
 
 Graded series.  Every graded sequence is read from one cached run per
 (base space, p, j), the base space being M, A or S (_graded_run): the
-columns (plus, minus) of M from degree 0 (compact._signed_run), and of S
-and A from weight 3 (S from _signed_grid, A from the cached S
-run plus the Eisenstein columns of _weight_run).  A run reaches at least
-degree _RUN_MIN - 1, the last that the first fallback fit reads, so one
-run serves the A, A+ and A- records of a prime (and M+-, S+-), the expand
-checks, every embedded fit, the first two fallback denominators and the
-palindromic checks;
-only the last fallback reads a longer run.  No caller changes a run, and
-lru_cache holds no run that raised.  Below weight 3 the S and A
+columns (plus, minus) of M from degree 0 (compact._signed_packed), and
+of S and A from weight 3 (S from _cusp_run, and zero at an odd j; A from
+the cached S run plus the Eisenstein columns of _weight_run).  A run
+reaches at least degree _RUN_MIN - 1, the last that the first fallback
+fit reads, so one run serves the A, A+ and A- records of a prime (and
+M+-, S+-), the expand checks, every embedded fit, the first two fallback
+denominators and the palindromic checks; only the last fallback reads a
+longer run.  No caller changes a run, and lru_cache holds no run that
+raised.  Below weight 3 the S and A
 sequences stay pointwise and uncached, so weight 2 at p >=
 LIFTS_ONLY_BELOW raises only when a sequence reaches it.
 hilbert_series is the one fitter: for a denominator with exponent sum s
@@ -65,14 +64,12 @@ from operator import add, itemgetter, sub
 from .arith import check_level, primes_up_to
 from .characters import young
 from .compact import (
+    _columns,
     _field,
     _first_field,
-    _mask,
     _pack,
     _repeat,
     _signed_packed,
-    _signed_run,
-    _unpack,
     _width,
     class_and_type,
     dim_M_signed,
@@ -117,7 +114,7 @@ def dim_paramodular_signed(p, k, j=0):
     m_plus, m_minus = dim_M_signed(p, *young(k, j))
     ks, lifted = range(k, k + 1), dim_new_gamma0_signed(p, j + 2)
     width = _width(abs(m_plus) + abs(m_minus) + _extra(j, ks, lifted))
-    return _cusp_pair(p, j, ks, (m_plus, m_minus, width), lifted)
+    return _cusp_pair(p, j, ks, (m_plus, m_minus, width, 1 << width - 1), lifted)
 
 
 # Every prime of a grid reads the weight records of its run ks; a float j
@@ -142,23 +139,25 @@ def _extra(j, ks, lifted):
 
 @lru_cache(maxsize=64, typed=True)
 def _packed_weights(j, ks, width):
-    """((sp, kept, lift), (top, even, even_top)): the Siegel term, the
-    Siegel term less the minus drop and the lift multiplier of the weights
-    ks at (k, j), packed at `width`; the top bit of every field, every bit
-    of the fields at even k, and their top bits."""
+    """((sp, kept, lift), even): the Siegel term, the Siegel term less the
+    minus drop and the lift multiplier of the weights ks at (k, j), packed
+    at `width`, and the top bits of the fields at even k."""
     (sp, lift, drop), _, _ = _weight_run(j, ks)
-    top, even = _repeat(1 << width - 1, width, len(ks)), _mask([k % 2 == 0 for k in ks], width)
+    top = _repeat(1 << width - 1, width, len(ks))
+    # in each pair of fields, the top bit of the one at an even k
+    pair = 1 << width - 1 + width * (ks.start % 2)
+    even = _repeat(pair, 2 * width, (len(ks) + 1) // 2) & top
     terms = sp, list(map(sub, sp, drop)), lift
-    return tuple(_pack(t, width, top) for t in terms), (top, even, even & top)
+    return tuple(_pack(t, width, top) for t in terms), even
 
 
 def _cusp_pair(p, j, ks, m_run, lifted):
     """(S^+, S^-) over the weights ks at (p, j), each packed into one int,
-    from the compact side m_run = (M+, M-, width) packed at the Young
-    weights of ks and lifted = dim_new_gamma0_signed(p, j + 2); NegativeDim
-    at the first k where either field is negative."""
-    m_plus, m_minus, width = m_run
-    (sp, kept, lift), (top, _, _) = _packed_weights(j, ks, width)
+    from the compact side m_run = (M+, M-, width, offset) packed at the
+    Young weights of ks and lifted = dim_new_gamma0_signed(p, j + 2);
+    NegativeDim at the first k where either field is negative."""
+    m_plus, m_minus, width, top = m_run
+    sp, kept, lift = _packed_weights(j, ks, width)[0]
     s_plus, s_minus = lifted
     plus = sp + m_minus - s_plus * lift
     minus = kept + m_plus - s_minus * lift
@@ -170,27 +169,14 @@ def _cusp_pair(p, j, ks, m_run, lifted):
     return plus, minus
 
 
-def _cusp_runs(ps, j, ks):
-    """For each prime p of ps in turn, (S^+, S^-, width): _cusp_pair over
-    ks, a nonempty range of consecutive integers k >= 3 (j an even integer
-    >= 0), packed at width."""
-    _weight_run(j, ks)  # UnsupportedJ before any level is read
-    f2s = range(ks.start - 3, ks.stop - 3)
-    for p in ps:
-        lifted = dim_new_gamma0_signed(p, j + 2)
-        m_run = _signed_packed(p, j, f2s, _extra(j, ks, lifted))
-        yield (*_cusp_pair(p, j, ks, m_run, lifted), m_run[2])
-
-
-def _signed_grid(p, j, ks):
-    """The columns (plus, minus) of dim_paramodular_signed(p, k, j) over ks,
-    the weights of a run of _cusp_runs; zero columns at an odd j."""
-    if j % 2:
-        check_level(p)
-        return [0] * len(ks), [0] * len(ks)
-    ((plus, minus, width),) = _cusp_runs([p], j, ks)
-    top = _packed_weights(j, ks, width)[1][0]
-    return _unpack(plus, width, top, len(ks)), _unpack(minus, width, top, len(ks))
+def _cusp_run(p, j, ks):
+    """(S^+, S^-, width, offset): _cusp_pair at p over ks, a nonempty range
+    of consecutive integers k >= 3 (j an even integer >= 0), as a packed
+    run in the form that _signed_packed gives."""
+    _weight_run(j, ks)  # UnsupportedJ before the level is read
+    lifted = dim_new_gamma0_signed(p, j + 2)
+    m_run = _signed_packed(p, j, range(ks.start - 3, ks.stop - 3), _extra(j, ks, lifted))
+    return (*_cusp_pair(p, j, ks, m_run, lifted), *m_run[2:])
 
 
 def dim_weight3(p):
@@ -257,12 +243,15 @@ def _graded_run(base, p, j, size):
     to degree size - 1: M from degree 0, S and A from weight 3, A as the
     cached S run plus the Eisenstein columns."""
     if base == "M":
-        return _signed_run(p, j, range(size))
+        return _columns(_signed_packed(p, j, range(size)))
     if base == "A":
         plus, minus = _graded_run("S", p, j, size)
         eis_plus, eis_minus = _weight_run(j, range(3, size))[2]
         return list(map(add, plus, eis_plus)), list(map(add, minus, eis_minus))
-    return _signed_grid(p, j, range(3, size))
+    if j % 2:
+        check_level(p)
+        return [0] * (size - 3), [0] * (size - 3)
+    return _columns(_cusp_run(p, j, range(3, size)))
 
 
 def _space_sequence(p, space, nmax, j=0):
@@ -354,16 +343,7 @@ def hilbert_series(p, space, j=0):
 def bias(p, k):
     """(-1)^k (dim plus - dim minus) in weight k, scalar valued."""
     plus, minus = dim_paramodular_signed(p, k)
-    return _signed_bias(range(k, k + 1), plus, minus, _width(abs(plus) + abs(minus)))
-
-
-def _signed_bias(ks, plus, minus, width):
-    """bias over the consecutive weights ks, packed at `width`, from S^+
-    and S^- packed there: the fields of plus - minus at even k are added
-    twice, so that those at odd k change sign."""
-    top, even, even_top = _packed_weights(0, ks, width)[1]
-    diff = plus - minus
-    return 2 * (((diff + top) & even) - even_top) - diff
+    return (-1) ** k * (plus - minus)
 
 
 def search_weight3_zero(pmax):
@@ -381,16 +361,15 @@ def check_bias_region(pmax, kmax):
     zeros = []
     if not ks:
         return zeros
-    for p, (plus, minus, width) in zip(primes, _cusp_runs(primes, 0, ks)):
-        b = _signed_bias(ks, plus, minus, width)
-        top = _packed_weights(0, ks, width)[1][0]
-        signs = (b + top) & top
+    for p in primes:
+        plus, minus, width, top = _cusp_run(p, 0, ks)
+        diff, even = plus - minus, _packed_weights(0, ks, width)[1]
+        up, down = (diff + top) & top, (top - diff) & top
+        signs = up & even | down & ~even
         if signs != top:
             n = _first_field(top ^ signs, width)
-            raise BiasViolation(p, ks[n], _field(b, n, width, top))
-        # no field is negative, so 2^(width - 1) - b keeps its top bit
-        # exactly where b is 0
-        zero = (top - b) & top
+            raise BiasViolation(p, ks[n], (-1) ** ks[n] * _field(diff, n, width, top))
+        zero = up & down
         while zero:
             zeros.append((p, ks[_first_field(zero, width)]))
             zero &= zero - 1

@@ -28,6 +28,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 KERNELS = "src/paradim/kernels.py"
+COMPACT = "src/paradim/compact.py"
+PARAMODULAR = "src/paradim/paramodular.py"
+TEST_PARAMODULAR = "tests/test_paramodular.py::"
+ZERO_PAIRS = TEST_PARAMODULAR + "test_bias_zero_pairs_small"
+GRADED_RUNS = "tests/test_corpus.py::test_verify_evaluates_one_graded_run_per_key"
 SQUAREFREE_50000 = ("tests/test_kernels.py::"
                     "test_squarefree_part_matches_the_definition_below_50000")
 SQUAREFREE_TABLE = "tests/test_kernels.py::test_squarefree_part_on_both_sides_of_the_table"
@@ -45,6 +50,61 @@ MUTANTS = [
      "    return d0 if r * r == n else d0 * n\n",
      "    return d0 * n\n",
      [SQUAREFREE_50000, SQUAREFREE_TABLE]),
+    ("width-pinned-at-64", COMPACT,
+     "    return 64 * (bound.bit_length() // 64 + 1)\n",
+     "    return 64\n",
+     [TEST_PARAMODULAR + "test_a_wide_level_takes_a_wider_field"]),
+    ("no-digit-range-check", COMPACT,
+     "        if r or (q + h) | low != low:\n",
+     "        if r:\n",
+     [TEST_PARAMODULAR + "test_residues_that_cancel_in_the_packed_sum_are_refused"]),
+    ("no-replay-of-dim-M-signed", COMPACT,
+     "            for f2 in f2s:\n                dim_M_signed(p, f2 + j, f2)\n",
+     "            pass\n",
+     [TEST_PARAMODULAR + "test_a_bent_level_raises_alike_on_both_routes",
+      TEST_PARAMODULAR + "test_a_bent_character_raises_alike_at_its_weight"]),
+    ("columns-swapped-in-the-list-view", COMPACT,
+     "return _unpack(plus, width, offset), _unpack(minus, width, offset)",
+     "return _unpack(minus, width, offset), _unpack(plus, width, offset)",
+     [TEST_PARAMODULAR + "test_grid_is_the_pointwise_route"]),
+    ("bias-sign-up-and-down-swapped", PARAMODULAR,
+     "signs = up & even | down & ~even",
+     "signs = down & even | up & ~even",
+     [TEST_PARAMODULAR + "test_a_negative_bias_is_refused",
+      TEST_PARAMODULAR + "test_the_bias_region_is_the_pointwise_route"]),
+    ("bias-zeros-from-up-alone", PARAMODULAR,
+     "zero = up & down",
+     "zero = up",
+     [ZERO_PAIRS]),
+    ("even-mask-of-the-other-start-parity", PARAMODULAR,
+     "width * (ks.start % 2)",
+     "width * (1 - ks.start % 2)",
+     [TEST_PARAMODULAR + "test_packed_runs_are_the_pointwise_route", ZERO_PAIRS]),
+    ("negative-minus-space-unchecked", PARAMODULAR,
+     "signs = (plus + top) & (minus + top) & top",
+     "signs = (plus + top) & top",
+     [TEST_PARAMODULAR + "test_a_negative_dimension_is_refused",
+      TEST_PARAMODULAR + "test_each_mask_reads_what_the_pointwise_route_gives"]),
+    ("width-bound-without-the-column-sums", COMPACT,
+     "max(max(tops, default=0), 2 * max(bounds),",
+     "max(max(tops, default=0),",
+     [TEST_PARAMODULAR + "test_the_bulk_check_holds_at_every_width_edge"]),
+    ("graded-runs-cached-one-at-a-time", PARAMODULAR,
+     "@lru_cache(maxsize=128, typed=True)\ndef _graded_run(",
+     "@lru_cache(maxsize=1, typed=True)\ndef _graded_run(",
+     [GRADED_RUNS]),
+    ("no-run-min-floor", PARAMODULAR,
+     "max(nmax + 1, _RUN_MIN)",
+     "nmax + 1",
+     ["tests/test_corpus.py::test_fallback_denominators_share_one_run", GRADED_RUNS]),
+    ("sequence-one-term-long", PARAMODULAR,
+     "column[:nmax + 1 - first]",
+     "column[:nmax + 2 - first]",
+     ["tests/test_assembly_oracle.py::test_space_sequence_matches_oracle"]),
+    ("run-min-30-shorter", PARAMODULAR,
+     "_RUN_MIN = 2 * sum(FALLBACK_DENOMINATORS[0]) + FIT_SLACK + 1\n",
+     "_RUN_MIN = 2 * sum(FALLBACK_DENOMINATORS[0]) + FIT_SLACK + 1 - 30\n",
+     ["tests/test_corpus.py::test_one_run_serves_every_embedded_fit"]),
 ]
 
 

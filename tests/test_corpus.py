@@ -103,8 +103,8 @@ def test_only_computes_nothing_it_does_not_select(monkeypatch, only, calls):
 def _count_dim_M_total(monkeypatch):
     """A counter of the total dimensions of M computed, with no run cached:
     the calls of compact.dim_M_total and the weights of each run that
-    paramodular evaluates with compact._signed_run (the M sequences) or
-    compact._signed_packed (the S and A sequences)."""
+    paramodular evaluates with compact._signed_packed (the M, S and A
+    sequences)."""
     seen = Counter()
     total = compact.dim_M_total
 
@@ -119,8 +119,7 @@ def _count_dim_M_total(monkeypatch):
         return counted
 
     monkeypatch.setattr(compact, "dim_M_total", counted)
-    for name in ("_signed_run", "_signed_packed"):
-        monkeypatch.setattr(paramodular, name, counted_run(getattr(paramodular, name)))
+    monkeypatch.setattr(paramodular, "_signed_packed", counted_run(paramodular._signed_packed))
     paramodular._graded_run.cache_clear()
     return seen
 
@@ -139,12 +138,12 @@ def test_verify_evaluates_one_graded_run_per_key(monkeypatch):
     # a cold run_checks reads one run per (base space, p, j) that a graded
     # sequence reads (84 when a run was extended in place) and evaluates
     # one per M key and per (p, j) of an S/A pair, as A is built on the
-    # cached S run (41 when A had its own grid), and check_bias_region one
-    # run of its own
+    # cached S run (41 when A had its own grid): each is packed once and
+    # unpacked once, and check_bias_region packs one S run per prime
     runs, keys = Counter(), set()
-    for name in ("_signed_run", "_cusp_runs"):
-        def counted(*args, _fn=getattr(paramodular, name)):
-            runs["calls"] += 1
+    for name in ("_signed_packed", "_cusp_run", "_columns"):
+        def counted(*args, _name=name, _fn=getattr(paramodular, name)):
+            runs[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(paramodular, name, counted)
     sequence = paramodular._space_sequence
@@ -161,7 +160,9 @@ def test_verify_evaluates_one_graded_run_per_key(monkeypatch):
     assert len(keys) == 41
     evaluated = {("M" if base == "M" else "S", p, j) for base, p, j in keys}
     assert len(evaluated) == 37
-    assert runs["calls"] == len(evaluated) + 1
+    primes, s_runs = len(primes_up_to(corpus.BIAS_PMAX)), sum(e[0] == "S" for e in evaluated)
+    assert runs == {"_columns": len(evaluated), "_signed_packed": len(evaluated) + primes,
+                    "_cusp_run": s_runs + primes}
 
 
 def test_one_run_serves_every_embedded_fit():

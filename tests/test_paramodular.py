@@ -13,8 +13,8 @@ from paradim.compact import (
     M_ROWS,
     TRACE_ROWS,
     Level,
-    _signed_run,
-    _unpack,
+    _columns,
+    _signed_packed,
     dim_M_signed,
 )
 from paradim.data import load_json
@@ -40,10 +40,9 @@ from paradim.errors import (
 from paradim.exactmath import RationalGF, is_palindromic, series_coeffs
 from paradim.paramodular import (
     FALLBACK_DENOMINATORS,
-    _cusp_runs,
+    _cusp_run,
+    _graded_run,
     _packed_weights,
-    _signed_bias,
-    _signed_grid,
     _weight_terms,
     bias,
     check_bias_region,
@@ -300,18 +299,18 @@ def _f2s(ks):
 def test_grid_is_the_pointwise_route(j):
     weights = [young(k, j) for k in GRID_KS]
     for p in GRID_PRIMES:
-        assert _pairs(_signed_grid(p, j, GRID_KS)) == [
+        assert _pairs(_columns(_cusp_run(p, j, GRID_KS))) == [
             dim_paramodular_signed(p, k, j) for k in GRID_KS], p
-        assert _pairs(_signed_run(p, j, _f2s(GRID_KS))) == [
+        assert _pairs(_columns(_signed_packed(p, j, _f2s(GRID_KS)))) == [
             dim_M_signed(p, *w) for w in weights], p
 
 
 def test_grid_at_odd_j_is_zero():
     for p in (2, 7, 199):
-        assert _signed_grid(p, 3, range(3, 7)) == ([0] * 4, [0] * 4), p
+        assert _graded_run("S", p, 3, 7) == ([0] * 4, [0] * 4), p
     assert [dim_paramodular_signed(7, k, 3) for k in range(3, 7)] == [(0, 0)] * 4
     with pytest.raises(NotPrimeLevel):
-        _signed_grid(9, 3, range(3, 7))
+        _graded_run("S", 9, 3, 7)
 
 
 @settings(max_examples=25, deadline=None)
@@ -320,7 +319,8 @@ def test_grid_at_odd_j_is_zero():
 def test_grid_is_the_pointwise_route_on_random_runs(ps, start, length, j):
     ks = range(start, min(start + length, 600) + 1)
     for p in ps:
-        assert _pairs(_signed_grid(p, j, ks)) == [dim_paramodular_signed(p, k, j) for k in ks], p
+        assert _pairs(_columns(_cusp_run(p, j, ks))) == [
+            dim_paramodular_signed(p, k, j) for k in ks], p
 
 
 @settings(max_examples=40, deadline=None)
@@ -329,17 +329,16 @@ def test_grid_is_the_pointwise_route_on_random_runs(ps, start, length, j):
        st.sampled_from([0, 2, 4]))
 def test_packed_runs_are_the_pointwise_route(ps, half, even, length, j):
     # runs of one (length 0) and longer ones, from an odd or an even k: S+-
-    # and, at j = 0, the bias, packed field by field as the pointwise route
-    # gives them
+    # packed field by field as the pointwise route gives them, and the mask
+    # of the bias sign with its top bit in exactly the fields at even k
     start = 3 + 2 * half + even
     ks = range(start, start + length + 1)
-    for p, (plus, minus, width) in zip(ps, _cusp_runs(ps, j, ks)):
-        top = _packed_weights(j, ks, width)[1][0]
-        columns = [_unpack(x, width, top, len(ks)) for x in (plus, minus)]
-        assert _pairs(columns) == [dim_paramodular_signed(p, k, j) for k in ks]
-        if j == 0:
-            b = _signed_bias(ks, plus, minus, width)
-            assert _unpack(b, width, top, len(ks)) == [bias(p, k) for k in ks]
+    for p in ps:
+        run = _cusp_run(p, j, ks)
+        assert _pairs(_columns(run)) == [dim_paramodular_signed(p, k, j) for k in ks]
+        width = run[2]
+        assert _packed_weights(0, ks, width)[1] == sum(
+            1 << width * n + width - 1 for n, k in enumerate(ks) if k % 2 == 0)
 
 
 def _region(pmax, kmax):
@@ -391,8 +390,9 @@ def test_a_wide_level_takes_a_wider_field(monkeypatch, j):
     monkeypatch.setattr(compact, "_packed_run", recorded)
     assert dim_M_signed(199, *young(130, j)) == tuple(v << 70 for v in unscaled)
     for p in ps:
-        assert _pairs(_signed_grid(p, j, ks)) == [dim_paramodular_signed(p, k, j) for k in ks], p
-        assert _pairs(_signed_run(p, j, _f2s(ks))) == [
+        assert _pairs(_columns(_cusp_run(p, j, ks))) == [
+            dim_paramodular_signed(p, k, j) for k in ks], p
+        assert _pairs(_columns(_signed_packed(p, j, _f2s(ks)))) == [
             dim_M_signed(p, *young(k, j)) for k in ks], p
     if j == 0:
         assert _outcome(lambda: check_bias_region(199, 130)) == _outcome(
@@ -410,7 +410,7 @@ def test_the_bulk_check_holds_at_every_width_edge(monkeypatch):
         for s in range(140):
             monkeypatch.setattr(compact, "level", lambda p, s=s: Level(
                 *([c << s for c in row] for row in true_level(p))))
-            assert _pairs(_signed_run(p, 0, f2s)) == [
+            assert _pairs(_columns(_signed_packed(p, 0, f2s))) == [
                 (plus << s, minus << s) for plus, minus in unscaled[p]], (p, s)
 
 
@@ -423,14 +423,14 @@ def _raised(call):
 
 def _both_routes(p, j, ks, compact_too=True):
     """What dim_paramodular_signed at each k of ks in turn, and the grid of
-    p, raise; with compact_too, also what dim_M_signed and _signed_run
-    raise at the Young weights of ks."""
+    p, raise; with compact_too, also what dim_M_signed and the packed M
+    run raise at the Young weights of ks."""
     weights = [young(k, j) for k in ks]
     routes = [lambda: [dim_paramodular_signed(p, k, j) for k in ks],
-              lambda: _signed_grid(p, j, ks)]
+              lambda: _columns(_cusp_run(p, j, ks))]
     if compact_too:
         routes += [lambda: [dim_M_signed(p, *w) for w in weights],
-                   lambda: _signed_run(p, j, _f2s(ks))]
+                   lambda: _columns(_signed_packed(p, j, _f2s(ks)))]
     return [_raised(route) for route in routes]
 
 
@@ -494,7 +494,7 @@ def test_residues_that_cancel_in_the_packed_sum_are_refused(monkeypatch, fresh_r
         [tuple({1: 29, 2: 1}.get(f, 0) for f in range(f2, f2 + n))]
         + [(0,) * n] * (len(indices) - 1)))
     assert 2 * (29 * 2**64 + 2**128) % (2 * DEN) == 0
-    assert _raised(lambda: _signed_run(7, 0, range(3))) == _raised(
+    assert _raised(lambda: _columns(_signed_packed(7, 0, range(3)))) == _raised(
         lambda: [dim_M_signed(7, f2, f2) for f2 in range(3)]) == (
         NonIntegral, "dim M(7,1,1) = 29/2880 is not an integer")
 
@@ -511,7 +511,7 @@ def test_a_packing_fault_is_not_blamed_on_dim_M(monkeypatch, fresh_runs):
 
     monkeypatch.setattr(compact, "_packed_run", faulty)
     with pytest.raises(NonIntegral, match=r"^packed run p=7, j=0, f2 in range\(0, 10\): "):
-        _signed_run(7, 0, range(10))
+        _columns(_signed_packed(7, 0, range(10)))
     assert [dim_M_signed(7, f2, f2) for f2 in range(10)] == pointwise
 
 
