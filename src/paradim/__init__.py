@@ -27,6 +27,7 @@ from .paramodular import (
     dim_A_signed,
     dim_paramodular_signed,
     dim_weight3,
+    formula,
     hilbert_series,
     search_weight3_zero,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "dim_paramodular_signed",
     "dim_weight3",
     "family_tallies",
+    "formula",
     "hilbert_series",
     "principal_tallies",
     "search_weight3_zero",

@@ -8,7 +8,7 @@ M_ROWS and TRACE_ROWS to the level invariants I(p).  dim_M_total and
 trace_R divide a dot product with the cached character vector by DEN
 exactly, and dim_M_signed splits the two into (plus, minus).
 
-A single weight keeps that chain of three calls (dim, table, weight 3):
+A single weight keeps that chain of three calls (dim, table):
 perfbench/tests/test_harness.py counts one dim_M_total call for a dim
 command.
 
@@ -74,10 +74,12 @@ bias is >= 0 exactly at the top bits of up & E | down & ~E, and 0 at
 those of up & down.
 
 The level invariants I(p) = _invariants(p) are a tuple of 20 ints, named
-by INVARIANTS.  M_ROWS is one table, since [p = 2] and [p = 3] are
-invariants; each branch of the trace, p = 2, p = 3, p = 1 and p = 3
-(mod 4), has its own TRACE_ROWS table and its own flat copy of M_ROWS,
-which drops the terms of [p = q] where q is another branch's prime.  No
+by INVARIANTS, and cached once per prime: level reads them, and so do
+the callers of paramodular.formula (dim_weight3).  M_ROWS is one table,
+since [p = 2] and [p = 3] are invariants; each branch of the trace,
+p = 2, p = 3, p = 1 and p = 3 (mod 4), the key _branch(p), has its own
+TRACE_ROWS table and its own flat copy of M_ROWS, which drops the terms
+of [p = q] where q is another branch's prime.  No
 Fraction is on this path: after one primality test of p, `level` takes
 the integer 5 B_{2,chi} from kernels.b2_character_sum by one exact
 division.
@@ -162,6 +164,13 @@ class Level(namedtuple("Level", "m tr")):
     __slots__ = ()
 
 
+def _branch(p):
+    """The key of TRACE_ROWS and _TRIPLES at the prime p."""
+    return p if p < 5 else "1 mod 4" if p % 4 == 1 else "3 mod 4"
+
+
+# typed, so that 7.0 misses the entry of 7 and is refused
+@lru_cache(maxsize=None, typed=True)
 def _invariants(p):
     """I(p) as a tuple of ints; NotPrimeLevel unless p is a prime int,
     NonIntegral if 5 B_{2,chi} is not an integer."""
@@ -192,7 +201,7 @@ def level(p):
     """The coefficient record of the prime level p; NotPrimeLevel for any
     other p."""
     inv = _invariants(p)
-    m, tr = _TRIPLES[p if p < 5 else "1 mod 4" if p % 4 == 1 else "3 mod 4"]
+    m, tr = _TRIPLES[_branch(p)]
     return Level(_apply(m, inv), _apply(tr, inv))
 
 
@@ -331,6 +340,11 @@ def class_and_type(p):
     plus space at weight (0, 0) has dimension T, the minus space H - T."""
     T, H_minus_T = dim_M_signed(p, 0, 0)
     H = T + H_minus_T
+    _check_type_number(p, H, T)
+    return H, T
+
+
+def _check_type_number(p, H, T):
+    """TypeNumberBound unless T <= H <= 2T."""
     if not T <= H <= 2 * T:
         raise TypeNumberBound(f"p = {p}: H = {H} and T = {T} violate T <= H <= 2T")
-    return H, T

@@ -14,6 +14,21 @@ are read from the per-run record _weight_run, and the newspace from
 elliptic's per-level record.  _cusp_pair assembles S^+- from the three,
 and is the one home of that formula.
 
+The formula as data.  formula(k, j) holds the same assembly at one
+weight for every prime at once: per branch of compact._branch, the int
+vectors (plus, minus) over compact.INVARIANTS whose dot products with
+I(p), each over den = compact.DEN2 = 5760, are dim_paramodular_signed(p,
+k, j).  M+- enter through compact._TRIPLES on the characters at
+young(k, j), the weight terms at the invariant 1, and the newspace as
+vectors over the invariants: 12 times its total reads p, 1, s_m1 and
+s_m3, twice its difference elliptic.DIFF_ROWS at p = 2, 3 and +-a_p h(p),
+that is h_p and 3 h_p - s2_h_p, at p = 1 and 3 (mod 4), with the [k = 2]
+terms of weight 2.  It serves single weights: the form is slower than
+the packed runs on a grid, which keep the assembly above.  dim_weight3
+reads formula(3, 0) from the cached I(p), as two exact divisions, and
+checks T <= H <= 2T; a division that fails replays class_and_type(p),
+whose pointwise chain names the error.
+
 Grids.  check_bias_region and the graded S and A sequences from k = 3
 ask for whole runs of weights at a prime, and each run stays packed from
 the characters up to the sign of the bias (compact, "Packed runs").  The
@@ -59,14 +74,22 @@ polynomial division.
 """
 from collections import namedtuple
 from functools import lru_cache
-from operator import add, itemgetter, sub
+from operator import add, itemgetter, mul, sub
+from types import MappingProxyType
 
 from .arith import check_level, primes_up_to
-from .characters import young
+from .characters import _br, young
 from .compact import (
+    DEN2,
+    INVARIANTS,
+    _TRIPLES,
+    _branch,
+    _check_type_number,
+    _chi_vector,
     _columns,
     _field,
     _first_field,
+    _invariants,
     _pack,
     _repeat,
     _signed_packed,
@@ -75,7 +98,7 @@ from .compact import (
     dim_M_signed,
 )
 from .data import load_json
-from .elliptic import dim_cusp_level1, dim_modular_level1, dim_new_gamma0_signed
+from .elliptic import DIFF_ROWS, dim_cusp_level1, dim_modular_level1, dim_new_gamma0_signed
 from .errors import (
     BadSpace,
     BadYoung,
@@ -83,6 +106,7 @@ from .errors import (
     MissingData,
     MissingJacobiData,
     NegativeDim,
+    NonIntegral,
     NonPolynomial,
     ParadimError,
     UnsupportedJ,
@@ -100,13 +124,18 @@ def _weight_terms(k, j):
     return dim_cusp_sp4(k, j), dim_cusp_level1(2 * k + j - 2), drop
 
 
+def _check_weight(k, j):
+    """BadYoung unless k >= 3 and j >= 0 are integers."""
+    if not (is_int(k) and is_int(j)) or k < 3 or j < 0:
+        raise BadYoung(f"weight (k, j) = ({k!r}, {j!r}) needs integers k >= 3 and j >= 0")
+
+
 def dim_paramodular_signed(p, k, j=0):
     """Signed dimensions (plus, minus) of weight det^k Sym(j) paramodular
     cusp forms of prime level p, for integers k >= 3, j >= 0 (BadYoung
     otherwise).  Odd j gives the zero space.  NotPrimeLevel unless p is a
     prime int; NegativeDim if either dimension comes out negative."""
-    if not (is_int(k) and is_int(j)) or k < 3 or j < 0:
-        raise BadYoung(f"weight (k, j) = ({k!r}, {j!r}) needs integers k >= 3 and j >= 0")
+    _check_weight(k, j)
     if j % 2:
         check_level(p)
         return 0, 0
@@ -179,10 +208,85 @@ def _cusp_run(p, j, ks):
     return (*_cusp_pair(p, j, ks, m_run, lifted), *m_run[2:])
 
 
+class Formula(namedtuple("Formula", "den rows")):
+    """dim_paramodular_signed(p, k, j) as (<plus, I(p)> / den, <minus, I(p)>
+    / den), where (plus, minus) = rows[compact._branch(p)]."""
+
+    __slots__ = ()
+
+
+# a_p h(p), twice the c of the row (c, -c) of elliptic's difference, over
+# the invariants: a_p = 1 at p = 1 (mod 4), and 3 - (2/p) at p = 3 (mod 4)
+_AP_H = {"1 mod 4": ((1, "h_p"),), "3 mod 4": ((3, "h_p"), (-1, "s2_h_p"))}
+
+
+@lru_cache(maxsize=128, typed=True)
+def formula(k, j=0):
+    """The Formula of weight det^k Sym(j): den = 5760, and rows maps each
+    branch (2, 3, "1 mod 4", "3 mod 4") to a pair (plus, minus) of int
+    tuples over compact.INVARIANTS.  The domain is that of
+    dim_paramodular_signed: BadYoung unless k >= 3 and j >= 0 are
+    integers, zero rows at an odd j, UnsupportedJ at an even j outside
+    {0, 2, 4}."""
+    _check_weight(k, j)
+    size = len(INVARIANTS)
+    if j % 2:
+        zero = (0,) * size
+        return Formula(DEN2, MappingProxyType(dict.fromkeys(_TRIPLES, (zero, zero))))
+    sp, lift, drop = _weight_terms(k, j)
+    chi = _chi_vector(*young(k, j))
+    w, one = j + 2, INVARIANTS.index("1")
+    sign, kept = _br((1, -1), w // 2), int(w == 2)
+    e, b = -sign, _br((-1, 0, 1), w)
+    # 12 dim S_w^new(Gamma_0(p)) = (p - 1)(w - 1) + 3 e (1 - s_m1)
+    # + 4 b (1 - s_m3) - 12 [w = 2], as (c, x) terms
+    twelve = ((w - 1, "p"), (1 - w + 3 * e + 4 * b - 12 * kept, "1"),
+              (-3 * e, "s_m1"), (-4 * b, "s_m3"))
+    rows = {}
+    for branch, (m, tr) in _TRIPLES.items():
+        # twice the difference: the row entry at w / 2 plus [w = 2]
+        if branch in DIFF_ROWS:
+            twice = ((2 * (_br(DIFF_ROWS[branch], w // 2) + kept), "1"),)
+        else:
+            twice = ((2 * kept, "1"), *((sign * c, x) for c, x in _AP_H[branch]))
+        plus, minus = [0] * size, [0] * size
+        for i, c, x in m:
+            plus[x] += c * chi[i]
+            minus[x] += c * chi[i]
+        for i, c, x in tr:
+            plus[x] -= c * chi[i]
+            minus[x] += c * chi[i]
+        plus[one] += DEN2 * sp
+        minus[one] += DEN2 * (sp - drop)
+        # DEN2 s+- = 240 (12 total) +- 1440 (twice the difference)
+        for c, x in twelve:
+            plus[INVARIANTS.index(x)] -= 240 * lift * c
+            minus[INVARIANTS.index(x)] -= 240 * lift * c
+        for c, x in twice:
+            plus[INVARIANTS.index(x)] -= 1440 * lift * c
+            minus[INVARIANTS.index(x)] += 1440 * lift * c
+        rows[branch] = tuple(plus), tuple(minus)
+    return Formula(DEN2, MappingProxyType(rows))
+
+
 def dim_weight3(p):
-    """(plus, minus) in weight 3 via the class and type numbers."""
-    H, T = class_and_type(p)
-    return H - T, T - 1
+    """(plus, minus) = (H - T, T - 1) in weight 3, from formula(3, 0) at the
+    cached I(p); TypeNumberBound unless T <= H <= 2T.  A failed division
+    raises what class_and_type(p) raises, or else NonIntegral naming the
+    form."""
+    inv = _invariants(p)
+    form = formula(3, 0)
+    pair = []
+    for row in form.rows[_branch(p)]:
+        num = sum(map(mul, row, inv))
+        if num % form.den:
+            class_and_type(p)
+            raise NonIntegral(f"formula(3, 0) at p={p}: {num}/{form.den} is not an "
+                              "integer, but class_and_type passes")
+        pair.append(num // form.den)
+    plus, minus = pair
+    _check_type_number(p, plus + minus + 1, minus + 1)
+    return plus, minus
 
 
 # Below this prime every weight-2 paramodular cusp form of level p is a

@@ -28,9 +28,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 KERNELS = "src/paradim/kernels.py"
+CHARACTERS = "src/paradim/characters.py"
 COMPACT = "src/paradim/compact.py"
 PARAMODULAR = "src/paradim/paramodular.py"
 TEST_PARAMODULAR = "tests/test_paramodular.py::"
+FORMULA = TEST_PARAMODULAR + "test_formula_is_the_signed_dimension"
 ZERO_PAIRS = TEST_PARAMODULAR + "test_bias_zero_pairs_small"
 GRADED_RUNS = "tests/test_corpus.py::test_verify_evaluates_one_graded_run_per_key"
 SQUAREFREE_50000 = ("tests/test_kernels.py::"
@@ -105,6 +107,30 @@ MUTANTS = [
      "_RUN_MIN = 2 * sum(FALLBACK_DENOMINATORS[0]) + FIT_SLACK + 1\n",
      "_RUN_MIN = 2 * sum(FALLBACK_DENOMINATORS[0]) + FIT_SLACK + 1 - 30\n",
      ["tests/test_corpus.py::test_one_run_serves_every_embedded_fit"]),
+    ("formula-without-the-weight-2-newspace-terms", PARAMODULAR,
+     "sign, kept = _br((1, -1), w // 2), int(w == 2)",
+     "sign, kept = _br((1, -1), w // 2), 0",
+     [FORMULA]),
+    ("weight3-without-the-replay", PARAMODULAR,
+     "            class_and_type(p)\n",
+     "",
+     [TEST_PARAMODULAR + "test_weight3_replays_the_pointwise_error"]),
+    ("weight3-without-the-type-number-bound", PARAMODULAR,
+     "    _check_type_number(p, plus + minus + 1, minus + 1)\n",
+     "",
+     [TEST_PARAMODULAR + "test_weight3_checks_the_type_number_bound"]),
+    ("branch-of-5-is-3-mod-4", COMPACT,
+     'else "1 mod 4" if p % 4 == 1 else "3 mod 4"',
+     'else "1 mod 4" if p % 4 == 1 and p != 5 else "3 mod 4"',
+     [FORMULA, "tests/test_compact.py::test_level_record_is_integer_data"]),
+    ("chi15-one-entry-changed", CHARACTERS,
+     "(-1, 0, 0, 1, 0, -2, 1, 2, -2, -1, 2, 0), (1, -1, 0),",
+     "(-1, 0, 0, 1, 0, -2, 1, 2, -2, -1, 2, 1), (1, -1, 0),",
+     ["tests/test_acceptance.py::test_criterion_08_character_oracles"]),
+    ("chi11-row-of-length-7", CHARACTERS,
+     "(1, 0, 0, -1), (-1, 1, 0, 0))),)),",
+     "(1, 0, 0, -1), (-1, 1, 0, 0), (0,) * 7)),)),",
+     [TEST_PARAMODULAR + "test_fallback_denominators_are_true_denominators"]),
 ]
 
 

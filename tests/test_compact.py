@@ -94,6 +94,7 @@ def test_invariants_are_checked_ints(monkeypatch):
     # 5 B_{2,chi} = 5 b2_character_sum(D0) / D0 goes through an exact
     # division: a sum of 1 at D0 = 13 is refused, never truncated
     monkeypatch.setattr(compact, "b2_character_sum", lambda D0: 1)
+    compact._invariants.cache_clear()  # the loop above cached I(13)
     with pytest.raises(NonIntegral, match=r"5 B_2,chi\(13\) = 5/13"):
         level.__wrapped__(13)
 
@@ -192,6 +193,7 @@ def test_a_cold_level_pays_only_for_its_kernels(monkeypatch):
 
     monkeypatch.setattr(compact, "b2_character_sum", counted)
     compact.level.cache_clear()
+    compact._invariants.cache_clear()
     arith.class_number.cache_clear()
     level(p)
     assert arith.class_number.cache_info().misses == 3

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paradim
-from paradim.errors import ParadimError
+from paradim.errors import BadYoung, ParadimError, UnsupportedJ
 
 # an in-domain call of each function of paradim.__all__, small enough that
 # the calls around it stay cheap
@@ -30,6 +30,7 @@ IN_DOMAIN = {
     "dim_paramodular_signed": (7, 4, 0),
     "dim_weight3": (7,),
     "family_tallies": (2,),
+    "formula": (3, 0),
     "hilbert_series": (7, "M", 0),
     "principal_tallies": (3,),
     "search_weight3_zero": (50,),
@@ -42,8 +43,9 @@ SLOTS = [(name, i) for name, args in IN_DOMAIN.items()
 
 
 def test_every_function_has_an_in_domain_call():
+    # unwrapped, so that a function under lru_cache counts too
     functions = {name for name in paradim.__all__
-                 if inspect.isfunction(getattr(paradim, name))}
+                 if inspect.isfunction(inspect.unwrap(getattr(paradim, name)))}
     assert set(IN_DOMAIN) == functions
 
 
@@ -76,3 +78,13 @@ def test_a_float_or_a_negative_is_refused_or_kept(slot, x):
     kind, got = _outcome(*slot, x)
     if kind == "returns":
         assert _outcome(*slot, int(x)) == (kind, got)
+
+
+@pytest.mark.parametrize("k, j, error", [
+    (2, 0, BadYoung), (0, 2, BadYoung), (3, 6, UnsupportedJ), (4, 8, UnsupportedJ)])
+def test_formula_outside_its_weights_is_refused(k, j, error):
+    # the errors of dim_paramodular_signed at these weights
+    with pytest.raises(error):
+        paradim.formula(k, j)
+    with pytest.raises(error):
+        paradim.dim_paramodular_signed(7, k, j)

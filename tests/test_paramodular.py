@@ -1,4 +1,4 @@
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +15,7 @@ from paradim.compact import (
     Level,
     _columns,
     _signed_packed,
+    class_and_type,
     dim_M_signed,
 )
 from paradim.data import load_json
@@ -35,6 +36,7 @@ from paradim.errors import (
     NotPrimeLevel,
     ParadimError,
     ParityFailure,
+    TypeNumberBound,
     UnsupportedJ,
 )
 from paradim.exactmath import RationalGF, is_palindromic, series_coeffs
@@ -50,6 +52,7 @@ from paradim.paramodular import (
     dim_paramodular_signed,
     dim_S_signed,
     dim_weight3,
+    formula,
     hilbert_series,
     printed_series,
     search_weight3_zero,
@@ -171,10 +174,91 @@ def test_weight3_search():
 
 
 def test_weight3_routes_agree():
-    # search zero3 reads (H - T, T - 1) from class_and_type; bias reads the
-    # general assembly with its [k = 3] term
+    # search zero3 reads formula(3, 0) at I(p); bias reads the general
+    # assembly with its [k = 3] term, and class_and_type the compact side at
+    # (0, 0), from which (H - T, T - 1) was read before
     for p in primes_up_to(3499):
-        assert dim_weight3(p) == dim_paramodular_signed(p, 3), p
+        H, T = class_and_type(p)
+        assert dim_weight3(p) == dim_paramodular_signed(p, 3) == (H - T, T - 1), p
+
+
+def _branch_key(p):
+    """The key of formula's rows at the prime p, written out."""
+    return p if p < 5 else f"{p % 4} mod 4"
+
+
+def test_formula_is_the_signed_dimension():
+    # 5 244 cases: every prime below 200 (2, 3 and 5 among them), 3 <= k <= 40
+    # and j = 0, 2, 4
+    for p in primes_up_to(199):
+        inv = compact._invariants(p)
+        for k in range(3, 41):
+            for j in (0, 2, 4):
+                form = formula(k, j)
+                got = [sum(map(mul, row, inv)) for row in form.rows[_branch_key(p)]]
+                assert got == [form.den * d for d in dim_paramodular_signed(p, k, j)], (p, k, j)
+
+
+def test_formula_is_int_data_on_every_branch():
+    form = formula(7, 2)
+    assert form.den == compact.DEN2 == 5760
+    assert list(form.rows) == list(TRACE_ROWS) == [2, 3, "1 mod 4", "3 mod 4"]
+    for plus, minus in form.rows.values():
+        for row in (plus, minus):
+            assert type(row) is tuple and len(row) == len(compact.INVARIANTS)
+            assert all(type(c) is int for c in row)
+    with pytest.raises(TypeError):
+        form.rows[2] = form.rows[3]  # the cached record cannot be changed
+    assert formula(7, 2) is form
+
+
+def test_formula_is_zero_at_an_odd_j():
+    # as dim_paramodular_signed, at any odd j, 7 included
+    zero = (0,) * len(compact.INVARIANTS)
+    for j in (3, 7):
+        assert set(formula(5, j).rows.values()) == {(zero, zero)}
+
+
+def _bent_invariants(p, **delta):
+    """I(p) with delta[x] added to the invariant x."""
+    return tuple(v + delta.get(x, 0) for x, v in zip(compact.INVARIANTS, compact._invariants(p)))
+
+
+@pytest.mark.parametrize("delta, H, T", [(32, 1, 2), (-32, 1, 0)])
+def test_weight3_checks_the_type_number_bound(monkeypatch, delta, H, T):
+    # h_p enters the plus form at p = 3 (mod 4) with -180 and the minus form
+    # with +180: 32 more or less moves (0, 0) at p = 7 by one out of the bound
+    bent = _bent_invariants(7, h_p=delta)
+    monkeypatch.setattr(paramodular, "_invariants", lambda p: bent)
+    with pytest.raises(TypeNumberBound, match=rf"^p = 7: H = {H} and T = {T} violate "):
+        dim_weight3(7)
+
+
+@pytest.mark.parametrize("delta, error, message", [
+    (1, NonIntegral, "dim M(7,0,0) = 2881/2880 is not an integer"),
+    (DEN, ParityFailure, "M(7,0,0): total 2 and difference 1 have opposite parity"),
+])
+def test_weight3_replays_the_pointwise_error(monkeypatch, delta, error, message):
+    # p2 enters dim M with chi_1 = 1 at (0, 0) and both forms with 1: a failed
+    # division hands over to class_and_type, which reads the same I(p)
+    bent = _bent_invariants(7, p2=delta)
+    for module in (compact, paramodular):
+        monkeypatch.setattr(module, "_invariants", lambda p: bent)
+    compact.level.cache_clear()  # level(7) would be read from the true I(7)
+    try:
+        assert _raised(lambda: dim_weight3(7)) == _raised(lambda: class_and_type(7)) == (
+            error, message)
+    finally:
+        compact.level.cache_clear()  # and now from the bent one
+
+
+def test_weight3_names_a_bent_form(monkeypatch):
+    form = formula(3, 0)
+    plus, minus = form.rows["3 mod 4"]
+    bent = form._replace(rows={**form.rows, "3 mod 4": ((plus[0] + 1,) + plus[1:], minus)})
+    monkeypatch.setattr(paramodular, "formula", lambda k, j: bent)
+    with pytest.raises(NonIntegral, match=r"^formula\(3, 0\) at p=7: 1/5760 is not an "):
+        dim_weight3(7)
 
 
 def test_weight3_search_bound_must_be_integer():
