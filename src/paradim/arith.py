@@ -3,8 +3,11 @@ imaginary quadratic class numbers, generalized Bernoulli numbers
 B_{2,chi}, a_p, and the primality test.
 
 The quadratic symbols of a level have one route, _split_symbols(p), a
-cached row of p mod 120, which elliptic._gamma0 (the first two) and
-compact._invariants read.  Primes have one source, the
+cached row of p mod 120, which elliptic._record (the first three) and
+compact._invariants read.  a_p has no caller in the package, since
+elliptic reads a_p h(p) from the invariants: it serves only the
+difference oracle of tests/test_assembly_oracle.py and the benchmark's
+tracer.  Primes have one source, the
 smallest-prime-factor table of paradim.kernels, which primes_up_to slices
 and is_prime reads: below the end of the table a lookup answers, past it
 trial division by the table's primes up to a squaring bound.

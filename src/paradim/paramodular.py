@@ -11,23 +11,22 @@ takes dim S_{2k-2}(SL_2(Z)) + [k = 3] off the minus space at j = 0.  Only
 the compact side depends on both the level and the weight, and it is
 evaluated on every call; the other weight terms, _weight_terms(k, j),
 are read from the per-run record _weight_run, and the newspace from
-elliptic's per-level record.  _cusp_pair assembles S^+- from the three,
-and is the one home of that formula.
+elliptic's per-level record.  _cusp_pair assembles S^+- from the three.
 
-The formula as data.  formula(k, j) holds the same assembly at one
-weight for every prime at once: per branch of compact._branch, the int
-vectors (plus, minus) over compact.INVARIANTS whose dot products with
-I(p), each over den = compact.DEN2 = 5760, are dim_paramodular_signed(p,
-k, j).  M+- enter through compact._TRIPLES on the characters at
-young(k, j), the weight terms at the invariant 1, and the newspace as
-vectors over the invariants: 12 times its total reads p, 1, s_m1 and
-s_m3, twice its difference elliptic.DIFF_ROWS at p = 2, 3 and +-a_p h(p),
-that is h_p and 3 h_p - s2_h_p, at p = 1 and 3 (mod 4), with the [k = 2]
-terms of weight 2.  It serves single weights: the form is slower than
-the packed runs on a grid, which keep the assembly above.  dim_weight3
-reads formula(3, 0) from the cached I(p), as two exact divisions, and
-checks T <= H <= 2T; a division that fails replays class_and_type(p),
-whose pointwise chain names the error.
+The formula as data.  formula(k, j) restates that two-line assembly at
+one weight for every prime at once, and the test
+test_formula_is_the_signed_dimension binds the two: per branch of
+compact._branch, the int vectors (plus, minus) over compact.INVARIANTS
+whose dot products with I(p), each over den = compact.DEN2 = 5760, are
+dim_paramodular_signed(p, k, j).  M+- enter through compact._TRIPLES on
+the characters at young(k, j), the weight terms at the invariant 1, and
+the newspace, 12 times its total and twice its difference, as the terms
+of elliptic._newspace(j + 2, branch) (elliptic, "The newspace as
+data").  It serves single weights: the form is slower than the packed
+runs on a grid, which keep the assembly above.  dim_weight3 reads
+formula(3, 0) from the cached I(p), as two exact divisions, and checks
+T <= H <= 2T; a division that fails replays class_and_type(p), whose
+pointwise chain names the error.
 
 Grids.  check_bias_region and the graded S and A sequences from k = 3
 ask for whole runs of weights at a prime, and each run stays packed from
@@ -78,7 +77,7 @@ from operator import add, itemgetter, mul, sub
 from types import MappingProxyType
 
 from .arith import check_level, primes_up_to
-from .characters import _br, young
+from .characters import young
 from .compact import (
     DEN2,
     INVARIANTS,
@@ -98,7 +97,7 @@ from .compact import (
     dim_M_signed,
 )
 from .data import load_json
-from .elliptic import DIFF_ROWS, dim_cusp_level1, dim_modular_level1, dim_new_gamma0_signed
+from .elliptic import _newspace, dim_cusp_level1, dim_modular_level1, dim_new_gamma0_signed
 from .errors import (
     BadSpace,
     BadYoung,
@@ -215,11 +214,6 @@ class Formula(namedtuple("Formula", "den rows")):
     __slots__ = ()
 
 
-# a_p h(p), twice the c of the row (c, -c) of elliptic's difference, over
-# the invariants: a_p = 1 at p = 1 (mod 4), and 3 - (2/p) at p = 3 (mod 4)
-_AP_H = {"1 mod 4": ((1, "h_p"),), "3 mod 4": ((3, "h_p"), (-1, "s2_h_p"))}
-
-
 @lru_cache(maxsize=128, typed=True)
 def formula(k, j=0):
     """The Formula of weight det^k Sym(j): den = 5760, and rows maps each
@@ -235,20 +229,9 @@ def formula(k, j=0):
         return Formula(DEN2, MappingProxyType(dict.fromkeys(_TRIPLES, (zero, zero))))
     sp, lift, drop = _weight_terms(k, j)
     chi = _chi_vector(*young(k, j))
-    w, one = j + 2, INVARIANTS.index("1")
-    sign, kept = _br((1, -1), w // 2), int(w == 2)
-    e, b = -sign, _br((-1, 0, 1), w)
-    # 12 dim S_w^new(Gamma_0(p)) = (p - 1)(w - 1) + 3 e (1 - s_m1)
-    # + 4 b (1 - s_m3) - 12 [w = 2], as (c, x) terms
-    twelve = ((w - 1, "p"), (1 - w + 3 * e + 4 * b - 12 * kept, "1"),
-              (-3 * e, "s_m1"), (-4 * b, "s_m3"))
+    one = INVARIANTS.index("1")
     rows = {}
     for branch, (m, tr) in _TRIPLES.items():
-        # twice the difference: the row entry at w / 2 plus [w = 2]
-        if branch in DIFF_ROWS:
-            twice = ((2 * (_br(DIFF_ROWS[branch], w // 2) + kept), "1"),)
-        else:
-            twice = ((2 * kept, "1"), *((sign * c, x) for c, x in _AP_H[branch]))
         plus, minus = [0] * size, [0] * size
         for i, c, x in m:
             plus[x] += c * chi[i]
@@ -259,12 +242,10 @@ def formula(k, j=0):
         plus[one] += DEN2 * sp
         minus[one] += DEN2 * (sp - drop)
         # DEN2 s+- = 240 (12 total) +- 1440 (twice the difference)
-        for c, x in twelve:
-            plus[INVARIANTS.index(x)] -= 240 * lift * c
-            minus[INVARIANTS.index(x)] -= 240 * lift * c
-        for c, x in twice:
-            plus[INVARIANTS.index(x)] -= 1440 * lift * c
-            minus[INVARIANTS.index(x)] += 1440 * lift * c
+        for (a, b), terms in zip(((240, 240), (1440, -1440)), _newspace(j + 2, branch)):
+            for c, x in terms:
+                plus[INVARIANTS.index(x)] -= a * lift * c
+                minus[INVARIANTS.index(x)] -= b * lift * c
         rows[branch] = tuple(plus), tuple(minus)
     return Formula(DEN2, MappingProxyType(rows))
 

@@ -30,6 +30,8 @@ ROOT = Path(__file__).resolve().parent.parent
 KERNELS = "src/paradim/kernels.py"
 CHARACTERS = "src/paradim/characters.py"
 COMPACT = "src/paradim/compact.py"
+ELLIPTIC = "src/paradim/elliptic.py"
+ARITH = "src/paradim/arith.py"
 PARAMODULAR = "src/paradim/paramodular.py"
 TEST_PARAMODULAR = "tests/test_paramodular.py::"
 FORMULA = TEST_PARAMODULAR + "test_formula_is_the_signed_dimension"
@@ -38,6 +40,7 @@ GRADED_RUNS = "tests/test_corpus.py::test_verify_evaluates_one_graded_run_per_ke
 SQUAREFREE_50000 = ("tests/test_kernels.py::"
                     "test_squarefree_part_matches_the_definition_below_50000")
 SQUAREFREE_TABLE = "tests/test_kernels.py::test_squarefree_part_on_both_sides_of_the_table"
+ROW_CAP = "tests/test_kernels.py::test_class_numbers_past_the_row_cap_build_no_rows"
 
 MUTANTS = [
     ("least-factor-reads-past-the-table", KERNELS,
@@ -107,10 +110,10 @@ MUTANTS = [
      "_RUN_MIN = 2 * sum(FALLBACK_DENOMINATORS[0]) + FIT_SLACK + 1\n",
      "_RUN_MIN = 2 * sum(FALLBACK_DENOMINATORS[0]) + FIT_SLACK + 1 - 30\n",
      ["tests/test_corpus.py::test_one_run_serves_every_embedded_fit"]),
-    ("formula-without-the-weight-2-newspace-terms", PARAMODULAR,
-     "sign, kept = _br((1, -1), w // 2), int(w == 2)",
-     "sign, kept = _br((1, -1), w // 2), 0",
-     [FORMULA]),
+    ("formula-without-the-weight-2-newspace-terms", ELLIPTIC,
+     "kept, e, b = int(w == 2),",
+     "kept, e, b = 0,",
+     [FORMULA, "tests/test_elliptic.py::test_newspace_weight2_is_genus_of_x0"]),
     ("weight3-without-the-replay", PARAMODULAR,
      "            class_and_type(p)\n",
      "",
@@ -131,6 +134,31 @@ MUTANTS = [
      "(1, 0, 0, -1), (-1, 1, 0, 0))),)),",
      "(1, 0, 0, -1), (-1, 1, 0, 0), (0,) * 7)),)),",
      [TEST_PARAMODULAR + "test_fallback_denominators_are_true_denominators"]),
+    ("newspace-3-mod-4-row-sign-flipped", ELLIPTIC,
+     '(-1, "s2_h_p")',
+     '(1, "s2_h_p")',
+     ["tests/test_assembly_oracle.py::test_signed_newspace_matches_oracle"]),
+    ("newspace-halving-unchecked", ELLIPTIC,
+     'exact_quotient(twice, 2, "the trace of W_p on S_{}^new(Gamma0({}))", w, p)',
+     "twice // 2",
+     ["tests/test_elliptic.py::test_an_odd_twice_difference_is_refused"]),
+    ("fallback-4-4-6-12-first", PARAMODULAR,
+     "    [4, 6, 10, 12],\n",
+     "    [4, 4, 6, 12],\n",
+     [TEST_PARAMODULAR + "test_full_plus_series_at_2_takes_two_fit_attempts",
+      TEST_PARAMODULAR + "test_first_fallback_denominator_to_fit"]),
+    ("is-prime-grows-the-table-straight-to-the-root", ARITH,
+     "bound = min(max(bound * bound, 64), root)",
+     "bound = root",
+     ["tests/test_arith.py::test_is_prime_refuses_a_huge_composite_from_a_small_table"]),
+    ("root-rows-to-2048", KERNELS,
+     "_ROW_TOP = 1024\n",
+     "_ROW_TOP = 2048\n",
+     [ROW_CAP]),
+    ("root-rows-to-1000", KERNELS,
+     "_ROW_TOP = 1024\n",
+     "_ROW_TOP = 1000\n",
+     [ROW_CAP]),
 ]
 
 

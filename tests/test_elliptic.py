@@ -2,13 +2,14 @@ import pytest
 
 from paradim import elliptic
 from paradim.arith import primes_up_to
+from paradim.compact import INVARIANTS, _branch, _invariants
 from paradim.elliptic import (
     dim_cusp_level1,
     dim_modular_level1,
     dim_new_gamma0,
     dim_new_gamma0_signed,
 )
-from paradim.errors import NotPrimeLevel, OddWeight, ParityFailure
+from paradim.errors import NonIntegral, NotPrimeLevel, OddWeight, ParityFailure
 
 
 def test_level1_cusp_dims():
@@ -81,3 +82,31 @@ def test_non_prime_level_is_refused():
             with pytest.raises(NotPrimeLevel):
                 dim_new_gamma0_signed(p, k)
 
+
+def _clear_caches():
+    for value in vars(elliptic).values():
+        if hasattr(value, "cache_clear") and value.__module__ == elliptic.__name__:
+            value.cache_clear()
+
+
+def test_an_odd_twice_difference_is_refused(monkeypatch):
+    # a_p h(5) = h(5) = 2; an h of 3 leaves twice the difference odd, which
+    # a floor division would take for the difference of the true h
+    _clear_caches()
+    monkeypatch.setattr(elliptic, "class_number", lambda d: 3)
+    try:
+        with pytest.raises(NonIntegral, match=r"S_4\^new\(Gamma0\(5\)\) = 3/2 is not"):
+            dim_new_gamma0_signed(5, 4)
+    finally:
+        _clear_caches()
+
+
+def test_newspace_terms_read_the_invariants():
+    # the newspace terms at I(p) give what elliptic's own record gives
+    for p in primes_up_to(999):
+        inv = dict(zip(INVARIANTS, _invariants(p)))
+        for w in range(2, 41, 2):
+            twelve, twice = (sum(c * inv[x] for c, x in terms)
+                             for terms in elliptic._newspace(w, _branch(p)))
+            plus, minus = dim_new_gamma0_signed(p, w)
+            assert (twelve, twice) == (12 * dim_new_gamma0(p, w), 2 * (plus - minus)), (p, w)
