@@ -3,6 +3,16 @@
 Exit codes: 0 success, 1 verification mismatch, 2 usage error (argparse
 default), 3 domain error (invalid weight, unsupported prime, ...), 141
 (128 + SIGPIPE) when the reader closes the output early, with no stderr.
+
+One parser per command.  _COMMANDS maps each command word to the function
+that adds its subparser.  main builds the subparser of the command word
+alone, the first argument after an optional leading --format VALUE, and
+every subparser when that argument is no command word (--help, no
+argument, an unknown word).  A subparser's messages name only itself, so
+they are the same either way; a usage error of the top level, whose
+usage line lists every command, is raised again by the parser of every
+command, so the help, the usage lines and the exit codes are those of
+the full parser.
 """
 import argparse
 import io
@@ -133,7 +143,71 @@ def cmd_bias(args):
     _emit(pairs, ["p", "k"], args.format)
 
 
-def main(argv=None):
+def _add_dim(sub, fmt):
+    d = sub.add_parser("dim", parents=[fmt], help="signed dimensions of one space")
+    d.add_argument("--p", type=int, required=True, help="prime level")
+    d.add_argument("--k", type=int, required=True, help="weight")
+    d.add_argument("--j", type=int, default=0, help="symmetric power (even)")
+    d.add_argument("--space", choices=["S", "A", "M"], default="S",
+                   help="S cusp, A full, M algebraic (weight (k+j-3, k-3))")
+    d.set_defaults(func=cmd_dim)
+
+
+def _add_table(sub, fmt):
+    t = sub.add_parser("table", parents=[fmt], help="reproduce a fixed-weight table")
+    t.add_argument("--k", type=int, required=True)
+    t.add_argument("--pmax", type=int, required=True)
+    t.add_argument("--rows", help="comma separated row names to keep")
+    t.set_defaults(func=cmd_table)
+
+
+def _add_verify(sub, fmt):
+    v = sub.add_parser("verify", parents=[fmt], help="re-derive the embedded data corpus")
+    v.add_argument("--only", help="substring filter on check names")
+    v.set_defaults(func=cmd_verify)
+
+
+def _add_hilbert(sub, fmt):
+    h = sub.add_parser("hilbert", parents=[fmt], help="graded dimension series of a space")
+    h.add_argument("--p", type=int, required=True)
+    h.add_argument("--space", required=True, choices=SPACES)
+    h.add_argument("--j", type=int, default=0)
+    h.add_argument("--nmax", type=int, default=40)
+    h.add_argument("--fit", action="store_true",
+                   help="also print the rational presentation")
+    h.set_defaults(func=cmd_hilbert)
+
+
+def _add_search(sub, fmt):
+    s = sub.add_parser("search", parents=[fmt], help="searches over the level")
+    ssub = s.add_subparsers(dest="what", required=True)
+    z3 = ssub.add_parser("zero3", parents=[fmt], help="primes with no weight-3 plus forms")
+    z3.add_argument("--pmax", type=int, required=True)
+    z3.set_defaults(func=cmd_search_zero3)
+
+
+def _add_bias(sub, fmt):
+    b = sub.add_parser("bias", parents=[fmt], help="check plus >= minus (sign-adjusted) "
+                                    "and list the equality pairs")
+    b.add_argument("--pmax", type=int, required=True)
+    b.add_argument("--kmax", type=int, required=True)
+    b.set_defaults(func=cmd_bias)
+
+
+# each command word and the function that adds its parser, in the order of --help
+_COMMANDS = {"dim": _add_dim, "table": _add_table, "verify": _add_verify,
+             "hilbert": _add_hilbert, "search": _add_search, "bias": _add_bias}
+
+
+def _command_word(argv):
+    """The first argument after an optional leading --format VALUE, or None."""
+    words = argv[2:] if argv[:1] == ["--format"] else argv
+    return words[0] if words else None
+
+
+def _parser(command=None):
+    """The parser of every command, or of `command` alone when it is one of
+    _COMMANDS."""
     parser = argparse.ArgumentParser(
         prog="paradim",
         description="Exact dimensions of paramodular cusp forms of prime "
@@ -149,48 +223,31 @@ def main(argv=None):
     fmt.add_argument("--format", choices=["text", "csv", "json"],
                      default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, add in _COMMANDS.items():
+        if command not in _COMMANDS or command == name:
+            add(sub, fmt)
+    return parser
 
-    d = sub.add_parser("dim", parents=[fmt],
-                       help="signed dimensions of one space")
-    d.add_argument("--p", type=int, required=True, help="prime level")
-    d.add_argument("--k", type=int, required=True, help="weight")
-    d.add_argument("--j", type=int, default=0, help="symmetric power (even)")
-    d.add_argument("--space", choices=["S", "A", "M"], default="S",
-                   help="S cusp, A full, M algebraic (weight (k+j-3, k-3))")
-    d.set_defaults(func=cmd_dim)
 
-    t = sub.add_parser("table", parents=[fmt], help="reproduce a fixed-weight table")
-    t.add_argument("--k", type=int, required=True)
-    t.add_argument("--pmax", type=int, required=True)
-    t.add_argument("--rows", help="comma separated row names to keep")
-    t.set_defaults(func=cmd_table)
+class _TopLevelUsage(Exception):
+    """A usage error at the top level of a parser built for one command."""
 
-    v = sub.add_parser("verify", parents=[fmt], help="re-derive the embedded data corpus")
-    v.add_argument("--only", help="substring filter on check names")
-    v.set_defaults(func=cmd_verify)
 
-    h = sub.add_parser("hilbert", parents=[fmt], help="graded dimension series of a space")
-    h.add_argument("--p", type=int, required=True)
-    h.add_argument("--space", required=True, choices=SPACES)
-    h.add_argument("--j", type=int, default=0)
-    h.add_argument("--nmax", type=int, default=40)
-    h.add_argument("--fit", action="store_true",
-                   help="also print the rational presentation")
-    h.set_defaults(func=cmd_hilbert)
+def _refuse(message):
+    """The error method of a parser built for one command."""
+    raise _TopLevelUsage(message)
 
-    s = sub.add_parser("search", parents=[fmt], help="searches over the level")
-    ssub = s.add_subparsers(dest="what", required=True)
-    z3 = ssub.add_parser("zero3", parents=[fmt], help="primes with no weight-3 plus forms")
-    z3.add_argument("--pmax", type=int, required=True)
-    z3.set_defaults(func=cmd_search_zero3)
 
-    b = sub.add_parser("bias", parents=[fmt], help="check plus >= minus (sign-adjusted) "
-                                    "and list the equality pairs")
-    b.add_argument("--pmax", type=int, required=True)
-    b.add_argument("--kmax", type=int, required=True)
-    b.set_defaults(func=cmd_bias)
-
-    args = parser.parse_args(argv)
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _command_word(argv)
+    parser = _parser(command)
+    if command in _COMMANDS:
+        parser.error = _refuse
+    try:
+        args = parser.parse_args(argv)
+    except _TopLevelUsage:
+        args = _parser().parse_args(argv)
     try:
         rc = args.func(args)
         sys.stdout.flush()

@@ -19,12 +19,15 @@ two packed ints, the width W of their fields and the int T whose every
 field is 2^(W - 1); _columns unpacks a run into lists.  The weight side
 is shared by every prime: _chi_run reads the columns of CHI_INDEX over
 the run from characters.chi_columns, and _packed_run packs each into one
-int X_i = sum_n chi_i(w_n) 2^(W n) per width W.  The level side reads level(p) once and forms
-A = sum (m_i + tr_i) X_i and B = sum (m_i - tr_i) X_i, whose n-th fields
-are 2 DEN M+ and 2 DEN M- at w_n; CPython's C loops do every multiply-add
-of a column at once.  The quotients of A and B by 2 DEN are M+ and M-
-packed at W, which paramodular carries on to S+- and to the signs of
-S+- and of the bias without unpacking them.
+int X_i = sum_n chi_i(w_n) 2^(W n) per width W.  The level side reads
+level(p) once and forms the two sparse sums sum m_i X_i and
+sum tr_i X_i, each over its nonzero coefficients only (at most 6 and 5
+big-int products at p > 3), and takes their sum A and difference B,
+whose n-th fields are 2 DEN M+ and 2 DEN M- at w_n, that is
+A = sum (m_i + tr_i) X_i and B = sum (m_i - tr_i) X_i; CPython's C
+loops do every multiply-add of a column at once.  The quotients of A and
+B by 2 DEN are M+ and M- packed at W, which paramodular carries on to
+S+- and to the signs of S+- and of the bias without unpacking them.
 
 Why it is exact.  Packing is linear: an integer combination of packed
 ints packs the same combination of their fields, and digits in
@@ -102,7 +105,7 @@ import sys
 from array import array
 from collections import namedtuple
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import compress, zip_longest
 from operator import mul
 
 from .arith import _split_symbols, check_level, class_number
@@ -316,9 +319,11 @@ def _signed_packed(p, j, f2s, extra=0):
     # H and L of "Checks in bulk": h and 2h - 1 in every field
     h = offset >> DEN2.bit_length()
     low = (h << 1) - (offset >> width - 1)
+    # sum m_i X_i and sum tr_i X_i over their nonzero coefficients
+    total, trace = (sum(map(mul, compress(c, c), compress(packed, c))) for c in (m, tr))
     quotients = []
-    for c in combos:
-        q, r = divmod(sum(map(mul, c, packed)), DEN2)
+    for value in (total + trace, total - trace):
+        q, r = divmod(value, DEN2)
         if r or (q + h) | low != low:
             for f2 in f2s:
                 dim_M_signed(p, f2 + j, f2)

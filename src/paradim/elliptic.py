@@ -1,7 +1,13 @@
 """Dimensions of elliptic modular forms: level 1, and newforms of prime
 level Gamma_0(p) split by Atkin-Lehner sign.
 
-Each dimension is an integer numerator over 12, divided by
+Level 1.  dim S_w(SL_2(Z)) is w // 12, less 1 at w = 2 (mod 12), at an
+even w > 2, and 0 at every other integer w.  _level1_column(ws) gives it
+along a range of weights as one list: paramodular reads the lift, drop
+and Eisenstein columns of a weight run from it, and dim_cusp_level1
+reads it as its run of one.
+
+The newspace of Gamma_0(p) is an integer numerator over 12, divided by
 exact_quotient (NonIntegral otherwise).
 
 The newspace as data.  The weight-w newspace of Gamma_0(p), w >= 2 even,
@@ -39,17 +45,18 @@ from .errors import BadYoung, OddWeight
 from .exactmath import exact_quotient, is_int, plus_minus
 
 
+def _level1_column(ws):
+    """dim S_w(SL_2(Z)) at each w of the range ws, as a list (the module
+    docstring, "Level 1")."""
+    return [w // 12 - (w % 12 == 2) if w > 2 and not w % 2 else 0 for w in ws]
+
+
 def dim_cusp_level1(k):
     """dim S_k(SL_2(Z)); 0 for odd k and for k <= 0, BadYoung for a
     non-integer k."""
     if not is_int(k):
         raise BadYoung(f"weight k = {k!r} must be an integer")
-    if k % 2 or k <= 0:
-        return 0
-    # 12 dim = (k - 1) + 3 (-1)^(k/2) + 4 [1, 0, -1; 3]_k - 6 + 12 [k = 2]
-    num = (k - 1 + 3 * (-1) ** (k // 2) + 4 * _br((1, 0, -1), k) - 6
-           + (12 if k == 2 else 0))
-    return exact_quotient(num, 12, "dim S_{}(SL2(Z))", k)
+    return _level1_column(range(k, k + 1))[0]
 
 
 def dim_modular_level1(k):

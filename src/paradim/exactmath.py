@@ -7,6 +7,8 @@ Everything here is immutable and pure.  Rational numbers are plain
 `fractions.Fraction`; there is no custom rational type.
 """
 from collections import namedtuple
+from itertools import accumulate
+from operator import sub
 
 from .errors import BadPresentation, NonIntegral, NonPolynomial, ParityFailure
 
@@ -42,10 +44,15 @@ def plus_minus(total, diff, what, *args):
     return (total + diff) // 2, (total - diff) // 2
 
 
+# the type that is_int accepts, for one C-level pass over many values with
+# issuperset(map(type, values)): bool, a subclass of int, is not it
+_INT = frozenset((int,))
+
+
 def _trim(coeffs):
     """coeffs as a numerator: a tuple of ints with its trailing zeros dropped."""
     q = tuple(coeffs)
-    if not all(map(is_int, q)):
+    if not _INT.issuperset(map(type, q)):
         raise BadPresentation(f"numerator {q} has a coefficient that is not an integer")
     end = len(q)
     while end and not q[end - 1]:
@@ -56,7 +63,7 @@ def _trim(coeffs):
 def _sorted_ints(values, least, what):
     """values as a sorted tuple; BadPresentation unless each is an int >= least."""
     values = tuple(values)
-    if not all(is_int(a) and a >= least for a in values):
+    if not _INT.issuperset(map(type, values)) or min(values, default=least) < least:
         raise BadPresentation(f"{what} {values} must be integers >= {least}")
     return tuple(sorted(values))
 
@@ -91,10 +98,10 @@ def series_coeffs(gf, n):
     """First n power-series coefficients of gf (t^0 .. t^{n-1})."""
     c = list(gf.numerator[:max(n, 0)])
     c += [0] * (n - len(c))
-    # Multiplying by 1/(1-t^a) is a prefix sum with stride a.
+    # Multiplying by 1/(1-t^a) is a prefix sum along each residue class mod a.
     for a in gf.denom_exponents:
-        for i in range(a, n):
-            c[i] += c[i - a]
+        for r in range(min(a, n)):
+            c[r::a] = accumulate(c[r::a])
     return c
 
 
@@ -110,7 +117,7 @@ def fit_numerator(seq, denom_exponents, max_deg):
         raise BadPresentation(f"need more than {max_deg + margin} terms, got {len(seq)}")
     c = list(seq)
     for a in denoms:
-        c = c[:a] + [x - y for x, y in zip(c[a:], c)]
+        c = c[:a] + list(map(sub, c[a:], c))
     for i in range(max_deg + 1, len(c)):
         if c[i]:
             raise NonPolynomial(f"residual coefficient {c[i]} at degree {i} (> {max_deg})")

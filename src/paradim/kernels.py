@@ -7,8 +7,12 @@ rows of each a: the root-count row, #{b mod 2a : b^2 = r (mod 4a)} for
 every r mod 4a, and the row of squares, b^2 mod 4a for 0 <= b <= a
 (_reduced_forms).  The rows are built once and kept, so they pay off when
 one process asks many discriminants, as search zero3, bias and verify
-do.  They stop at a = _ROW_TOP, that is |D| < 3 (_ROW_TOP + 1)^2, about
-3.1 million; a larger D is counted in O(sqrt|D|) memory by _sieved_forms.
+do.  They grow at most to twice the rows already built, or to
+_ROW_FLOOR, and stop at a = _ROW_TOP, that is |D| < 3 (_ROW_TOP + 1)^2,
+about 3.1 million; a D past either bound is counted in O(sqrt|D|) memory
+by _sieved_forms and builds no row.  So a process that asks a few large
+discriminants pays no rows for them, and one that asks them in ascending
+order, as search zero3 does, builds the rows as it goes.
 A non-fundamental D = D0 f^2 goes through h(D0) and the conductor formula
 (class_number_from_disc).
 
@@ -175,7 +179,8 @@ def _reduced_forms(D):
     n = -D
     amax = isqrt((n - 1) // 4)  # the a with 4 a^2 < |D|
     top = isqrt(n // 3)
-    if top > _ROW_TOP:
+    # the rows grow at most to twice what earlier calls built
+    if top > min(_ROW_TOP, max(_ROW_FLOOR, 2 * (len(_squares) - 1))):
         return _sieved_forms(D, amax, top)
     counts, squares = _root_rows_to(top)
     h = sum(map(getitem, counts[1:amax + 1], map(mod, repeat(D), range(4, 4 * amax + 1, 4))))
@@ -235,6 +240,7 @@ def _sieved_forms(D, amax, top):
 
 
 _ROW_TOP = 1024
+_ROW_FLOOR = 64
 _spf = array("i", [0, 1])
 _primes = []
 _root_counts = [array("B")]

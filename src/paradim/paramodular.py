@@ -31,19 +31,27 @@ pointwise chain names the error.
 Grids.  check_bias_region and the graded S and A sequences from k = 3
 ask for whole runs of weights at a prime, and each run stays packed from
 the characters up to the sign of the bias (compact, "Packed runs").  The
-weight side is built once per run and shared by every prime:
-_weight_run(j, ks) holds the columns of _weight_terms, their maxima and
-the Eisenstein pair of the A spaces; _packed_weights(j, ks, W) packs the
-Siegel term SP, SP less the minus drop DROP and the lift multiplier LIFT
-at the width W, with the top bits of the fields at even k.  Per prime,
-_cusp_run reads the signed newspace (s+, s-), compact._signed_packed
-packs M+- at a W that also holds what _extra says the weight terms add,
-and _cusp_pair forms S+ = SP + M- - s+ LIFT and
-S- = SP - DROP + M+ - s- LIFT as two ints.  NegativeDim is read from the
-top bits of S+-, and the sign of the bias (-1)^k (S+ - S-) and its zeros
-from those of S+ - S- and the even-k mask (compact, "Signs in bulk"); a
-field is unpacked only to name the first bad k.  check_bias_region reads
-only the zero fields, and the sequences unpack S+- by compact._columns.
+weight side is built once per run and shared by every prime, each
+column by one whole-column step: _weight_columns(j, ks) takes the Siegel
+term SP as one slice of the level-1 series (siegel1._level1_coeffs at
+the size that dim_cusp_sp4 reads for the last k), and the lift
+multiplier LIFT, dim S_{2k+j-2}(SL_2(Z)), and the minus drop DROP from
+the closed-form column elliptic._level1_column; _weight_run(j, ks) holds
+these columns, their maxima and the Eisenstein pair (dim M_k, dim S_k)
+of the A spaces, from the same column.  _weight_columns is the one seam
+of the weight terms that dim_paramodular_signed (a run of one) and the
+grids read; formula reads the pointwise _weight_terms(k, j), which the
+tests hold the columns to.
+_packed_weights(j, ks, W) packs SP, SP - DROP and LIFT at the width W,
+with the top bits of the fields at even k.  Per prime, _cusp_run reads
+the signed newspace (s+, s-), compact._signed_packed packs M+- at a W
+that also holds what _extra says the weight terms add, and _cusp_pair
+forms S+ = SP + M- - s+ LIFT and S- = SP - DROP + M+ - s- LIFT as two
+ints.  NegativeDim is read from the top bits of S+-, and the sign of the
+bias (-1)^k (S+ - S-) and its zeros from those of S+ - S- and the even-k
+mask (compact, "Signs in bulk"); a field is unpacked only to name the
+first bad k.  check_bias_region reads only the zero fields, and the
+sequences unpack S+- by compact._columns.
 A prime's compact errors come first, then NegativeDim and BiasViolation
 at its first bad k.  A packed run of one is its value, so
 dim_paramodular_signed evaluates a single weight by the same integer
@@ -61,7 +69,8 @@ fit reads, so one run serves the A, A+ and A- records of a prime (and
 M+-, S+-), the expand checks, every embedded fit, the first two fallback
 denominators and the palindromic checks; only the last fallback reads a
 longer run.  No caller changes a run, and lru_cache holds no run that
-raised.  Below weight 3 the S and A
+raised.  _space_sequence returns the plus or the minus column of a run
+as one slice, and their sum as one map(add); below weight 3 the S and A
 sequences stay pointwise and uncached, so weight 2 at p >=
 LIFTS_ONLY_BELOW raises only when a sequence reaches it.
 hilbert_series is the one fitter: for a denominator with exponent sum s
@@ -73,7 +82,7 @@ polynomial division.
 """
 from collections import namedtuple
 from functools import lru_cache
-from operator import add, itemgetter, mul, sub
+from operator import add, mul, sub
 from types import MappingProxyType
 
 from .arith import check_level, primes_up_to
@@ -97,7 +106,13 @@ from .compact import (
     dim_M_signed,
 )
 from .data import load_json
-from .elliptic import _newspace, dim_cusp_level1, dim_modular_level1, dim_new_gamma0_signed
+from .elliptic import (
+    _level1_column,
+    _newspace,
+    dim_cusp_level1,
+    dim_modular_level1,
+    dim_new_gamma0_signed,
+)
 from .errors import (
     BadSpace,
     BadYoung,
@@ -111,7 +126,7 @@ from .errors import (
     UnsupportedJ,
 )
 from .exactmath import RationalGF, fit_numerator, from_terms, is_int
-from .siegel1 import dim_cusp_sp4
+from .siegel1 import _level1_coeffs, _size, dim_cusp_sp4
 
 
 def _weight_terms(k, j):
@@ -145,15 +160,27 @@ def dim_paramodular_signed(p, k, j=0):
     return _cusp_pair(p, j, ks, (m_plus, m_minus, width, 1 << width - 1), lifted)
 
 
+def _weight_columns(j, ks):
+    """The columns (sp, lift, drop) of _weight_terms(k, j) over the range ks
+    of integers k >= 3 (the module docstring, "Grids"); the errors of
+    _weight_terms(ks.start, j)."""
+    dim_cusp_sp4(ks.start, j)
+    sp = _level1_coeffs(j, _size(ks.stop - 1))[ks.start:ks.stop]
+    lift = _level1_column(range(2 * ks.start + j - 2, 2 * ks.stop + j - 2, 2))
+    drop = [d + (k == 3) for k, d in zip(ks, lift)] if j == 0 else [0] * len(ks)
+    return sp, lift, drop
+
+
 # Every prime of a grid reads the weight records of its run ks; a float j
 # gets its own key.
 @lru_cache(maxsize=64, typed=True)
 def _weight_run(j, ks):
-    """(terms, tops, eisenstein): the columns of _weight_terms(k, j) over
-    the range ks, max |.| of each, and the columns of the pair that
-    dim_A_signed adds to dim_S_signed."""
-    terms = tuple(map(list, zip(*[_weight_terms(k, j) for k in ks])))
-    eisenstein = [dim_modular_level1(k) for k in ks], [dim_cusp_level1(k) for k in ks]
+    """(terms, tops, eisenstein): _weight_columns(j, ks), max |.| of each,
+    and the columns (dim M_k, dim S_k) of SL_2(Z) that dim_A_signed adds
+    to dim_S_signed."""
+    terms = _weight_columns(j, ks)
+    cusp = _level1_column(ks)
+    eisenstein = [c + 1 - k % 2 for k, c in zip(ks, cusp)], cusp
     return terms, [max(map(abs, t), default=0) for t in terms], eisenstein
 
 
@@ -343,19 +370,21 @@ def _space_sequence(p, space, nmax, j=0):
     """Dimension sequence (index 0..nmax) of a graded space.
 
     S+/S-/A+/A-/A are graded by the weight k; M+/M-/M by the Young
-    parameter f of the weight (f + j, f).  The suffix picks the sum, the
-    plus or the minus entry.
+    parameter f of the weight (f + j, f).  The suffix picks the plus or
+    the minus column, or their sum.
     """
     _check_space(space, j)
     base, sign = space[0], space[1:]
     first = 0 if base == "M" else 3
-    pairs = [dim_A_signed(p, k) if base == "A" else dim_S_signed(p, k, j)
-             for k in range(min(first, nmax + 1))]
+    low = [dim_A_signed(p, k) if base == "A" else dim_S_signed(p, k, j)
+           for k in range(min(first, nmax + 1))]
+    plus, minus = [pair[0] for pair in low], [pair[1] for pair in low]
     if nmax >= first:
         run = _graded_run(base, p, j, max(nmax + 1, _RUN_MIN))
-        pairs += zip(*(column[:nmax + 1 - first] for column in run))
-    pick = {"": sum, "+": itemgetter(0), "-": itemgetter(1)}[sign]
-    return [pick(pair) for pair in pairs]
+        plus, minus = (head + column[:nmax + 1 - first] for head, column in zip((plus, minus), run))
+    if sign:
+        return plus if sign == "+" else minus
+    return list(map(add, plus, minus))
 
 
 @lru_cache(maxsize=None)

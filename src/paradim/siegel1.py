@@ -18,10 +18,15 @@ LEVEL1_SERIES = {j: RationalGF(from_terms(terms), [4, 6, 10, 12]) for j, terms i
         (19, 1), (20, 1), (21, 1), (23, 1), (30, -1)],
 }.items()}
 
-# sizes double from 128 terms, so a walk up to weight k expands O(log k) times
 @lru_cache(maxsize=None, typed=True)
 def _level1_coeffs(j, size):
     return series_coeffs(LEVEL1_SERIES[j], size)
+
+
+def _size(k):
+    """The size of the _level1_coeffs entry that weight k >= 0 reads: sizes
+    double from 128 terms, so a walk up to weight k expands O(log k) times."""
+    return max(128, 1 << k.bit_length())
 
 
 def dim_cusp_sp4(k, j=0):
@@ -33,4 +38,4 @@ def dim_cusp_sp4(k, j=0):
         raise UnsupportedJ(f"j = {j}: no level-1 series")
     if k < 0:
         return 0
-    return _level1_coeffs(j, max(128, 1 << k.bit_length()))[k]
+    return _level1_coeffs(j, _size(k))[k]

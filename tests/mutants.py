@@ -33,6 +33,8 @@ COMPACT = "src/paradim/compact.py"
 ELLIPTIC = "src/paradim/elliptic.py"
 ARITH = "src/paradim/arith.py"
 PARAMODULAR = "src/paradim/paramodular.py"
+EXACTMATH = "src/paradim/exactmath.py"
+CLI = "src/paradim/cli.py"
 TEST_PARAMODULAR = "tests/test_paramodular.py::"
 FORMULA = TEST_PARAMODULAR + "test_formula_is_the_signed_dimension"
 ZERO_PAIRS = TEST_PARAMODULAR + "test_bias_zero_pairs_small"
@@ -105,7 +107,8 @@ MUTANTS = [
     ("sequence-one-term-long", PARAMODULAR,
      "column[:nmax + 1 - first]",
      "column[:nmax + 2 - first]",
-     ["tests/test_assembly_oracle.py::test_space_sequence_matches_oracle"]),
+     ["tests/test_assembly_oracle.py::test_space_sequence_matches_oracle",
+      TEST_PARAMODULAR + "test_space_sequence_is_the_pointwise_route"]),
     ("run-min-30-shorter", PARAMODULAR,
      "_RUN_MIN = 2 * sum(FALLBACK_DENOMINATORS[0]) + FIT_SLACK + 1\n",
      "_RUN_MIN = 2 * sum(FALLBACK_DENOMINATORS[0]) + FIT_SLACK + 1 - 30\n",
@@ -159,6 +162,30 @@ MUTANTS = [
      "_ROW_TOP = 1024\n",
      "_ROW_TOP = 1000\n",
      [ROW_CAP]),
+    ("minus-sequence-reads-the-plus-column", PARAMODULAR,
+     'return plus if sign == "+" else minus',
+     "return plus",
+     [TEST_PARAMODULAR + "test_space_sequence_is_the_pointwise_route"]),
+    ("lift-column-at-weight-2k-plus-j", PARAMODULAR,
+     "range(2 * ks.start + j - 2, 2 * ks.stop + j - 2, 2)",
+     "range(2 * ks.start + j, 2 * ks.stop + j, 2)",
+     [TEST_PARAMODULAR + "test_weight_run_is_the_pointwise_route"]),
+    ("packed-sum-and-difference-swapped", COMPACT,
+     "for value in (total + trace, total - trace):",
+     "for value in (total - trace, total + trace):",
+     [TEST_PARAMODULAR + "test_grid_is_the_pointwise_route"]),
+    ("series-accumulates-with-stride-a-plus-1", EXACTMATH,
+     "c[r::a] = accumulate(c[r::a])",
+     "c[r::a + 1] = accumulate(c[r::a + 1])",
+     ["tests/test_exactmath.py::test_series_coeffs_is_the_prefix_sum_by_steps"]),
+    ("cli-takes-the-format-value-for-the-command-word", CLI,
+     'argv[2:] if argv[:1] == ["--format"] else argv',
+     'argv[1:] if argv[:1] == ["--format"] else argv',
+     ["tests/test_cli.py::test_main_builds_the_parser_of_the_command_word_alone"]),
+    ("root-rows-grow-past-the-doubling", KERNELS,
+     "max(_ROW_FLOOR, 2 * (len(_squares) - 1))",
+     "max(_ROW_FLOOR, 4 * (len(_squares) - 1))",
+     ["tests/test_kernels.py::test_rows_grow_at_most_by_doubling"]),
 ]
 
 

@@ -390,3 +390,58 @@ def test_format_goes_before_between_and_after_the_commands(capsys, monkeypatch):
             rc, out = run(capsys, *argv)
             assert rc == 0, argv
             json.loads(out)
+
+
+def _said(capsys, call, argv):
+    """(stdout, stderr, exit code) of call(argv)."""
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return out, err, code
+
+
+def _full_parser_says(argv):
+    """What a parser built with every subcommand says of argv."""
+    cli._parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    *([*path, "--help"] for path in LEAF_ARGS),
+    ["search", "--help"],
+    [],
+    ["frobnicate"],
+    ["search"],
+    ["--format", "xml", "dim", "--p", "7", "--k", "4"],
+    ["dim", "--p", "7", "--k", "4", "--format", "xml"],
+    ["--format", "json", "search", "zero3", "--format", "xml", "--pmax", "5"],
+    ["dim", "--p", "7"],
+    ["bias", "--pmax", "5", "--kmax", "four"],
+    ["verify", "extra"],
+    ["--format", "csv", "search", "zero3", "--pmax", "5", "extra"],
+], ids=repr)
+def test_messages_are_those_of_the_full_parser(capsys, argv):
+    # main builds the parser of the command word alone; its help, usage
+    # lines (wrapped as argparse wraps them) and exit codes stay those of
+    # the parser of every command
+    said = _said(capsys, main, argv)
+    assert said == _said(capsys, _full_parser_says, argv)
+    assert said[2] in (0, 2) and (said[1] if said[2] else said[0])
+
+
+def test_main_builds_the_parser_of_the_command_word_alone(capsys, monkeypatch):
+    built = []
+    for name, add in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, name, lambda sub, fmt, name=name, add=add: (
+            built.append(name), add(sub, fmt)))
+    for argv, names in [
+            (["search", "zero3", "--pmax", "5"], ["search"]),
+            (["--format", "json", "bias", "--pmax", "5", "--kmax", "4"], ["bias"]),
+            (["--format", "dim", "bias", "--pmax", "5", "--kmax", "4"], ["bias", *cli._COMMANDS]),
+            (["--format", "json"], list(cli._COMMANDS)),
+            (["bias", "--pmax", "5", "--kmax", "4", "extra"], ["bias", *cli._COMMANDS])]:
+        built.clear()
+        _said(capsys, main, argv)
+        assert built == names, argv

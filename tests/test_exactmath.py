@@ -150,3 +150,24 @@ class TestRationalGF:
         # t (1 + t)^2 / (1 - t^2)^2 is invariant under t -> 1/t: l = 4 - 1 - 3
         assert palindromic_ell(RationalGF([0, 1, 2, 1], [2, 2])) == 0
         assert palindromic_ell(RationalGF([0, 0, 1, 0, 1], [4, 6])) == 10 - 2 - 4
+
+
+def _series_by_steps(gf, n):
+    """series_coeffs one coefficient at a time: c[i] += c[i - a] for each
+    factor 1/(1 - t^a), i from a up."""
+    c = list(gf.numerator[:max(n, 0)]) + [0] * (n - len(gf.numerator))
+    for a in gf.denom_exponents:
+        for i in range(a, n):
+            c[i] += c[i - a]
+    return c
+
+
+@pytest.mark.parametrize("den", [[1], [2, 3], [4, 6, 10, 12], [4, 4, 6, 12], [120] * 4, [7, 300]])
+def test_series_coeffs_is_the_prefix_sum_by_steps(den):
+    # lengths below, at and past each exponent, and past the numerator
+    num = (3, -1, 0, 2, 0, 0, -5, 1)
+    for n in (-1, 0, 1, 5, 6, 7, 12, 81, 128, 301, 1001):
+        for numerator in (num, (0,) * 40 + num):
+            gf = RationalGF(numerator, den)
+            assert series_coeffs(gf, n) == _series_by_steps(gf, n), (den, n)
+

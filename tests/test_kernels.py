@@ -223,10 +223,45 @@ def test_sieved_forms_match_the_rows_below_40000():
 
 @pytest.mark.parametrize("D, rows_built", [(-3151871, True), (-3151879, False)])
 def test_class_numbers_past_the_row_cap_build_no_rows(fresh_table, D, rows_built):
-    # the fundamental D on each side of |D| = 3 (_ROW_TOP + 1)^2
+    # the fundamental D on each side of |D| = 3 (_ROW_TOP + 1)^2, the first
+    # asked once the rows reach half the cap, so that doubling them reaches it
+    if rows_built:
+        kernels._root_rows_to(kernels._ROW_TOP // 2)
     assert (isqrt(-D // 3) <= kernels._ROW_TOP) == rows_built
     assert kernels.class_number_from_disc(D) == naive_kernels.class_number_from_disc(D)
     assert len(kernels._squares) == (kernels._ROW_TOP + 1 if rows_built else 1)
+
+
+def _fundamental_at(top):
+    """The least fundamental D < 0 in magnitude whose rows reach a = top,
+    that is isqrt(|D| / 3) = top."""
+    n = 3 * top * top
+    while kernels._field_disc(kernels.squarefree_part(-n)) != -n:
+        n += 1
+    assert isqrt(n // 3) == top
+    return -n
+
+
+@pytest.mark.parametrize("D", [None, -8 * 262651, -3151871])
+def test_a_one_shot_discriminant_past_the_doubling_builds_no_row(fresh_table, D):
+    # from no rows, the rows may grow to _ROW_FLOOR, and each D here needs
+    # more; None stands for the first D past the floor
+    D = D or _fundamental_at(kernels._ROW_FLOOR + 1)
+    assert isqrt(-D // 3) > kernels._ROW_FLOOR
+    assert kernels.class_number_from_disc(D) == naive_kernels.class_number_from_disc(D)
+    assert len(kernels._squares) == 1
+
+
+def test_rows_grow_at_most_by_doubling(fresh_table):
+    # each D reads the rows when at most twice the rows built (or the floor)
+    # reach its top, and builds them; else the sieve counts it and the rows
+    # stay as they were
+    floor = kernels._ROW_FLOOR
+    for top, built in [(floor, floor), (2 * floor + 1, floor), (2 * floor, 2 * floor),
+                       (4 * floor, 4 * floor), (8 * floor + 1, 4 * floor)]:
+        D = _fundamental_at(top)
+        assert kernels.class_number_from_disc(D) == naive_kernels.class_number_from_disc(D), D
+        assert len(kernels._squares) == built + 1, D
 
 
 def _form_counts(n):

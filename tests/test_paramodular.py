@@ -599,10 +599,16 @@ def test_a_packing_fault_is_not_blamed_on_dim_M(monkeypatch, fresh_runs):
     assert [dim_M_signed(7, f2, f2) for f2 in range(10)] == pointwise
 
 
+def _bend_weight_terms(monkeypatch, bend):
+    """Make the weight terms at (k, j) bend(k, j, terms) on both routes, at
+    their one seam paramodular._weight_columns."""
+    columns = paramodular._weight_columns
+    monkeypatch.setattr(paramodular, "_weight_columns", lambda j, ks: tuple(map(list, zip(*[
+        bend(k, j, terms) for k, terms in zip(ks, zip(*columns(j, ks)))]))))
+
+
 def test_a_negative_dimension_raises_alike_on_both_routes(monkeypatch, fresh_runs):
-    terms = paramodular._weight_terms
-    monkeypatch.setattr(paramodular, "_weight_terms",
-                        lambda k, j: (-10**6, 0, 0) if k == 9 else terms(k, j))
+    _bend_weight_terms(monkeypatch, lambda k, j, terms: (-10**6, 0, 0) if k == 9 else terms)
     assert set(_both_routes(7, 0, range(3, 20), compact_too=False)) == {
         (NegativeDim, "p=7, (k,j)=(9,0): got (-1000000,-999995)")}
 
@@ -630,15 +636,68 @@ def test_each_mask_reads_what_the_pointwise_route_gives(monkeypatch, fresh_runs,
                                                         kmax, expected):
     # the weight terms at (k, 0) moved by (Siegel term, lifts, minus drop) at
     # p = 2, the only prime of the region
-    terms = paramodular._weight_terms
-    monkeypatch.setattr(paramodular, "_weight_terms", lambda k, j: tuple(
-        map(add, terms(k, j), bends.get(k, (0, 0, 0)) if j == 0 else (0, 0, 0))))
+    _bend_weight_terms(monkeypatch, lambda k, j, terms: tuple(
+        map(add, terms, bends.get(k, (0, 0, 0)) if j == 0 else (0, 0, 0))))
     packed, pointwise = (_outcome(lambda: region(2, kmax))
                          for region in (check_bias_region, _region))
     assert packed == pointwise
     assert packed[:2] == expected if isinstance(packed, tuple) else packed == expected
     if expected[0] is NegativeDim:
         assert set(_both_routes(2, 0, range(3, kmax + 1), compact_too=False)) == {expected}
+
+
+@pytest.fixture(scope="module")
+def pointwise_weights():
+    """(j, k) -> (_weight_terms(k, j), (dim M_k, dim S_k) of SL_2(Z)) for
+    k < 1000, one call per weight."""
+    return {(j, k): (_weight_terms(k, j), (dim_modular_level1(k), dim_cusp_level1(k)))
+            for j in (0, 2, 4) for k in range(1000)}
+
+
+@pytest.mark.parametrize("j", [0, 2, 4])
+@pytest.mark.parametrize("start", [3, 4, 125, 128, 300])
+def test_weight_run_is_the_pointwise_route(pointwise_weights, j, start):
+    # every length from 1 to 600: the runs cross the steps 128, 256, 512
+    # and 1024 of the level-1 Siegel series
+    run = paramodular._weight_run.__wrapped__
+    for length in range(1, 601):
+        ks = range(start, start + length)
+        terms, tops, (modular, cusp) = run(j, ks)
+        expected = [pointwise_weights[j, k] for k in ks]
+        assert list(zip(*terms)) == [t for t, _ in expected], (j, ks)
+        assert list(zip(modular, cusp)) == [e for _, e in expected], (j, ks)
+        assert tops == [max(map(abs, column)) for column in zip(*[t for t, _ in expected])]
+
+
+@pytest.mark.parametrize("j", [6, 2.0, 0.0, "0"])
+def test_weight_run_refuses_what_the_pointwise_route_refuses(j):
+    for ks in (range(3, 4), range(3, 200), range(10, 20)):
+        assert _outcome(lambda: paramodular._weight_run(j, ks)) == _outcome(
+            lambda: [_weight_terms(k, j) for k in ks])
+        assert isinstance(_outcome(lambda: paramodular._weight_run(j, ks)), tuple)
+
+
+def _pointwise_sequence(p, space, nmax, j):
+    """The graded sequence of `space` to nmax, one dim_M_signed, dim_A_signed
+    or dim_S_signed call per degree."""
+    if space[0] == "M":
+        pairs = [dim_M_signed(p, n + j, n) for n in range(nmax + 1)]
+    elif space[0] == "A":
+        pairs = [dim_A_signed(p, k) for k in range(nmax + 1)]
+    else:
+        pairs = [dim_S_signed(p, k, j) for k in range(nmax + 1)]
+    return [{"": a + b, "+": a, "-": b}[space[1:]] for a, b in pairs]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 277])
+@pytest.mark.parametrize("j", [0, 2, 4])
+def test_space_sequence_is_the_pointwise_route(p, j):
+    # lengths on both sides of the run's floor _RUN_MIN
+    for space in paramodular.SPACES:
+        for nmax in (-1, 0, 2, 3, 40, 130):
+            assert _outcome(lambda: paramodular._space_sequence(p, space, nmax, j)) == _outcome(
+                lambda: (paramodular._check_space(space, j),
+                         _pointwise_sequence(p, space, nmax, j))[1]), (p, space, nmax, j)
 
 
 def test_printed_series_expansion():
